@@ -1,6 +1,6 @@
 # Convenience targets (mirror the commands in README / CONTRIBUTING)
 
-.PHONY: install test test-quick bench bench-watch results examples explain-demo ci chaos e22 clean
+.PHONY: install test test-quick bench bench-watch results examples explain-demo ci chaos e22 perfbench-check clean
 
 install:
 	python setup.py develop
@@ -39,6 +39,21 @@ ci:
 	pytest benchmarks/bench_e18_resilience.py -s --benchmark-disable
 	pytest benchmarks/bench_e21_analysis.py -s --benchmark-disable
 	pytest benchmarks/bench_e22_columnar.py -s --benchmark-disable
+	$(MAKE) perfbench-check
+
+# the benchmark's own correctness checks (CI's perfbench job): its
+# self-tests, then one short run of every workload, whose last line must
+# report "correct": true and "failed": 0
+perfbench-check:
+	PYTHONPATH=src:. python -m pytest perfbench/tests
+	@mkdir -p .perfbench
+	@for workload in tc_serial fo_session tc_parallel; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 1 \
+			> .perfbench/check.log || exit 1; \
+		cat .perfbench/check.log; \
+		python -c 'import json, sys; r = json.loads(sys.stdin.readlines()[-1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
+			< .perfbench/check.log || { echo "$$workload: incorrect answer or failed operations"; exit 1; }; \
+	done
 
 # the cross-process chaos matrix: deterministic faults and worker
 # crashes injected inside pool workers; the oracle must still match

@@ -29,6 +29,7 @@ tuple budget.  Without a guard the checkpoints are near-free.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Optional, Sequence, Tuple
 
 from repro.core.database import Database
@@ -244,11 +245,25 @@ def _eval_relation_atom(
         raise SchemaError(
             f"{formula.name} has arity {stored.arity}, called with {len(formula.args)} args"
         )
-    # rename stored columns to fresh internal names, equate with argument
-    # terms, then project onto the argument variables
-    fresh = tuple(f"__arg{i}" for i in range(stored.arity))
-    renamed = stored.rename(dict(zip(stored.schema, fresh)))
-    schema = _result_schema(formula)
-    wide = renamed.extend(_common_schema(fresh, schema))
-    selectors = [theory.equality_atom(Var(column), arg) for column, arg in zip(fresh, formula.args)]
-    return wide.select(selectors).project(schema)
+    # a column whose argument is a variable not seen earlier in the atom
+    # is renamed straight to it.  Only constant and repeated-variable
+    # positions get a fresh column (never a variable of the atom, so
+    # user names like ``__arg1`` cannot be captured), equated with the
+    # argument and projected away; without those the projection below
+    # only reorders the columns into the sorted result schema
+    taken = {v.name for v in formula.free_variables()}
+    candidates = (f"__arg{i}" for i in itertools.count())
+    fresh = (name for name in candidates if name not in taken)
+    columns = []
+    selectors = []
+    for arg in formula.args:
+        if isinstance(arg, Var) and arg.name not in columns:
+            columns.append(arg.name)
+            continue
+        column = next(fresh)
+        columns.append(column)
+        selectors.append(theory.equality_atom(Var(column), arg))
+    renamed = stored.rename(dict(zip(stored.schema, columns)))
+    if selectors:
+        renamed = renamed.select(selectors)
+    return renamed.project(_result_schema(formula))

@@ -578,8 +578,10 @@ def _absorb(tuples: List[GTuple]) -> List[GTuple]:
     kernel: duplicates are hash-deduplicated up front, a universe tuple
     short-circuits the whole pass, and (for the dense-order theory) a
     pair is skipped when the candidate subsumer mentions a variable the
-    other tuple leaves unconstrained, or accepted when its atoms are a
-    syntactic subset.
+    other tuple leaves unconstrained or pins a variable the other tuple
+    does not pin to the same constant, or accepted when its atoms are a
+    syntactic subset.  Distinct point tuples therefore never reach the
+    kernel.
     """
     tracer = active_tracer()
     t0 = 0.0
@@ -635,6 +637,9 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
     var_sets: List[FrozenSet[Var]] = (
         [theory.conjunction_variables(t.atoms) for t in distinct] if dense else []
     )
+    pin_sets: List[FrozenSet[Tuple[Var, Fraction]]] = (
+        [frozenset(_pins(t).items()) for t in distinct] if dense else []
+    )
 
     def subsumes(si: int, ti: int) -> bool:
         s, t = distinct[si], distinct[ti]
@@ -642,6 +647,11 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
             # an atom mentioning a variable absent from t's conjunction
             # is never entailed by it (that variable is unconstrained)
             if not var_sets[si] <= var_sets[ti]:
+                return False
+            # t entails ``v = c`` only if its closure pins v to c, and
+            # the canonical form writes ``v = c`` for every pinned v:
+            # each pin of s must be a pin of t
+            if not pin_sets[si] <= pin_sets[ti]:
                 return False
             # entailment is reflexive, so a syntactic subset subsumes
             if s.atoms <= t.atoms:
@@ -691,15 +701,21 @@ _JOIN_INDEX_MIN_TUPLES = 4
 _JOIN_INDEX_MIN_PINNED = 0.5
 
 
-def _pinned_value(t: GTuple, var: Var) -> Optional[Fraction]:
-    """The constant ``var`` is equated to in ``t``, if any."""
+def _pins(t: GTuple) -> Dict[Var, Fraction]:
+    """The constant each variable is equated to in ``t``, by variable.
+
+    On a canonical dense-order tuple these are exactly the variables
+    its closure pins: the canonical form writes ``member = const`` for
+    every member of an equality class that contains a constant.
+    """
+    out: Dict[Var, Fraction] = {}
     for a in t.atoms:
         if a.op is Op.EQ:
-            if a.left == var and isinstance(a.right, Const):
-                return a.right.value
-            if a.right == var and isinstance(a.left, Const):
-                return a.left.value
-    return None
+            if isinstance(a.left, Var) and isinstance(a.right, Const):
+                out[a.left] = a.right.value
+            elif isinstance(a.right, Var) and isinstance(a.left, Const):
+                out[a.right] = a.left.value
+    return out
 
 
 def _join_partition(left: "Relation", right: "Relation"):
@@ -724,14 +740,16 @@ def _join_partition(left: "Relation", right: "Relation"):
     shared = [c for c in left.schema if c in right_cols]
     if not shared:
         return None
+    left_pins = [_pins(t) for t in left.tuples]
+    right_pins = [_pins(t) for t in right.tuples]
     best = None
     for col in shared:
         var = Var(col)
-        pins_a = [_pinned_value(t, var) for t in left.tuples]
+        pins_a = [pins.get(var) for pins in left_pins]
         na = sum(p is not None for p in pins_a)
         if na < _JOIN_INDEX_MIN_PINNED * len(left.tuples):
             continue
-        pins_b = [_pinned_value(t, var) for t in right.tuples]
+        pins_b = [pins.get(var) for pins in right_pins]
         nb = sum(p is not None for p in pins_b)
         if nb < _JOIN_INDEX_MIN_PINNED * len(right.tuples):
             continue
