@@ -8,16 +8,16 @@ series E2-E10 can be interpreted:
 * natural join fan-out (tuples x tuples satisfiability checks);
 * complement blowup in the number of representation tuples -- the one
   genuinely exponential primitive (and why `difference` prunes early);
-* canonicalization (OrderGraph closure) per conjunction size.
+* canonicalization (bounds-matrix closure) per conjunction size.
 """
 
 import pytest
 
 from repro.core.atoms import le, lt
 from repro.core.gtuple import GTuple
-from repro.core.ordergraph import OrderGraph
 from repro.core.relation import Relation
 from repro.core.theory import DENSE_ORDER
+from repro.perf.columnar import BoundsMatrix
 from repro.workloads.generators import random_interval_set
 
 
@@ -54,13 +54,13 @@ def test_complement_blowup(benchmark, n):
 
 
 @pytest.mark.parametrize("atoms", [4, 8, 16])
-def test_ordergraph_closure(benchmark, atoms):
+def test_kernel_closure(benchmark, atoms):
     """Satisfiability + canonical form of one conjunction."""
     conjunction = [lt(f"w{i}", f"w{i+1}") for i in range(atoms)]
     conjunction += [le(0, "w0"), le(f"w{atoms}", 100)]
 
     def run():
-        g = OrderGraph(conjunction)
+        g = BoundsMatrix(conjunction)
         return g.canonical_atoms()
 
     result = benchmark(run)

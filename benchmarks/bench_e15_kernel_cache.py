@@ -1,7 +1,7 @@
 """E15 -- kernel memo cache and interning pool payoff.
 
 The fast path (:mod:`repro.perf`) must pay for itself twice over: the
-memoized kernel (``frozenset(atoms)`` -> order graph / canonical form /
+memoized kernel (``frozenset(atoms)`` -> bounds matrix / canonical form /
 satisfiability) should make fixpoint workloads measurably faster, and
 the ``--no-cache`` escape hatch must cost nearly nothing -- every
 kernel method's disabled branch is a single attribute read in front of
@@ -20,11 +20,11 @@ import time
 import pytest
 
 from repro.core.atoms import le, lt
-from repro.core.ordergraph import OrderGraph
 from repro.core.theory import DENSE_ORDER
 from repro.datalog.engine import evaluate_program
 from repro.datalog.seminaive import evaluate_seminaive
 from repro.perf import kernel_cache_disabled, reset_kernel_cache
+from repro.perf.columnar import BoundsMatrix
 from repro.queries.library import transitive_closure_program
 from repro.workloads.generators import path_graph, slow_tc_workload
 
@@ -83,11 +83,12 @@ def _best(thunk, repeat=5):
 
 
 def _inline_kernel(conjunction):
-    """The pre-cache kernel, verbatim (seed canonicalize_if_satisfiable)."""
-    graph = OrderGraph(conjunction)
-    if not graph.is_satisfiable():
+    """The uncached kernel the theory calls, inlined (seed
+    canonicalize_if_satisfiable with the bounds matrix)."""
+    kernel = BoundsMatrix(conjunction)
+    if not kernel.is_satisfiable():
         return None
-    return graph.canonical_atoms()
+    return kernel.canonical_atoms()
 
 
 def test_report_kernel_cache(capsys):

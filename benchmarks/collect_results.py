@@ -900,110 +900,6 @@ def e21_analysis() -> None:
     print(f"(machine-readable numbers written to {out_path})")
 
 
-def e22_columnar() -> None:
-    """Measure the columnar bounds-matrix kernel payoff -- batch
-    satisfiability vs the per-conjunction object kernel, end-to-end TC
-    under both backends -- and fold the ratios into
-    ``BENCH_VECKERNEL.json`` next to this script so the CI gate and
-    EXPERIMENTS.md read the same numbers."""
-    header("E22 -- columnar bounds-matrix kernel (repro.perf.columnar)")
-    import sys
-
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from bench_e22_columnar import BLOCK_SIZES, _best, conjunction_block
-    from repro.core.ordergraph import OrderGraph
-    from repro.perf import (
-        batch_satisfiable,
-        kernel_backend_context,
-        reset_kernel_cache,
-    )
-    from repro.queries.library import transitive_closure_program as tc_program
-    from repro.workloads.generators import slow_tc_workload
-
-    batch = {}
-    print("| measurement | object (s) | columnar (s) | speedup |")
-    print("|---|---|---|---|")
-    for size in BLOCK_SIZES:
-        block = conjunction_block(size)
-        per_conj = _best(
-            lambda: [OrderGraph(c).is_satisfiable() for c in block]
-        )
-        batched = _best(lambda: batch_satisfiable(block))
-        batch[str(size)] = {
-            "object_seconds": per_conj,
-            "columnar_seconds": batched,
-            "speedup": per_conj / batched,
-        }
-        print(
-            f"| batch-sat block={size} | {per_conj:.4f} | {batched:.4f} "
-            f"| {per_conj / batched:.2f}x |"
-        )
-
-    program, db = slow_tc_workload(6)
-    tc = tc_program()
-    chain = path_graph(10)
-    e2e = {}
-    for name, thunk in {
-        "datalog-naive-tc": lambda: evaluate_program(program, db),
-        "datalog-naive-path": lambda: evaluate_program(tc, chain),
-    }.items():
-        seconds = {}
-        for backend in ("object", "columnar"):
-            with kernel_backend_context(backend):
-                def cold():
-                    reset_kernel_cache()
-                    thunk()
-                seconds[backend] = _best(cold, repeat=3)
-        e2e[name] = {
-            "object_seconds": seconds["object"],
-            "columnar_seconds": seconds["columnar"],
-            "speedup": seconds["object"] / seconds["columnar"],
-        }
-        print(
-            f"| {name} | {seconds['object']:.4f} "
-            f"| {seconds['columnar']:.4f} "
-            f"| {e2e[name]['speedup']:.2f}x |"
-        )
-    reset_kernel_cache()
-
-    out_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "BENCH_VECKERNEL.json")
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "schema": "repro.bench-veckernel/1",
-                "batch_satisfiable": batch,
-                "end_to_end": e2e,
-            },
-            handle, indent=2, sort_keys=True,
-        )
-        handle.write("\n")
-    print()
-    print(f"(machine-readable ratios written to {out_path})")
-
-
-def _columnar_tc_seconds() -> float:
-    """The quick naive-TC fixpoint under the columnar backend, cold
-    caches, for the history record -- the end-to-end claim E22 makes
-    that ``repro bench-watch`` keeps honest."""
-    from repro.perf import kernel_backend_context, reset_kernel_cache
-
-    program = transitive_closure_program()
-    db = path_graph(8)
-    with kernel_backend_context("columnar"):
-        def cold():
-            reset_kernel_cache()
-            evaluate_program(program, db)
-
-        cold()  # first-touch: imports and interning pool
-        best = float("inf")
-        for _ in range(3):
-            _, seconds = timed(cold)
-            best = min(best, seconds)
-    reset_kernel_cache()
-    return best
-
-
 def _trace_analysis_seconds() -> float:
     """The 5k-span analyze+flame+diff pipeline for the history record —
     the interactivity claim ``repro bench-watch`` keeps honest."""
@@ -1079,11 +975,6 @@ def bench_history(history_path: str) -> None:
         f"| trace_analysis_seconds | "
         f"{metrics['trace_analysis_seconds']:.4f} |"
     )
-    metrics["columnar_tc_seconds"] = _columnar_tc_seconds()
-    print(
-        f"| columnar_tc_seconds | "
-        f"{metrics['columnar_tc_seconds']:.4f} |"
-    )
     record = append_history(history_path, metrics)
     print()
     print(
@@ -1129,7 +1020,6 @@ def main(argv=None) -> None:
     e19_stitching()
     e20_planner()
     e21_analysis()
-    e22_columnar()
     bench_history(args.history)
     print()
 

@@ -23,28 +23,18 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.terms import Term, Var
-from repro.core.theory import ConstraintTheory, DenseOrderTheory
+from repro.core.theory import ConstraintTheory
 from repro.errors import SchemaError, TheoryError
-from repro.perf.columnar import kernel_selector, pack_gtuple, unpack_gtuple
 from repro.perf.interning import intern_pool
 
 __all__ = ["GTuple", "Schema", "check_schema"]
 
 Schema = Tuple[str, ...]
 
-_KERNEL = kernel_selector()
-
 
 def _restore_gtuple(theory: ConstraintTheory, schema: Schema, atoms: FrozenSet) -> "GTuple":
     """Unpickle through the interning constructor (see GTuple.__reduce__)."""
     return GTuple._canonical(theory, schema, atoms)
-
-
-def _restore_packed_gtuple(
-    theory: ConstraintTheory, schema: Schema, slots: tuple, matrix: bytes
-) -> "GTuple":
-    """Unpickle a columnar shard payload: slots + flat edge matrix."""
-    return GTuple._canonical(theory, schema, unpack_gtuple(schema, slots, matrix))
 
 
 def check_schema(schema: Sequence[str]) -> Schema:
@@ -184,21 +174,7 @@ class GTuple:
         # so both are rebuilt on the receiving side -- and routing
         # through _canonical re-interns the tuple into that process's
         # pool, keeping the identity fast paths effective for shard
-        # payloads crossing a process boundary.  Under the columnar
-        # kernel a dense-order tuple ships as schema slots plus a flat
-        # edge-matrix byte string instead of a graph of atom/term
-        # objects; canonical atom sets carry at most one atom per term
-        # pair, so the packed form decodes to the identical frozenset
-        # (pack_gtuple returns None for the rare unpackable set, which
-        # falls back to the object payload).
-        if _KERNEL.columnar and isinstance(self.theory, DenseOrderTheory):
-            packed = pack_gtuple(self.schema, self.atoms)
-            if packed is not None:
-                slots, matrix = packed
-                return (
-                    _restore_packed_gtuple,
-                    (self.theory, self.schema, slots, matrix),
-                )
+        # payloads crossing a process boundary.
         return (_restore_gtuple, (self.theory, self.schema, self.atoms))
 
     def __repr__(self) -> str:
@@ -216,7 +192,16 @@ class GTuple:
         """Conjunction of two tuples over a common target schema."""
         if self.theory is not other.theory and self.theory != other.theory:
             raise TheoryError("cannot merge tuples from different theories")
-        return GTuple.make(self.theory, schema, list(self.atoms) + list(other.atoms))
+        atoms = list(self.atoms) + list(other.atoms)
+        if self.schema == other.schema == schema:
+            # both sides already range over ``schema``, so make's schema
+            # re-validation is redundant; canonicalize make's own atom
+            # list, since LinearTheory's pruning depends on atom order
+            canonical = self.theory.canonicalize_if_satisfiable(atoms)
+            if canonical is None:
+                return None
+            return GTuple._canonical(self.theory, self.schema, canonical)
+        return GTuple.make(self.theory, schema, atoms)
 
     def project_out(self, column: str) -> Optional["GTuple"]:
         """Existentially eliminate one column.  None when unsatisfiable.

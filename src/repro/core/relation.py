@@ -30,14 +30,10 @@ from repro.errors import SchemaError, TheoryError
 from repro.obs.trace import active_tracer
 from repro.parallel.context import active_execution_context
 from repro.perf.cache import kernel_counters
-from repro.perf.columnar import kernel_selector, merge_block, tuple_matrix
 from repro.runtime.faults import fault_point
 from repro.runtime.guard import active_guard
 
 __all__ = ["Relation"]
-
-#: the kernel-backend switch (one attribute read on the hot paths)
-_KERNEL = kernel_selector()
 
 
 class Relation:
@@ -429,7 +425,6 @@ class Relation:
                 self.tuples, wide_b, combined, partition, ctx, guard
             )
         else:
-            blocked = _KERNEL.columnar and isinstance(self.theory, DenseOrderTheory)
             for ai, a in enumerate(self.tuples):
                 if guard is not None:
                     guard.tick("relation.join")
@@ -444,15 +439,6 @@ class Relation:
                     else:
                         # preserve the nested loop's right-side order
                         matches = sorted(buckets.get(pin, ()) + unpinned)
-                if blocked:
-                    # columnar: one blocked merge per left tuple (same
-                    # pairs, same order, same cache traffic as the
-                    # per-pair loop below)
-                    considered += len(matches)
-                    out.extend(
-                        merge_block(self.theory, wide_a, wide_b, matches, combined)
-                    )
-                    continue
                 for bi in matches:
                     considered += 1
                     merged = wide_a.merge(wide_b[bi], combined)
@@ -656,14 +642,6 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
             # entailment is reflexive, so a syntactic subset subsumes
             if s.atoms <= t.atoms:
                 return True
-            if _KERNEL.columnar:
-                # one closure per target tuple, shared across every
-                # candidate atom of every candidate subsumer (same
-                # laziness and cache traffic as t.entails; falls
-                # through when t's entailer is not matrix-backed)
-                mat = tuple_matrix(t)
-                if mat is not None:
-                    return mat.implies_all(s.atoms)
         return all(t.entails(a) for a in s.atoms)
 
     def stable_key(i: int) -> List[str]:

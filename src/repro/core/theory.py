@@ -24,29 +24,12 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.atoms import Atom, Op, atom
-from repro.core.ordergraph import OrderGraph
 from repro.core.terms import Const, Term, Var
 from repro.errors import TheoryError
 from repro.perf.cache import KernelEntry, kernel_cache
-from repro.perf.columnar import BoundsMatrix, kernel_selector
+from repro.perf.columnar import BoundsMatrix
 
 __all__ = ["ConstraintTheory", "DenseOrderTheory", "DENSE_ORDER"]
-
-#: the process-wide kernel-backend switch (never replaced, only mutated)
-_SELECTOR = kernel_selector()
-
-
-def _kernel(conjunction: Iterable[Atom]):
-    """The dense-order kernel for one conjunction under the active backend.
-
-    One attribute read decides between the per-atom object graph and the
-    columnar bounds matrix; the two answer every query identically, so
-    the choice is purely a performance knob (``REPRO_KERNEL`` /
-    ``--kernel``).
-    """
-    if _SELECTOR.columnar:
-        return BoundsMatrix(conjunction)
-    return OrderGraph(conjunction)
 
 
 class ConstraintTheory(ABC):
@@ -182,16 +165,13 @@ class DenseOrderTheory(ConstraintTheory):
 
     # ------------------------------------------------------------ kernel memo
     #
-    # Every query below bottoms out in a kernel (OrderGraph or, under
-    # REPRO_KERNEL=columnar, a BoundsMatrix) over the same conjunction;
-    # the process-wide KernelCache memoizes that kernel (and the
-    # canonical form derived from it) keyed by frozenset(atoms).
-    # Atoms are immutable value objects and the kernel is only queried,
-    # never extended, so entries never go stale -- and because both
-    # backends answer identically, an entry built under one backend
-    # stays valid after a runtime switch.  The disabled path
-    # (``--no-cache``) is a single attribute read before falling through
-    # to the direct kernel.
+    # Every query below bottoms out in a BoundsMatrix over the same
+    # conjunction; the process-wide KernelCache memoizes that kernel
+    # (and the canonical form derived from it) keyed by
+    # frozenset(atoms).  Atoms are immutable value objects and the
+    # kernel is only queried, never extended, so entries never go
+    # stale.  The disabled path (``--no-cache``) is a single attribute
+    # read before falling through to the direct kernel.
 
     def _entry(self, conjunction: Iterable[Atom]) -> KernelEntry:
         cache = kernel_cache()
@@ -202,7 +182,7 @@ class DenseOrderTheory(ConstraintTheory):
         )
         entry = cache.lookup(key)
         if entry is None:
-            entry = KernelEntry(_kernel(key))
+            entry = KernelEntry(BoundsMatrix(key))
             cache.store(key, entry)
         return entry
 
@@ -234,7 +214,7 @@ class DenseOrderTheory(ConstraintTheory):
 
     def is_satisfiable(self, conjunction: Iterable[Atom]) -> bool:
         if not kernel_cache().enabled:
-            return _kernel(conjunction).is_satisfiable()
+            return BoundsMatrix(conjunction).is_satisfiable()
         return self._entry(conjunction).graph.is_satisfiable()
 
     def project_out(self, conjunction: Sequence[Atom], var: Var) -> List[List[Atom]]:
@@ -296,7 +276,7 @@ class DenseOrderTheory(ConstraintTheory):
 
     def canonicalize(self, conjunction: Iterable[Atom]) -> FrozenSet[Atom]:
         if not kernel_cache().enabled:
-            return _kernel(conjunction).canonical_atoms()
+            return BoundsMatrix(conjunction).canonical_atoms()
         # canonical_atoms (not KernelEntry.canonical) so an unsatisfiable
         # input raises TheoryError exactly as the uncached kernel does
         return self._entry(conjunction).graph.canonical_atoms()
@@ -306,24 +286,24 @@ class DenseOrderTheory(ConstraintTheory):
 
     def entails(self, conjunction: Iterable[Atom], a: Atom) -> bool:
         if not kernel_cache().enabled:
-            return _kernel(conjunction).implies(a)
+            return BoundsMatrix(conjunction).implies(a)
         return self._entry(conjunction).graph.implies(a)
 
     def solve(self, conjunction: Iterable[Atom]) -> Optional[Dict[Var, Fraction]]:
         if not kernel_cache().enabled:
-            return _kernel(conjunction).solve()
+            return BoundsMatrix(conjunction).solve()
         return self._entry(conjunction).graph.solve()
 
     def make_entailer(self, conjunction: Iterable[Atom]):
         if not kernel_cache().enabled:
-            return _kernel(conjunction).implies
+            return BoundsMatrix(conjunction).implies
         return self._entry(conjunction).graph.implies
 
     def canonicalize_if_satisfiable(
         self, conjunction: Iterable[Atom]
     ) -> Optional[FrozenSet[Atom]]:
         if not kernel_cache().enabled:
-            kernel = _kernel(conjunction)
+            kernel = BoundsMatrix(conjunction)
             if not kernel.is_satisfiable():
                 return None
             return kernel.canonical_atoms()

@@ -46,11 +46,7 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.core.relation import _absorb_survivors
-from repro.core.theory import DenseOrderTheory
-from repro.perf.columnar import kernel_selector, merge_block
 from repro.runtime.faults import FaultRegistry, fault_point
-
-_KERNEL = kernel_selector()
 
 __all__ = [
     "ShardEnvelope",
@@ -231,11 +227,6 @@ def join_shard(payload) -> Tuple[list, int, float]:
     out: List = []
     considered = 0
     nb = len(wide_b)
-    blocked = (
-        _KERNEL.columnar
-        and bool(left)
-        and isinstance(left[0][0].theory, DenseOrderTheory)
-    )
     for a, pin in left:
         wide_a = a.extend(combined)
         if buckets is None or pin is None:
@@ -243,11 +234,6 @@ def join_shard(payload) -> Tuple[list, int, float]:
         else:
             # preserve the nested loop's right-side order
             matches = sorted(buckets.get(pin, ()) + unpinned)
-        if blocked:
-            # the same columnar fast path Relation.join takes serially
-            considered += len(matches)
-            out.extend(merge_block(a.theory, wide_a, wide_b, matches, combined))
-            continue
         for bi in matches:
             considered += 1
             merged = wide_a.merge(wide_b[bi], combined)

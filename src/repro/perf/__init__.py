@@ -1,14 +1,14 @@
-"""Kernel fast path: interning, memoized canonicalization, columnar kernel.
+"""Kernel fast path: interning, memoized canonicalization, the kernel.
 
 Every algebra operation bottoms out in
-:meth:`repro.core.gtuple.GTuple.make`, which runs the quantifier-
-elimination kernel (an :class:`~repro.core.ordergraph.OrderGraph`
-closure) on each candidate conjunction.  Joins, complements,
-projections, and every Datalog fixpoint round therefore pay the full
-kernel cost repeatedly on conjunctions they have already seen -- the
-per-round work Grohe & Schwandtner identify as the dominant cost of
-Datalog over linear orders.  This package removes the repeated work
-without touching any semantics:
+:meth:`repro.core.gtuple.GTuple.make`, which runs the dense-order
+kernel (a :class:`~repro.perf.columnar.BoundsMatrix` closure) on each
+candidate conjunction.  Joins, complements, projections, and every
+Datalog fixpoint round therefore pay the full kernel cost repeatedly
+on conjunctions they have already seen -- the per-round work Grohe &
+Schwandtner identify as the dominant cost of Datalog over linear
+orders.  This package removes the repeated work without touching any
+semantics:
 
 * :mod:`repro.perf.cache` -- a bounded, LRU-keyed memo
   (``frozenset(atoms)`` -> entailment kernel + canonical form +
@@ -18,25 +18,16 @@ without touching any semantics:
   structurally equal :class:`~repro.core.gtuple.GTuple` instances the
   *same object*, so equality short-circuits on identity and the
   per-tuple entailer is shared;
-* :mod:`repro.perf.columnar` -- the columnar bounds-matrix kernel
-  (``REPRO_KERNEL=columnar`` / ``--kernel``): one dense matrix per
-  conjunction instead of per-atom object graphs, batch
-  satisfiability/implication/canonicalization kernels, blocked
-  ``Relation`` join/absorb fast paths, and flat-int-array pickling for
-  shard payloads.
+* :mod:`repro.perf.columnar` -- the kernel itself: one dense bounds
+  matrix per conjunction, closed by a pure-Python Floyd–Warshall pass.
 
 All layers are invalidation-free: atoms, canonical atom sets, and
 generalized tuples are immutable, so a cached verdict never goes
 stale.  ``--no-cache`` on the CLI (or :func:`kernel_cache_disabled`)
-routes every call through the original uncached kernel; cached and
-uncached evaluation are property-tested to produce ``equivalent()``
-relations (``tests/perf``), and E15
-(``benchmarks/bench_e15_kernel_cache.py``) gates the speedup and the
-disabled-path overhead.  The columnar backend is pinned byte-identical
-to the object kernel by ``tests/perf/test_columnar_equivalence.py``
-and the differential oracle's kernel-backend axis, with E22
-(``benchmarks/bench_e22_columnar.py``) gating the batch speedup and
-the disabled-path overhead.
+routes every call through the uncached kernel; cached and uncached
+evaluation are property-tested to produce ``equivalent()`` relations
+(``tests/perf``), and E15 (``benchmarks/bench_e15_kernel_cache.py``)
+gates the speedup and the disabled-path overhead.
 """
 
 from repro.perf.cache import (
@@ -49,45 +40,17 @@ from repro.perf.cache import (
     reset_kernel_cache,
 )
 from repro.perf.interning import InternPool, intern_pool
-from repro.perf.columnar import (
-    BoundsMatrix,
-    KernelSelector,
-    batch_canonical,
-    batch_implies,
-    batch_satisfiable,
-    columnar_enabled,
-    configure_kernel,
-    kernel_backend,
-    kernel_backend_context,
-    kernel_selector,
-    merge_block,
-    pack_gtuple,
-    tuple_matrix,
-    unpack_gtuple,
-)
+from repro.perf.columnar import BoundsMatrix
 
 __all__ = [
     "BoundsMatrix",
     "InternPool",
     "KernelCache",
-    "KernelSelector",
-    "batch_canonical",
-    "batch_implies",
-    "batch_satisfiable",
-    "columnar_enabled",
-    "configure_kernel",
     "configure_kernel_cache",
     "intern_pool",
-    "kernel_backend",
-    "kernel_backend_context",
     "kernel_cache",
     "kernel_cache_disabled",
     "kernel_counters",
-    "kernel_selector",
     "kernel_stats",
-    "merge_block",
-    "pack_gtuple",
     "reset_kernel_cache",
-    "tuple_matrix",
-    "unpack_gtuple",
 ]

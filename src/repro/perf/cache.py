@@ -2,9 +2,10 @@
 
 One :class:`KernelCache` maps a *conjunction key* -- the ``frozenset``
 of its atoms -- to a :class:`KernelEntry` holding everything the
-kernel ever derives from that conjunction: the entailment graph
-(:class:`~repro.core.ordergraph.OrderGraph`), the satisfiability
-verdict, and (computed lazily) the canonical atom set.
+kernel ever derives from that conjunction: the bounds matrix
+(:class:`~repro.perf.columnar.BoundsMatrix`, which answers
+satisfiability, entailment and witnesses), and (computed lazily) the
+canonical atom set.
 :class:`~repro.core.theory.DenseOrderTheory` consults the process-wide
 cache from :meth:`is_satisfiable`, :meth:`canonicalize`,
 :meth:`canonicalize_if_satisfiable`, :meth:`entails`,

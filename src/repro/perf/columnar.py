@@ -1,207 +1,69 @@
-"""Columnar bounds-matrix constraint kernel (the vectorized fast path).
+"""The dense-order constraint kernel: one conjunction as a bounds matrix.
 
-The object kernel (:class:`~repro.core.ordergraph.OrderGraph`) walks
-per-atom Python object graphs: dict-of-dicts adjacency, per-term hash
-lookups, one graph per conjunction.  This module re-encodes one
-conjunction's order constraints as a *dense bounds matrix*: one row and
-column per variable-or-constant slot, entries drawn from::
+Every closed-form operation of the engine (FO by quantifier
+elimination, Datalog fixpoints) reduces to three questions about one
+conjunction of NE-free dense-order atoms: is it satisfiable, does it
+entail a given atom, and what is its canonical form.  This module
+answers them for :class:`~repro.core.theory.DenseOrderTheory`.
+
+A conjunction becomes a *dense bounds matrix*: one row and column per
+variable-or-constant slot, entries drawn from::
 
     0  unconstrained        (no derived relation row -> col)
     1  weak                 (row <= col derivable, row < col not)
     2  strict               (row <  col derivable)
 
-backed by a flat ``bytearray`` (pure python; an optional numpy
-acceleration path is gated behind ``REPRO_COLUMNAR_NUMPY=1`` because
-DESIGN.md restricts numpy to workloads and benchmarks).  The closure is
-the same Floyd–Warshall pass the object kernel runs, over the max
-semiring on ``{0, 1, 2}`` -- a path is strict iff any edge on it is --
-so every verdict (satisfiability, entailment, strongest derived
-relation, canonical atom set, witness) is **identical by construction**,
-not merely equivalent; the differential harness in
-``tests/perf/test_columnar_equivalence.py`` and the oracle's
-kernel-backend axis pin that byte for byte.
+backed by a flat ``bytearray``.  The closure is one pure-Python
+Floyd–Warshall pass over the max semiring on ``{0, 1, 2}`` -- a path
+is strict iff any edge on it is.  Because ``(Q, <=)`` is a dense linear
+order without endpoints, the only sources of inconsistency are a
+strict cycle and two distinct constants forced equal; constants carry
+their numeric order implicitly, which the closure materializes as
+strict edges between consecutive constants present in the matrix.
 
-On top of the matrix sit the batch kernels -- :func:`batch_satisfiable`
-(an SCC check: a conjunction is unsatisfiable iff some strongly
-connected component contains a strict edge or two distinct constants,
-which skips the cubic closure entirely), :func:`batch_implies`, and
-:func:`batch_canonical` -- plus the blocked ``Relation`` fast paths
-(:func:`merge_block`, :func:`tuple_matrix`) that check many candidate
-tuples per closure instead of issuing one theory call each.
-
-Backend selection mirrors the kernel cache's one-attribute-read
-discipline: :class:`~repro.core.theory.DenseOrderTheory` consults the
-process-wide :class:`KernelSelector` (seeded from ``REPRO_KERNEL``,
-runtime-switchable via :func:`configure_kernel` / the ``--kernel`` CLI
-flag) with a single attribute read per kernel construction, so the
-disabled path costs one branch.  :func:`configure_kernel` also writes
-``REPRO_KERNEL`` back into ``os.environ`` so spawned pool workers
-inherit the selection even without fork semantics.
-
-Shard payloads get cheap pickling: a bounds matrix serializes as its
-term slots plus a flat int array (the pre-closure edge matrix), and
-:func:`pack_gtuple` / :func:`unpack_gtuple` give
-:class:`~repro.core.gtuple.GTuple` the same treatment -- a canonical
-atom set round-trips through ``(slots, matrix bytes)`` instead of a
-graph of atom/term objects, losslessly, because canonical sets carry at
-most one atom per term pair.
+``tests/core/test_kernel_semantics.py`` checks every verdict against
+the sample-point semantics of :mod:`repro.core.sampling`.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.perf.cache import kernel_cache
+__all__ = ["BoundsMatrix", "kernel_selector"]
 
-__all__ = [
-    "BoundsMatrix",
-    "KernelSelector",
-    "batch_canonical",
-    "batch_implies",
-    "batch_satisfiable",
-    "columnar_enabled",
-    "configure_kernel",
-    "kernel_backend",
-    "kernel_backend_context",
-    "kernel_selector",
-    "merge_block",
-    "pack_gtuple",
-    "tuple_matrix",
-    "unpack_gtuple",
-]
-
-#: matrix entries (also the packed-pickle wire values)
+#: matrix entries
 _NONE, _WEAK, _STRICT = 0, 1, 2
 
-#: below this many slots the pure-python closure beats the numpy
-#: round-trip even when the acceleration path is enabled
-_NUMPY_MIN_NODES = 16
 
-_BACKENDS = ("object", "columnar")
+class _OneKernel:
+    __slots__ = ()
 
-
-# ------------------------------------------------------------------- selector
+    #: read-only: the bounds matrix is the only kernel
+    columnar = True
 
 
-class KernelSelector:
-    """The process-wide kernel-backend switch.
+_ONE_KERNEL = _OneKernel()
 
-    One mutable attribute, read once per kernel construction -- the
-    same disabled-path discipline as ``KernelCache.enabled``.  The
-    singleton (:func:`kernel_selector`) is never replaced, only
-    mutated, so modules may bind it at import time.
+
+def kernel_selector() -> _OneKernel:
+    """A constant whose ``.columnar`` is True and cannot be set.
+
+    The bounds matrix is the engine's only kernel; this remains because
+    ``perfbench/bench.py`` reads it for the ``kernel`` field of its run
+    record.
     """
-
-    __slots__ = ("columnar",)
-
-    def __init__(self, columnar: bool = False) -> None:
-        self.columnar = columnar
-
-
-_SELECTOR = KernelSelector(os.environ.get("REPRO_KERNEL", "object") == "columnar")
-
-
-def kernel_selector() -> KernelSelector:
-    """The process-wide selector singleton (bind it, read ``.columnar``)."""
-    return _SELECTOR
-
-
-def kernel_backend() -> str:
-    """The active backend name: ``"object"`` or ``"columnar"``."""
-    return "columnar" if _SELECTOR.columnar else "object"
-
-
-def columnar_enabled() -> bool:
-    return _SELECTOR.columnar
-
-
-def configure_kernel(backend: str) -> str:
-    """Select the kernel backend process-wide; returns the previous one.
-
-    Also exports the choice through ``REPRO_KERNEL`` so worker
-    processes spawned later (which re-read the environment at import)
-    agree with the parent even on non-fork start methods.  Cached
-    :class:`~repro.perf.cache.KernelEntry` objects built under the
-    previous backend stay valid -- both kernels answer identically --
-    so no invalidation happens here; tests wanting counter-exact runs
-    reset the cache themselves.
-    """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {backend!r}; expected one of {_BACKENDS}")
-    previous = kernel_backend()
-    _SELECTOR.columnar = backend == "columnar"
-    os.environ["REPRO_KERNEL"] = backend
-    return previous
-
-
-@contextmanager
-def kernel_backend_context(backend: str) -> Iterator[None]:
-    """Run a block under ``backend``, restoring the previous selection."""
-    previous = configure_kernel(backend)
-    try:
-        yield
-    finally:
-        configure_kernel(previous)
-
-
-# ----------------------------------------------------------------- numpy gate
-
-_NUMPY_SENTINEL = object()
-_NUMPY_MOD: object = _NUMPY_SENTINEL
-
-
-def _numpy():
-    """The numpy module when the acceleration path is armed, else None.
-
-    Opt-in (``REPRO_COLUMNAR_NUMPY=1``) and import-gated: the engine
-    core stays pure python per DESIGN.md, and a container without
-    numpy silently keeps the bytearray closure.
-    """
-    global _NUMPY_MOD
-    if os.environ.get("REPRO_COLUMNAR_NUMPY") != "1":
-        return None
-    if _NUMPY_MOD is _NUMPY_SENTINEL:
-        try:
-            import numpy  # noqa: F401  (optional, never a hard dependency)
-
-            _NUMPY_MOD = numpy
-        except ImportError:  # pragma: no cover - numpy is present in CI images
-            _NUMPY_MOD = None
-    return _NUMPY_MOD
-
-
-def _numpy_closure(edges: bytearray, n: int, np) -> bytearray:
-    """Floyd–Warshall over (reach, strict) boolean planes in numpy."""
-    a = np.frombuffer(bytes(edges), dtype=np.uint8).reshape(n, n)
-    reach = a > _NONE
-    strict = a == _STRICT
-    for k in range(n):
-        col_r = reach[:, k].copy()
-        row_r = reach[k].copy()
-        col_s = strict[:, k].copy()
-        row_s = strict[k].copy()
-        reach |= col_r[:, None] & row_r
-        strict |= (col_s[:, None] & row_r) | (col_r[:, None] & row_s)
-    out = np.where(strict, _STRICT, np.where(reach, _WEAK, _NONE)).astype(np.uint8)
-    return bytearray(out.tobytes())
-
-
-# -------------------------------------------------------------- bounds matrix
+    return _ONE_KERNEL
 
 
 class BoundsMatrix:
     """One conjunction of NE-free dense-order atoms as a bounds matrix.
 
-    Drop-in for :class:`~repro.core.ordergraph.OrderGraph` behind
-    :class:`~repro.core.theory.DenseOrderTheory` (and inside
-    :class:`~repro.perf.cache.KernelEntry`): same constructor shape,
-    same query surface, same verdicts, same canonical atom sets, same
-    witnesses.  Unlike the object graph it is built once from a whole
-    conjunction (no incremental ``add``), which is the only way the
-    theory ever uses a kernel.
+    Built once from a whole conjunction; the closure, the
+    satisfiability verdict and the sorted constant slots are computed
+    lazily and memoized.  :class:`~repro.core.theory.DenseOrderTheory`
+    keeps one per conjunction in its
+    :class:`~repro.perf.cache.KernelEntry`.
     """
 
     __slots__ = ("_terms", "_index", "_n", "_edges", "_matrix", "_sat", "_consts")
@@ -282,25 +144,21 @@ class BoundsMatrix:
         consts = self._const_slots()
         for (lo, _), (hi, _) in zip(consts, consts[1:]):
             m[lo * n + hi] = _STRICT
-        np = _numpy() if n >= _NUMPY_MIN_NODES else None
-        if np is not None:
-            m = _numpy_closure(m, n, np)
-        else:
-            rng = range(n)
-            for k in rng:
-                kn = k * n
-                for i in rng:
-                    w_ik = m[i * n + k]
-                    if not w_ik:
+        rng = range(n)
+        for k in rng:
+            kn = k * n
+            for i in rng:
+                w_ik = m[i * n + k]
+                if not w_ik:
+                    continue
+                row = i * n
+                for j in rng:
+                    w_kj = m[kn + j]
+                    if not w_kj:
                         continue
-                    row = i * n
-                    for j in rng:
-                        w_kj = m[kn + j]
-                        if not w_kj:
-                            continue
-                        w = w_ik if w_ik > w_kj else w_kj
-                        if m[row + j] < w:
-                            m[row + j] = w
+                    w = w_ik if w_ik > w_kj else w_kj
+                    if m[row + j] < w:
+                        m[row + j] = w
         self._matrix = m
         return m
 
@@ -413,13 +271,6 @@ class BoundsMatrix:
             return rel in (Op.LT, Op.LE, Op.EQ)
         raise TheoryError(f"non-normalized candidate atom {candidate}")
 
-    def implies_all(self, atoms: Iterable) -> bool:
-        """One closure, many entailment checks (the blocked-absorb core)."""
-        for a in atoms:
-            if not self.implies(a):
-                return False
-        return True
-
     # ------------------------------------------------------------ equivalence
 
     def equality_classes(self) -> List[FrozenSet]:
@@ -457,10 +308,9 @@ class BoundsMatrix:
         return rep
 
     def canonical_atoms(self) -> FrozenSet:
-        """The object kernel's canonical atom set, byte for byte.
+        """A deterministic minimal generating set of the conjunction.
 
-        Same construction as ``OrderGraph.canonical_atoms``: one
-        representative per equality class (preferring constants),
+        One representative per equality class (preferring constants),
         ``member = rep`` equalities, then the transitive reduction of
         the order on the representatives with constant-to-constant
         edges dropped.  Raises :class:`TheoryError` when unsatisfiable.
@@ -521,8 +371,8 @@ class BoundsMatrix:
     def solve(self) -> Optional[Dict]:
         """An explicit rational witness; None when unsatisfiable.
 
-        Same witness the object kernel produces: representatives are
-        placed in ``term_key`` order inside their feasible intervals.
+        Representatives are placed in ``term_key`` order inside their
+        feasible intervals.
         """
         if not self.is_satisfiable():
             return None
@@ -615,292 +465,12 @@ def _restore_matrix(terms: tuple, edges: bytes) -> BoundsMatrix:
     return m
 
 
-# -------------------------------------------------------------- batch kernels
-
-
-def batch_satisfiable(conjunctions: Sequence[Iterable]) -> List[bool]:
-    """Satisfiability verdicts for a block of conjunctions.
-
-    Skips the cubic closure: over dense order, a conjunction is
-    unsatisfiable iff its constraint graph (with the implicit strict
-    chain between consecutive constants materialized) has a strongly
-    connected component containing a strict edge -- a strict cycle --
-    or two distinct constants -- forced equal.  One Tarjan pass per
-    conjunction, linear in atoms, with verdicts identical to
-    ``OrderGraph.is_satisfiable`` / ``BoundsMatrix.is_satisfiable``.
-    """
-    return [_scc_satisfiable(c) for c in conjunctions]
-
-
-def _scc_satisfiable(atoms: Iterable) -> bool:
-    index: Dict = {}
-    adj: List[List[int]] = []
-    edges: List[Tuple[int, int, bool]] = []
-    const_slots: List[Tuple[int, Fraction]] = []
-
-    def slot(t) -> int:
-        s = index.get(t)
-        if s is None:
-            s = index[t] = len(adj)
-            adj.append([])
-            if isinstance(t, Const):
-                const_slots.append((s, t.value))
-        return s
-
-    for a in atoms:
-        op = a.op
-        if op is Op.NE:
-            raise TheoryError("BoundsMatrix handles NE-free conjunctions only")
-        if op in (Op.GE, Op.GT):  # pragma: no cover - atoms normalize these away
-            raise TheoryError("atoms must be normalized before reaching BoundsMatrix")
-        i, j = slot(a.left), slot(a.right)
-        adj[i].append(j)
-        edges.append((i, j, op is Op.LT))
-        if op is Op.EQ:
-            adj[j].append(i)
-            edges.append((j, i, False))
-    const_slots.sort(key=lambda pair: pair[1])
-    for (lo, _), (hi, _) in zip(const_slots, const_slots[1:]):
-        adj[lo].append(hi)
-        edges.append((lo, hi, True))
-    comp = _scc_ids(adj)
-    for u, v, strict in edges:
-        if strict and comp[u] == comp[v]:
-            return False
-    seen_comp: set = set()
-    for s, _ in const_slots:
-        c = comp[s]
-        if c in seen_comp:  # two distinct constants in one class
-            return False
-        seen_comp.add(c)
-    return True
-
-
-def _scc_ids(adj: List[List[int]]) -> List[int]:
-    """Tarjan strongly-connected components, iterative (no recursion)."""
-    n = len(adj)
-    order = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if order[root] != -1:
-            continue
-        work: List[List[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v, pi = frame
-            if pi == 0:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbours = adj[v]
-            while pi < len(neighbours):
-                w = neighbours[pi]
-                pi += 1
-                if order[w] == -1:
-                    frame[1] = pi
-                    work.append([w, 0])
-                    descended = True
-                    break
-                if on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == order[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
-
-
-def batch_implies(conjunctions: Sequence[Iterable], candidates: Sequence[Iterable]) -> List[bool]:
-    """``conjunctions[i] implies all of candidates[i]``, per index.
-
-    One matrix closure per conjunction, shared across that entry's
-    candidate atoms -- the shape of the blocked absorption pass.
-    """
-    if len(conjunctions) != len(candidates):
-        raise ValueError("batch_implies needs one candidate block per conjunction")
-    out: List[bool] = []
-    for conjunction, block in zip(conjunctions, candidates):
-        out.append(BoundsMatrix(conjunction).implies_all(block))
-    return out
-
-
-def batch_canonical(conjunctions: Sequence[Iterable]) -> List[Optional[FrozenSet]]:
-    """Fused satisfiability + canonical form for a block of conjunctions.
-
-    ``None`` marks an unsatisfiable entry.  Each conjunction gets its
-    own term universe (sharing slots across a block would add constant
-    nodes that change transitive-reduction witnesses, breaking the
-    byte-identity contract with the object kernel).
-    """
-    out: List[Optional[FrozenSet]] = []
-    for conjunction in conjunctions:
-        m = BoundsMatrix(conjunction)
-        out.append(m.canonical_atoms() if m.is_satisfiable() else None)
-    return out
-
-
-# ------------------------------------------------------- blocked Relation ops
-
-_GTUPLE = None
-
-
-def _gtuple():
-    global _GTUPLE
-    if _GTUPLE is None:
-        from repro.core.gtuple import GTuple
-
-        _GTUPLE = GTuple
-    return _GTUPLE
-
-
-def merge_block(theory, wide_a, wide_b: Sequence, matches: Iterable[int], schema) -> List:
-    """Merge one left tuple against a block of right-side candidates.
-
-    The blocked join inner loop: same conjunction keys, same kernel
-    cache traffic (one ``canonicalize_if_satisfiable`` per candidate
-    pair), same interning, same outputs in the same order as the
-    per-pair ``GTuple.merge`` path -- minus the per-pair schema
-    re-validation that ``GTuple.make`` performs, which is redundant
-    here because both sides already range over ``schema``.
-    """
-    gtuple = _gtuple()
-    base = wide_a.atoms
-    canonicalize = theory.canonicalize_if_satisfiable
-    out: List = []
-    for bi in matches:
-        canonical = canonicalize(base | wide_b[bi].atoms)
-        if canonical is not None:
-            out.append(gtuple._canonical(theory, schema, canonical))
-    return out
-
-
-def tuple_matrix(t) -> Optional[BoundsMatrix]:
-    """The bounds matrix behind a tuple's lazy entailer, or None.
-
-    Builds the entailer exactly the way ``GTuple.entails`` would (same
-    cache lookup, same laziness), then unwraps the kernel it is bound
-    to.  Returns None when the entailer is not matrix-backed -- e.g. a
-    tuple whose entailer predates a backend switch -- in which case the
-    caller falls back to the per-atom path, which is always correct.
-    """
-    entailer = t._entailer
-    if entailer is None:
-        entailer = t.theory.make_entailer(t.atoms)
-        t._entailer = entailer
-    owner = getattr(entailer, "__self__", None)
-    return owner if isinstance(owner, BoundsMatrix) else None
-
-
-# ----------------------------------------------------------- packed gtuples
-
-
-def pack_gtuple(schema, atoms) -> Optional[Tuple[tuple, bytes]]:
-    """A canonical atom set as ``(slots, flat edge-matrix bytes)``.
-
-    Slots are schema positions (int) for variables and
-    ``(numerator, denominator)`` pairs for constants, in first-touch
-    order.  Returns None when the set is not packable -- a non-schema
-    variable, a non-order operator, or two atoms over one term pair
-    (impossible for canonical sets, whose decode is therefore
-    unambiguous: mutual weak edges are an equality, a single edge is a
-    strict or weak bound).
-    """
-    positions = {name: i for i, name in enumerate(schema)}
-    index: Dict = {}
-    slots: List = []
-    triples: List[Tuple[int, int, int, bool]] = []
-    for a in atoms:
-        op = getattr(a, "op", None)
-        if op is Op.LT:
-            w, symmetric = _STRICT, False
-        elif op is Op.LE:
-            w, symmetric = _WEAK, False
-        elif op is Op.EQ:
-            w, symmetric = _WEAK, True
-        else:
-            return None
-        for t in (a.left, a.right):
-            if t in index:
-                continue
-            if isinstance(t, Var):
-                p = positions.get(t.name)
-                if p is None:
-                    return None
-                index[t] = len(slots)
-                slots.append(p)
-            elif isinstance(t, Const):
-                v = t.value
-                index[t] = len(slots)
-                slots.append((v.numerator, v.denominator))
-            else:
-                return None
-        triples.append((index[a.left], index[a.right], w, symmetric))
-    n = len(slots)
-    matrix = bytearray(n * n)
-    pairs: set = set()
-    for i, j, w, symmetric in triples:
-        key = (i, j) if i < j else (j, i)
-        if key in pairs:
-            return None  # two atoms over one pair: decode would be ambiguous
-        pairs.add(key)
-        matrix[i * n + j] = w
-        if symmetric:
-            matrix[j * n + i] = w
-    return tuple(slots), bytes(matrix)
-
-
-def unpack_gtuple(schema, slots: Sequence, matrix: bytes) -> FrozenSet:
-    """Invert :func:`pack_gtuple` (exact: same atoms, same normal forms)."""
-    terms = [
-        Var(schema[s]) if isinstance(s, int) else Const(Fraction(s[0], s[1]))
-        for s in slots
-    ]
-    n = len(terms)
-    out: set = set()
-    for i in range(n):
-        ti = terms[i]
-        row = i * n
-        for j in range(i + 1, n):
-            fwd = matrix[row + j]
-            bwd = matrix[j * n + i]
-            if not fwd and not bwd:
-                continue
-            tj = terms[j]
-            if fwd and bwd:
-                made = eq(ti, tj)
-            elif fwd:
-                made = lt(ti, tj) if fwd == _STRICT else le(ti, tj)
-            else:
-                made = lt(tj, ti) if bwd == _STRICT else le(tj, ti)
-            if not isinstance(made, bool):  # pragma: no cover - defensive
-                out.add(made)
-    return frozenset(out)
-
-
 # Core imports live at the *bottom*: importing ``repro.core.atoms``
 # executes ``repro.core.__init__``, whose import chain re-enters this
 # module through ``repro.core.theory`` (`from repro.perf.columnar
-# import ...`).  Every public name above is already bound by the time
-# that re-entry happens; the names below are only referenced from
-# inside function bodies, at call time.
+# import BoundsMatrix`).  Every public name above is already bound by
+# the time that re-entry happens; the names below are only referenced
+# from inside function bodies, at call time.
 from repro.core.atoms import Op, eq, le, lt  # noqa: E402
 from repro.core.terms import Const, Var, term_key  # noqa: E402
 from repro.errors import TheoryError  # noqa: E402

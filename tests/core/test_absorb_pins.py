@@ -2,30 +2,26 @@
 
 A dense-order tuple ``s`` can subsume ``t`` only if every ``v = c`` atom
 of ``s`` is also an atom of ``t``: ``t`` entails ``v = c`` only if its
-closure pins ``v`` to ``c``, and the canonical form (``OrderGraph`` and
-its ``BoundsMatrix`` port alike) writes ``member = const`` for every
-variable the closure pins.  Absorption checks this before calling the
-entailment kernel.  These tests check the claim itself under both
-kernels, that absorption still equals the brute-force pairwise
-reference, and that distinct point tuples never reach the kernel.
+closure pins ``v`` to ``c``, and the kernel's canonical form writes
+``member = const`` for every variable the closure pins.  Absorption
+checks this before calling the entailment kernel.  These tests check
+the claim itself, that absorption still equals the brute-force
+pairwise reference, and that distinct point tuples never reach the
+kernel.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.relation as relation_mod
 from repro.core.atoms import Op, atom, le
 from repro.core.gtuple import GTuple
 from repro.core.relation import _absorb, _pins
 from repro.core.theory import DENSE_ORDER
-from repro.perf import kernel_backend_context, reset_kernel_cache
 from tests.perf.test_fastpath_reference import reference_absorb
 
 SCHEMA = ("x", "y", "z")
-BACKENDS = ("object", "columnar")
 
 #: few constants and variables, so closures often pin a variable
 terms = st.one_of(st.sampled_from(SCHEMA), st.integers(0, 2))
@@ -61,65 +57,47 @@ def relations(draw):
 
 
 class TestPinsOfSubsumers:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=300, deadline=None)
     @given(common=conjunctions, extra=conjunctions, other=conjunctions)
-    def test_subsumer_pins_are_pins_of_the_subsumed(self, backend, common, extra, other):
-        with kernel_backend_context(backend):
-            reset_kernel_cache()
-            # ``narrow`` conjoins more atoms, so ``wide`` always subsumes it
-            wide, narrow, unrelated = make(common), make(common + extra), make(other)
-            pairs = [(wide, narrow), (narrow, wide), (unrelated, narrow),
-                     (narrow, unrelated), (wide, unrelated), (unrelated, wide)]
-            for s, t in pairs:
-                if all(t.entails(a) for a in s.atoms):
-                    assert pin_set(s) <= pin_set(t), (s, t)
+    def test_subsumer_pins_are_pins_of_the_subsumed(self, common, extra, other):
+        # ``narrow`` conjoins more atoms, so ``wide`` always subsumes it
+        wide, narrow, unrelated = make(common), make(common + extra), make(other)
+        pairs = [(wide, narrow), (narrow, wide), (unrelated, narrow),
+                 (narrow, unrelated), (wide, unrelated), (unrelated, wide)]
+        for s, t in pairs:
+            if all(t.entails(a) for a in s.atoms):
+                assert pin_set(s) <= pin_set(t), (s, t)
 
 
 class TestAbsorbMatchesPairwiseReference:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=150, deadline=None)
     @given(raw=relations())
-    def test_same_kept_tuples_in_same_order(self, backend, raw):
-        with kernel_backend_context(backend):
-            reset_kernel_cache()
-            tuples = [make(atoms) for atoms in raw]
-            assert _absorb(list(tuples)) == reference_absorb(tuples)
+    def test_same_kept_tuples_in_same_order(self, raw):
+        tuples = [make(atoms) for atoms in raw]
+        assert _absorb(list(tuples)) == reference_absorb(tuples)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pinned_subsumers_still_absorb(self, backend):
-        with kernel_backend_context(backend):
-            reset_kernel_cache()
-            point = make([atom("x", Op.EQ, 1), atom("y", Op.EQ, 2)])
-            pinned_ray = make([atom("x", Op.EQ, 1), le("y", 2)])
-            ray = make([le("y", 2)])
-            assert _absorb([point, pinned_ray]) == [pinned_ray]
-            assert _absorb([point, pinned_ray, ray]) == [ray]
+    def test_pinned_subsumers_still_absorb(self):
+        point = make([atom("x", Op.EQ, 1), atom("y", Op.EQ, 2)])
+        pinned_ray = make([atom("x", Op.EQ, 1), le("y", 2)])
+        ray = make([le("y", 2)])
+        assert _absorb([point, pinned_ray]) == [pinned_ray]
+        assert _absorb([point, pinned_ray, ray]) == [ray]
 
 
 class TestPointsSkipTheKernel:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_distinct_points_make_no_entailment_calls(self, backend, monkeypatch):
+    def test_distinct_points_make_no_entailment_calls(self, monkeypatch):
         calls = []
         entails = GTuple.entails
-        tuple_matrix = relation_mod.tuple_matrix
 
         def counting_entails(self, a):
             calls.append("entails")
             return entails(self, a)
 
-        def counting_matrix(t):
-            calls.append("tuple_matrix")
-            return tuple_matrix(t)
-
         monkeypatch.setattr(GTuple, "entails", counting_entails)
-        monkeypatch.setattr(relation_mod, "tuple_matrix", counting_matrix)
-        with kernel_backend_context(backend):
-            reset_kernel_cache()
-            points = [
-                GTuple.point(DENSE_ORDER, ("x", "y"), (i, j))
-                for i in range(6)
-                for j in range(i, 6)
-            ]
-            assert _absorb(list(points)) == points
+        points = [
+            GTuple.point(DENSE_ORDER, ("x", "y"), (i, j))
+            for i in range(6)
+            for j in range(i, 6)
+        ]
+        assert _absorb(list(points)) == points
         assert calls == []

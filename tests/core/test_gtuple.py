@@ -3,13 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.atoms import eq, le, lt
 from repro.core.gtuple import GTuple, check_schema
 from repro.core.terms import Const, Var
 from repro.core.theory import DENSE_ORDER
 from repro.errors import SchemaError
+from repro.linear.latoms import lin_eq, lin_le
+from repro.linear.theory import LINEAR
+from tests.linear.test_theory import linear_conjunctions
 from tests.strategies import conjunctions
 
 
@@ -179,6 +183,54 @@ class TestTransforms:
         a = make(("x",), [lt("x", 0)])
         b = make(("x",), [lt(1, "x")])
         assert a.merge(b, ("x",)) is None
+
+
+def _assert_merge_matches_make(theory, schema, conjunction_pairs):
+    for left, right in conjunction_pairs:
+        a, b = GTuple.make(theory, schema, left), GTuple.make(theory, schema, right)
+        if a is None or b is None:
+            continue
+        made = GTuple.make(theory, schema, list(a.atoms) + list(b.atoms))
+        merged = a.merge(b, schema)
+        assert (merged is None) == (made is None)
+        if made is not None:
+            assert merged.atoms == made.atoms and merged.schema == made.schema
+
+
+class TestMergeShortPath:
+    """Over one schema ``merge`` skips ``make`` but must match it atom for atom."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(conjunctions(), conjunctions()), max_size=4))
+    def test_dense_order_matches_make(self, pairs):
+        _assert_merge_matches_make(DENSE_ORDER, ("x", "y", "z", "u", "v"), pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(linear_conjunctions(), linear_conjunctions()), max_size=3))
+    # LinearTheory.canonicalize prunes in atom order: x = 0 and
+    # {x <= 0, 0 <= x} entail each other, so what it keeps depends on
+    # which comes first
+    @example([([lin_eq("x", 0)], [lin_le("x", 0), lin_le(0, "x")])])
+    def test_linear_matches_make(self, pairs):
+        _assert_merge_matches_make(LINEAR, ("x", "y"), pairs)
+
+    def test_only_a_wider_schema_goes_through_make(self, monkeypatch):
+        calls = []
+        make_fn = GTuple.make.__func__
+
+        def counting_make(cls, theory, schema, atoms=()):
+            calls.append(tuple(schema))
+            return make_fn(cls, theory, schema, atoms)
+
+        a = make(("x", "y"), [le(0, "x")])
+        b = make(("x", "y"), [lt("x", "y")])
+        both = frozenset({le(0, "x"), lt("x", "y")})
+        monkeypatch.setattr(GTuple, "make", classmethod(counting_make))
+        assert a.merge(b, ("x", "y")).atoms == both
+        assert calls == []
+        wide = a.merge(b, ("x", "y", "z"))
+        assert calls == [("x", "y", "z")]
+        assert wide.schema == ("x", "y", "z") and wide.atoms == both
 
 
 class TestSemantics:

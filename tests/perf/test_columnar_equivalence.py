@@ -1,22 +1,10 @@
-"""Differential proof: the columnar kernel equals the object kernel.
+"""Wire format: the kernel and generalized tuples survive pickling.
 
-The bounds matrix (:mod:`repro.perf.columnar`) claims to be a pure
-performance substitution for :class:`~repro.core.ordergraph.OrderGraph`.
-This suite pins that claim from four directions:
-
-* **kernel verdicts** — satisfiability, entailment, canonical atom
-  sets, and solver witnesses agree on random conjunctions, atom by
-  atom (not merely up to equivalence);
-* **batch kernels** — ``batch_satisfiable`` (the SCC fast path),
-  ``batch_implies``, and ``batch_canonical`` agree with per-conjunction
-  object-kernel calls;
-* **whole engines** — random FO formulas and Datalog fixpoints render
-  byte-identically under ``REPRO_KERNEL=object`` vs ``columnar``, with
-  equal guard totals and equal kernel cache/intern counters;
-* **wire format** — bounds matrices and packed generalized tuples
-  round-trip through pickle unchanged, in-process and across a
-  *spawned* worker (which re-reads ``REPRO_KERNEL`` from the
-  environment rather than inheriting parent memory).
+Bounds matrices and the tuples of a Datalog fixpoint round-trip through
+pickle unchanged, in-process and across a *spawned* worker (which
+re-imports everything rather than inheriting parent memory): the
+rehydrated matrix gives the same verdict, canonical form and witness,
+and every tuple the same atom set.
 """
 
 from __future__ import annotations
@@ -25,203 +13,16 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.atoms import eq, le, lt
+from repro.core.atoms import le, lt
 from repro.core.database import Database
-from repro.core.evaluator import evaluate
-from repro.core.gtuple import GTuple
-from repro.core.ordergraph import OrderGraph
 from repro.core.relation import Relation
-from repro.core.terms import Const, Var
-from repro.core.theory import DENSE_ORDER
 from repro.datalog.engine import evaluate_program
-from repro.errors import EvaluationError
-from repro.perf import kernel_counters, reset_kernel_cache
-from repro.perf.columnar import (
-    BoundsMatrix,
-    batch_canonical,
-    batch_implies,
-    batch_satisfiable,
-    configure_kernel,
-    kernel_backend,
-    kernel_backend_context,
-    pack_gtuple,
-    unpack_gtuple,
-)
+from repro.perf import reset_kernel_cache
+from repro.perf.columnar import BoundsMatrix
 from repro.queries.library import transitive_closure_program
-from repro.runtime.guard import EvaluationGuard
-from tests.strategies import conjunctions, formulas, ne_free_atoms
-
-
-def _fresh(backend):
-    """Enter ``backend`` on a clean cache/pool (no cross-leg leakage)."""
-    reset_kernel_cache()
-    return kernel_backend_context(backend)
-
-
-# ------------------------------------------------------------ kernel verdicts
-
-
-class TestKernelVerdictParity:
-    @settings(max_examples=120, deadline=None)
-    @given(conjunctions(max_size=7))
-    def test_sat_canonical_solve(self, conj):
-        graph = OrderGraph(conj)
-        matrix = BoundsMatrix(conj)
-        assert graph.is_satisfiable() == matrix.is_satisfiable()
-        if graph.is_satisfiable():
-            assert graph.canonical_atoms() == matrix.canonical_atoms()
-            assert graph.solve() == matrix.solve()
-        else:
-            assert matrix.solve() is None
-
-    @settings(max_examples=120, deadline=None)
-    @given(conjunctions(max_size=6), st.lists(ne_free_atoms(), max_size=4))
-    def test_implies(self, conj, probes):
-        graph = OrderGraph(conj)
-        matrix = BoundsMatrix(conj)
-        for probe in probes:
-            assert graph.implies(probe) == matrix.implies(probe), (conj, probe)
-        assert matrix.implies_all(probes) == all(graph.implies(p) for p in probes)
-
-    @settings(max_examples=60, deadline=None)
-    @given(conjunctions(max_size=6))
-    def test_equality_classes_and_nodes(self, conj):
-        graph = OrderGraph(conj)
-        matrix = BoundsMatrix(conj)
-        assert graph.nodes == matrix.nodes
-        assert graph.equality_classes() == matrix.equality_classes()
-
-    def test_fresh_constant_reasoning(self):
-        # {x = -1} entails x <= 0 although 0 is not a matrix slot
-        x = Var("x")
-        matrix = BoundsMatrix([eq(x, Const(-1))])
-        assert matrix.implies(le(x, Const(0)))
-        assert not matrix.implies(le(Const(0), x))
-        assert matrix.implies(lt(x, Const(5)))
-
-
-class TestBatchKernels:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(conjunctions(max_size=6), max_size=8))
-    def test_batch_satisfiable(self, block):
-        expected = [OrderGraph(c).is_satisfiable() for c in block]
-        assert batch_satisfiable(block) == expected
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(conjunctions(max_size=6), max_size=6))
-    def test_batch_canonical(self, block):
-        got = batch_canonical(block)
-        for conj, canonical in zip(block, got):
-            graph = OrderGraph(conj)
-            if graph.is_satisfiable():
-                assert canonical == graph.canonical_atoms()
-            else:
-                assert canonical is None
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(conjunctions(max_size=5), st.lists(ne_free_atoms(), max_size=3)),
-            max_size=6,
-        )
-    )
-    def test_batch_implies(self, pairs):
-        conjs = [c for c, _ in pairs]
-        probes = [p for _, p in pairs]
-        expected = [
-            all(OrderGraph(c).implies(a) for a in block)
-            for c, block in zip(conjs, probes)
-        ]
-        assert batch_implies(conjs, probes) == expected
-
-    def test_batch_implies_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            batch_implies([[]], [])
-
-
-# ------------------------------------------------------------- whole engines
-
-
-def _db():
-    edges = [(i, i + 1) for i in range(6)] + [(0, 3), (2, 5)]
-    db = Database()
-    db["E"] = Relation.from_points(("x", "y"), edges)
-    db["T"] = Relation(
-        DENSE_ORDER,
-        ("x", "y"),
-        [GTuple.make(DENSE_ORDER, ("x", "y"), [le("x", "y"), le(0, "x")])],
-    )
-    return db
-
-
-class TestEngineBackendEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(formulas(depth=2))
-    def test_fo_renderings_and_counters(self, formula):
-        legs = {}
-        for backend in ("object", "columnar"):
-            with _fresh(backend):
-                guard = EvaluationGuard()
-                try:
-                    result = evaluate(formula, _db(), guard=guard)
-                except EvaluationError as err:
-                    legs[backend] = ("error", type(err).__name__)
-                    continue
-                legs[backend] = (
-                    result.pretty(),
-                    tuple(repr(t) for t in result.tuples),
-                    dict(guard.counters),
-                    dict(kernel_counters()),
-                )
-        assert legs["columnar"] == legs["object"]
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12))
-    def test_datalog_renderings_and_counters(self, edges):
-        db_edges = sorted({(a, b) for a, b in edges if a != b}) or [(0, 1)]
-        legs = {}
-        for backend in ("object", "columnar"):
-            with _fresh(backend):
-                db = Database(
-                    {"E": Relation.from_points(("x", "y"), db_edges)}
-                )
-                guard = EvaluationGuard()
-                result = evaluate_program(
-                    transitive_closure_program(), db, guard=guard
-                )
-                legs[backend] = (
-                    result.rounds,
-                    result["tc"].pretty(),
-                    tuple(repr(t) for t in result["tc"].tuples),
-                    dict(guard.counters),
-                    guard.tuples_materialized,
-                    dict(kernel_counters()),
-                )
-        assert legs["columnar"] == legs["object"]
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(conjunctions(min_size=1, max_size=4), min_size=1, max_size=6))
-    def test_absorb_survivor_sets(self, blocks):
-        legs = {}
-        for backend in ("object", "columnar"):
-            with _fresh(backend):
-                tuples = [
-                    GTuple.make(DENSE_ORDER, ("x", "y", "z", "u", "v"), conj)
-                    for conj in blocks
-                ]
-                tuples = [t for t in tuples if t is not None]
-                if not tuples:
-                    return
-                rel = Relation(DENSE_ORDER, ("x", "y", "z", "u", "v"), tuples)
-                legs[backend] = tuple(repr(t) for t in rel.simplify().tuples)
-        assert legs["columnar"] == legs["object"]
-
-
-# ---------------------------------------------------------------- wire format
+from tests.strategies import conjunctions
 
 
 def _describe_matrix(matrix):
@@ -235,9 +36,8 @@ def _describe_matrix(matrix):
 
 
 def _describe_tuples(tuples):
-    """Runs in a spawned worker: report the backend the child resolved
-    from the environment plus the rehydrated tuples' atom sets."""
-    return kernel_backend(), [sorted(str(a) for a in t.atoms) for t in tuples]
+    """Runs in a spawned worker: the rehydrated tuples' atom sets."""
+    return [sorted(str(a) for a in t.atoms) for t in tuples]
 
 
 class TestWireFormat:
@@ -250,143 +50,16 @@ class TestWireFormat:
         assert clone.edge_bytes() == matrix.edge_bytes()
         assert _describe_matrix(clone) == _describe_matrix(BoundsMatrix(conj))
 
-    @settings(max_examples=60, deadline=None)
-    @given(conjunctions(max_size=6))
-    def test_packed_gtuple_roundtrip(self, conj):
-        with _fresh("columnar"):
-            t = GTuple.make(DENSE_ORDER, ("x", "y", "z", "u", "v"), conj)
-            if t is None:
-                return
-            packed = pack_gtuple(t.schema, t.atoms)
-            assert packed is not None, "canonical sets must always pack"
-            slots, matrix = packed
-            assert unpack_gtuple(t.schema, slots, matrix) == t.atoms
-            assert t.__reduce__()[0].__name__ == "_restore_packed_gtuple"
-            clone = pickle.loads(pickle.dumps(t))
-            assert clone == t
-            assert clone is t  # interning: unpickling re-pools
-
-    def test_packed_payload_is_smaller(self):
-        with _fresh("columnar"):
-            chain = [lt(f"c{i}", f"c{i+1}") for i in range(7)]
-            schema = tuple(f"c{i}" for i in range(8))
-            t = GTuple.make(DENSE_ORDER, schema, chain)
-            packed_size = len(pickle.dumps(t))
-        with _fresh("object"):
-            t = GTuple.make(DENSE_ORDER, schema, chain)
-            object_size = len(pickle.dumps(t))
-        assert packed_size < object_size
-
-    def test_ambiguous_set_falls_back_to_object_payload(self):
-        # {x <= y, y <= x} is not canonical (canonicalization yields
-        # x = y); built by hand it would decode as an equality, so the
-        # packer must refuse and __reduce__ must ship the atom set
-        x, y = Var("x"), Var("y")
-        ambiguous = frozenset({le(x, y), le(y, x)})
-        assert pack_gtuple(("x", "y"), ambiguous) is None
-        with _fresh("columnar"):
-            t = GTuple._canonical(DENSE_ORDER, ("x", "y"), ambiguous)
-            assert t.__reduce__()[0].__name__ == "_restore_gtuple"
-            assert pickle.loads(pickle.dumps(t)).atoms == ambiguous
-
-    def test_non_schema_and_non_order_sets_fall_back(self):
-        x = Var("x")
-        assert pack_gtuple(("y",), frozenset({le(x, Const(1))})) is None
-        assert pack_gtuple(("x",), frozenset({"not-an-atom"})) is None
-
-    def test_object_backend_keeps_object_payload(self):
-        with _fresh("object"):
-            t = GTuple.make(DENSE_ORDER, ("x", "y"), [lt("x", "y")])
-            assert t.__reduce__()[0].__name__ == "_restore_gtuple"
-
     def test_roundtrip_across_spawned_worker(self):
-        # spawn (not fork): the child re-imports everything and resolves
-        # the backend from REPRO_KERNEL, which configure_kernel exports
-        previous = configure_kernel("columnar")
-        try:
-            reset_kernel_cache()
-            edges = [(i, i + 1) for i in range(5)]
-            db = Database({"E": Relation.from_points(("x", "y"), edges)})
-            tc = evaluate_program(transitive_closure_program(), db)["tc"]
-            assert any(
-                t.__reduce__()[0].__name__ == "_restore_packed_gtuple"
-                for t in tc.tuples
-            )
-            matrix = BoundsMatrix([lt("x", "y"), le(0, "x"), lt("y", 4)])
-            with ProcessPoolExecutor(
-                max_workers=1, mp_context=get_context("spawn")
-            ) as pool:
-                backend, atom_sets = pool.submit(
-                    _describe_tuples, list(tc.tuples)
-                ).result(timeout=120)
-                remote = pool.submit(_describe_matrix, matrix).result(timeout=120)
-            assert backend == "columnar"
-            assert atom_sets == [sorted(str(a) for a in t.atoms) for t in tc.tuples]
-            assert remote == _describe_matrix(matrix)
-        finally:
-            configure_kernel(previous)
-            reset_kernel_cache()
-
-
-# ------------------------------------------------------- selector behaviour
-
-
-class TestSelector:
-    def test_configure_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            configure_kernel("simd")
-
-    def test_context_restores_previous(self):
-        before = kernel_backend()
-        with kernel_backend_context("columnar"):
-            assert kernel_backend() == "columnar"
-        assert kernel_backend() == before
-
-    def test_ne_atom_rejected(self):
-        from repro.core.atoms import Atom, Op
-        from repro.errors import TheoryError
-
-        bad = Atom(Var("x"), Op.NE, Var("y"))
-        with pytest.raises(TheoryError):
-            BoundsMatrix([bad])
-        with pytest.raises(TheoryError):
-            batch_satisfiable([[bad]])
-
-
-# ------------------------------------------------------------ numpy closure
-
-
-class TestNumpyClosure:
-    def test_numpy_path_matches_pure_python(self, monkeypatch):
-        numpy = pytest.importorskip("numpy")
-        del numpy
-        import random
-
-        import repro.perf.columnar as columnar
-
-        monkeypatch.setenv("REPRO_COLUMNAR_NUMPY", "1")
-        monkeypatch.setattr(columnar, "_NUMPY_MOD", columnar._NUMPY_SENTINEL)
-        rng = random.Random(42)
-        terms = [Var(f"v{i}") for i in range(18)] + [Const(k) for k in range(3)]
-        for _ in range(25):
-            # a shuffled spanning chain keeps every term in the matrix,
-            # guaranteeing the closure crosses the numpy threshold
-            shuffled = terms[:]
-            rng.shuffle(shuffled)
-            conj = []
-            for a, b in zip(shuffled, shuffled[1:]):
-                made = rng.choice([lt, le])(a, b)
-                if not isinstance(made, bool):
-                    conj.append(made)
-            while len(conj) < 26:
-                a, b = rng.sample(terms, 2)
-                made = rng.choice([lt, le, eq])(a, b)
-                if not isinstance(made, bool):
-                    conj.append(made)
-            graph = OrderGraph(conj)
-            matrix = BoundsMatrix(conj)
-            assert matrix._n >= columnar._NUMPY_MIN_NODES
-            assert graph.is_satisfiable() == matrix.is_satisfiable()
-            if graph.is_satisfiable():
-                assert graph.canonical_atoms() == matrix.canonical_atoms()
-                assert graph.solve() == matrix.solve()
+        reset_kernel_cache()
+        edges = [(i, i + 1) for i in range(5)]
+        db = Database({"E": Relation.from_points(("x", "y"), edges)})
+        tc = evaluate_program(transitive_closure_program(), db)["tc"]
+        matrix = BoundsMatrix([lt("x", "y"), le(0, "x"), lt("y", 4)])
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=get_context("spawn")
+        ) as pool:
+            atom_sets = pool.submit(_describe_tuples, list(tc.tuples)).result(timeout=120)
+            remote = pool.submit(_describe_matrix, matrix).result(timeout=120)
+        assert atom_sets == [sorted(str(a) for a in t.atoms) for t in tc.tuples]
+        assert remote == _describe_matrix(matrix)

@@ -6,45 +6,33 @@ nothing ever exercised the fast paths while the tracer carried a
 :class:`~repro.obs.memory.MemoryProfiler`, the configuration where the
 operator preambles open memory frames (``_mem_mark``) around the very
 loops the fast paths replace.  This suite closes that gap across the
-full interaction matrix: memory attribution × kernel cache on/off ×
-kernel backend (object / columnar).
+interaction matrix: memory attribution × kernel cache on/off.
 
 The contracts:
 
 * the fast paths still produce byte-identical output to the reference
   algorithms while a memory frame is open;
-* the join/absorb ledger records carry populated memory fields under
-  every cache/backend combination (and zeros without ``--memory``);
-* turning all three features on at once (cache + memory attribution +
-  columnar kernel) changes no result and loses no ledger column.
+* the join/absorb ledger records carry populated memory fields with
+  the cache on or off (and zeros without ``--memory``);
+* turning both features on at once (cache + memory attribution)
+  changes no result and loses no ledger column.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gtuple import GTuple
 from repro.core.relation import Relation, _absorb
-from repro.core.theory import DENSE_ORDER
 from repro.obs import Tracer
 from repro.obs.memory import MemoryProfiler
-from repro.perf import (
-    kernel_backend_context,
-    kernel_cache_disabled,
-    reset_kernel_cache,
-)
+from repro.perf import kernel_cache_disabled, reset_kernel_cache
 from tests.perf.test_fastpath_reference import (
     gtuples,
     point_relations,
     reference_absorb,
     reference_join,
 )
-
-SCHEMA = ("x", "y", "z", "u", "v")
-
-BACKENDS = ("object", "columnar")
 
 
 def _armed_tracer() -> Tracer:
@@ -63,38 +51,33 @@ def _run_traced(work, *, memory=True):
 
 
 class TestFastPathsUnderMemoryProfiler:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=25, deadline=None)
     @given(tuples=st.lists(gtuples(), max_size=6))
-    def test_absorb_matches_reference(self, backend, tuples):
+    def test_absorb_matches_reference(self, tuples):
         expected = reference_absorb(tuples)
-        with kernel_backend_context(backend):
-            reset_kernel_cache()
-            got, tracer = _run_traced(lambda: _absorb(list(tuples)))
+        reset_kernel_cache()
+        got, tracer = _run_traced(lambda: _absorb(list(tuples)))
         assert got == expected
         records = [r for r in tracer.ledger.records if r.op == "absorb"]
         assert records, "absorb never reached the ledger"
         assert all(r.alloc_blocks >= 0 and r.peak_bytes >= 0 for r in records)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=20, deadline=None)
     @given(left=point_relations(("x", "y")), right=point_relations(("y", "z")))
-    def test_join_matches_reference(self, backend, left, right):
+    def test_join_matches_reference(self, left, right):
         expected = reference_join(left, right).tuples
-        with kernel_backend_context(backend):
-            reset_kernel_cache()
-            got, tracer = _run_traced(lambda: left.join(right))
+        reset_kernel_cache()
+        got, tracer = _run_traced(lambda: left.join(right))
         assert got.tuples == expected
         records = [r for r in tracer.ledger.records if r.op == "join"]
         assert records, "join never reached the ledger"
         assert all(r.alloc_blocks >= 0 and r.peak_bytes >= 0 for r in records)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=15, deadline=None)
     @given(tuples=st.lists(gtuples(), max_size=5))
-    def test_absorb_with_cache_disabled(self, backend, tuples):
+    def test_absorb_with_cache_disabled(self, tuples):
         expected = reference_absorb(tuples)
-        with kernel_backend_context(backend), kernel_cache_disabled():
+        with kernel_cache_disabled():
             got, tracer = _run_traced(lambda: _absorb(list(tuples)))
         assert got == expected
         records = [r for r in tracer.ledger.records if r.op == "absorb"]
@@ -102,24 +85,21 @@ class TestFastPathsUnderMemoryProfiler:
         # with the cache off the operator must charge zero cache traffic
         assert all(r.cache_hits == 0 and r.cache_misses == 0 for r in records)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=15, deadline=None)
     @given(left=point_relations(("x", "y")), right=point_relations(("y", "z")))
-    def test_join_with_cache_disabled(self, backend, left, right):
+    def test_join_with_cache_disabled(self, left, right):
         expected = reference_join(left, right).tuples
-        with kernel_backend_context(backend), kernel_cache_disabled():
+        with kernel_cache_disabled():
             got, tracer = _run_traced(lambda: left.join(right))
         assert got.tuples == expected
 
 
 class TestLedgerMemoryColumns:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_memory_fields_zero_without_profiler(self, backend):
+    def test_memory_fields_zero_without_profiler(self):
         left = Relation.from_points(("x", "y"), [(i, i + 1) for i in range(6)])
         right = Relation.from_points(("y", "z"), [(i, i + 2) for i in range(6)])
-        with kernel_backend_context(backend):
-            reset_kernel_cache()
-            _, tracer = _run_traced(lambda: left.join(right), memory=False)
+        reset_kernel_cache()
+        _, tracer = _run_traced(lambda: left.join(right), memory=False)
         records = [r for r in tracer.ledger.records if r.op == "join"]
         assert records
         assert all(
@@ -128,51 +108,16 @@ class TestLedgerMemoryColumns:
         )
 
     def test_columnar_join_records_cache_and_memory_together(self):
-        # all three features at once: columnar kernel + memo cache +
-        # memory attribution.  The blocked merge path must keep paying
-        # its cache traffic into the ledger while the memory frame is
-        # open, exactly like the per-pair object path.
+        # both features at once: memo cache + memory attribution.  The
+        # join's merges must keep paying their cache traffic into the
+        # ledger while the memory frame is open.
         left = Relation.from_points(("x", "y"), [(i, i + 1) for i in range(8)])
         right = Relation.from_points(("y", "z"), [(i, i + 2) for i in range(8)])
-        with kernel_backend_context("columnar"):
-            reset_kernel_cache()
-            result, tracer = _run_traced(lambda: left.join(right))
+        reset_kernel_cache()
+        result, tracer = _run_traced(lambda: left.join(right))
         records = [r for r in tracer.ledger.records if r.op == "join"]
         assert records
         record = records[0]
         assert record.cache_hits + record.cache_misses > 0
         assert record.alloc_blocks >= 0 and record.peak_bytes >= 0
         assert record.out_tuples == len(result.tuples)
-
-    def test_columnar_absorb_ledger_matches_object(self):
-        # identical inputs, identical accounting: the ledger rows the
-        # two backends write for the same absorb call must agree on
-        # every deterministic column (memory/seconds excluded)
-        from repro.core.atoms import le, lt
-
-        def build():
-            mk = lambda atoms: GTuple.make(DENSE_ORDER, SCHEMA, atoms)
-            ts = [
-                mk([lt("x", "y")]),
-                mk([lt("x", "y"), le("x", 3)]),
-                mk([le("x", "y")]),
-                mk([lt("x", "y"), lt("y", "z")]),
-            ]
-            return [t for t in ts if t is not None]
-
-        rows = {}
-        for backend in BACKENDS:
-            with kernel_backend_context(backend):
-                reset_kernel_cache()
-                kept, tracer = _run_traced(lambda: _absorb(build()))
-            record = [r for r in tracer.ledger.records if r.op == "absorb"][0]
-            rows[backend] = (
-                tuple(repr(t) for t in kept),
-                record.in_tuples,
-                record.out_tuples,
-                record.est_out,
-                record.out_atoms,
-                record.cache_hits,
-                record.cache_misses,
-            )
-        assert rows["columnar"] == rows["object"]

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.atoms import le, lt
 from repro.core.database import Database
-from repro.core.ordergraph import OrderGraph
 from repro.core.relation import Relation
 from repro.core.theory import DENSE_ORDER
 from repro.datalog.engine import evaluate_program
@@ -19,6 +18,7 @@ from repro.perf import (
     reset_kernel_cache,
 )
 from repro.perf.cache import DEFAULT_CAPACITY, KernelEntry
+from repro.perf.columnar import BoundsMatrix
 from repro.queries.library import transitive_closure_program
 
 
@@ -31,7 +31,7 @@ def _restore_cache():
 
 
 def _entry(*atoms):
-    return KernelEntry(OrderGraph(frozenset(atoms)))
+    return KernelEntry(BoundsMatrix(frozenset(atoms)))
 
 
 class TestKernelCacheMechanics:
