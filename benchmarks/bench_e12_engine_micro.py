@@ -101,7 +101,8 @@ def test_query_processing_ablation(benchmark, mode):
     from repro.core.atoms import lt as LT
     from repro.core.evaluator import evaluate
     from repro.core.formula import constraint, exists, rel
-    from repro.core.planner import compile_formula, execute, optimize
+    from repro.core.physical import QueryPlanner, execute_plan
+    from repro.core.planner import compile_formula
     from repro.workloads.generators import random_interval_database
 
     db = random_interval_database(71, count=10)
@@ -114,9 +115,9 @@ def test_query_processing_ablation(benchmark, mode):
         run = lambda: evaluate(f, db)
     elif mode == "plan":
         plan = compile_formula(f)
-        run = lambda: execute(plan, db)
+        run = lambda: execute_plan(plan, db)
     else:
-        plan = optimize(compile_formula(f), db)
-        run = lambda: execute(plan, db)
+        plan = QueryPlanner(mode="heuristic").logical_plan(f, db)
+        run = lambda: execute_plan(plan, db)
     result = benchmark(run)
     assert result.arity == 1

@@ -129,7 +129,7 @@ def e4_hanf_table() -> None:
 
 def e12_ablations() -> None:
     header("E12 -- engine ablations")
-    from repro.core.planner import compile_formula, execute, optimize
+    from repro.core.physical import QueryPlanner, execute_plan
     from repro.datalog.seminaive import evaluate_seminaive
 
     db = path_graph(8)
@@ -143,8 +143,8 @@ def e12_ablations() -> None:
         & constraint(lt("y", -20)),
     )
     _, direct_time = timed(lambda: evaluate(f, qdb))
-    plan = optimize(compile_formula(f), qdb)
-    _, plan_time = timed(lambda: execute(plan, qdb))
+    plan = QueryPlanner(mode="heuristic").logical_plan(f, qdb)
+    _, plan_time = timed(lambda: execute_plan(plan, qdb))
     print("| ablation | baseline (s) | variant (s) | speedup |")
     print("|---|---|---|---|")
     print(
@@ -696,7 +696,7 @@ def e20_planner() -> None:
 
     # the E12 ablation, re-run against the rule-engine planner: direct
     # evaluation vs the optimized plan on the interval self-join
-    from repro.core.planner import compile_formula, execute, optimize
+    from repro.core.physical import execute_plan
 
     qdb = random_interval_database(71, count=10)
     f = exists(
@@ -705,8 +705,8 @@ def e20_planner() -> None:
         & constraint(lt("y", -20)),
     )
     _, direct_time = timed(lambda: evaluate(f, qdb))
-    plan = optimize(compile_formula(f), qdb)
-    _, plan_time = timed(lambda: execute(plan, qdb))
+    plan = QueryPlanner(mode="heuristic").logical_plan(f, qdb)
+    _, plan_time = timed(lambda: execute_plan(plan, qdb))
     entries["ablation"] = {
         "direct_seconds": direct_time,
         "optimized_plan_seconds": plan_time,

@@ -21,21 +21,21 @@ what was cut.
 Evaluation is also *observable*: ``--trace FILE`` writes a structured
 JSON trace (schema ``repro.trace/1``), ``--profile`` prints the
 per-phase cost tree after the result, ``--stats`` prints the guard's
-per-site counters plus the kernel cache/interning statistics,
-``-v``/``-vv`` print metric summaries on stderr, the ``explain``
-subcommand runs a query or program purely for its cost tree, and the
-``profile`` subcommand runs one purely for its per-operator cost
-ledger — the estimated-vs-actual cardinality table, exportable as a
-schema-versioned ``repro.profile/1`` document with ``--out`` (and
-``--fit`` to turn the run's ledger straight into a cost model).
+per-site counters plus the kernel cache/interning statistics, and
+``-v``/``-vv`` print metric summaries on stderr.
 
-Query planning: ``--optimize={none,heuristic,cost}`` picks the
-planning mode on ``query``/``datalog``/``explain`` (default: ``cost``
-when ``--parallel`` is granted, ``none`` otherwise), the ``plan``
-subcommand prints the chosen plan — per-node estimated rows, modeled
-cost, serial-vs-parallel verdict — without executing, and
-``calibrate`` fits the planner's ``repro.cost-model/1`` coefficients
-from saved ``repro.profile/1`` documents.
+Two subcommands inspect plans and runs.  ``plan`` plans without
+running: one tree per formula or Datalog rule, each node with its
+estimated rows, modeled cost and serial-vs-parallel verdict.
+``explain`` runs a query or program and reports where the work went:
+the per-phase cost tree, the per-operator cost ledger (estimated vs
+actual cardinalities) and the guard's counters; ``--out`` also writes
+the ledger as a schema-versioned ``repro.profile/1`` document (also
+when a budget aborts the run), and ``calibrate`` fits the planner's
+``repro.cost-model/1`` coefficients from such documents.
+``--optimize={none,heuristic,cost}`` picks the planning mode on
+``query``/``datalog``/``explain`` (default: ``cost`` when
+``--parallel`` is granted, ``none`` otherwise).
 
 Telemetry exports (the :mod:`repro.obs.telemetry` pipeline):
 ``--log-jsonl FILE`` streams every structured log record
@@ -55,7 +55,7 @@ AFTER`` structurally diffs two traces of the same workload and
 attributes the latency delta to named operators, optionally writing a
 ``repro.trace-diff/1`` document with ``-o``.
 
-``--memory`` (on ``query``/``datalog``/``explain``/``profile``) turns
+``--memory`` (on ``query``/``datalog``/``explain``) turns
 on per-span memory attribution: every traced span gains
 ``mem_alloc_blocks``/``mem_peak_bytes`` attrs, the cost ledger gains
 per-operator memory columns, and ``--parallel`` runs capture the same
@@ -86,15 +86,17 @@ pool is *used* is decided per operator by the cost-based planner:
 otherwise, and the planner dispatches only the Join/Project/Absorb
 nodes whose modeled parallel cost beats serial (so a 1-core box
 simply gets serial decisions — no host-level special case).
-``--optimize=none`` restores the legacy behavior: the pool is
-activated globally and every eligible kernel shards.  Shard dispatch
-is fault-tolerant: ``--shard-timeout``
-bounds each shard, ``--shard-retries`` caps pool re-dispatches before
-a failing shard is quarantined (re-executed serially in-process), and
-``--on-shard-failure`` picks the terminal behavior — ``fail`` (exit
-``5``, no quarantine), ``serial`` (the default: quarantine, then exit
-``5``), or ``partial`` (drop the shard and print the tagged partial
-result).
+Without a planner (``--optimize=none``, or a Datalog engine that
+takes none) the pool is activated around the whole run and every
+eligible kernel shards; one helper makes this choice for ``query``,
+``datalog`` and ``explain`` alike.  Shard dispatch is fault-tolerant:
+``--shard-timeout`` bounds each shard, ``--shard-retries`` caps pool
+re-dispatches before a failing shard is quarantined (re-executed
+serially in-process), and ``--on-shard-failure`` picks the terminal
+behavior — ``fail`` (exit ``5``, no quarantine), ``serial`` (the
+default: quarantine, then exit ``5``), or ``partial`` (drop the shard
+and print the tagged partial result).  ``plan`` takes only the pool
+flags, since it runs nothing.
 
 When an observation surface is active, ``--parallel`` runs capture
 worker-side telemetry and stitch it into the parent trace (spans with
@@ -129,7 +131,6 @@ from repro.obs import (
     guard_stats_table,
     kernel_stats_table,
     load_history,
-    render_cost_ledger,
     render_metrics_summary,
     render_profile,
     render_watch_report,
@@ -249,14 +250,6 @@ def _add_memory_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _arm_memory(args: argparse.Namespace, tracer: Tracer) -> None:
-    """Hang a MemoryProfiler on the tracer when --memory was given."""
-    if getattr(args, "memory", False):
-        from repro.obs.memory import MemoryProfiler
-
-        tracer.memory = MemoryProfiler(getattr(args, "memory_backend", "rss"))
-
-
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -271,7 +264,7 @@ def _cache_context(args: argparse.Namespace):
     return contextlib.nullcontext()
 
 
-def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
+def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallel", action="store_true",
         help="shard the expensive relation kernels across a worker pool "
@@ -286,6 +279,12 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         help="tuple partitioner for --parallel: stable-hash or "
         "cell-aligned (default: hash)",
     )
+
+
+def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
+    """The pool flags plus shard fault tolerance and stitching (every
+    subcommand that runs something)."""
+    _add_pool_flags(parser)
     parser.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
         help="per-shard deadline; a shard past it is retried, then "
@@ -401,11 +400,27 @@ def _planner_of(args: argparse.Namespace, mode: str, ctx):
     )
 
 
-def _tracer_of(args: argparse.Namespace) -> Optional[Tracer]:
-    """A Tracer when any observation surface was requested; the JSONL
-    log sink is attached here so engine emission streams live."""
+def _pool_scope(ctx, planner):
+    """Who owns the worker pool for one run, decided in one place.
+
+    A planner owns it and activates it only around the operators it
+    dispatches.  Without one (``--optimize none``, or an engine that
+    takes no planner) the pool is activated around the whole run, so
+    every kernel and nested evaluation sees it.
+    """
+    if ctx is None or planner is not None:
+        return contextlib.nullcontext()
+    return ctx
+
+
+def _tracer_of(args: argparse.Namespace,
+               always: bool = False) -> Optional[Tracer]:
+    """A Tracer when any observation surface was requested (``always``
+    for ``explain``, whose report is one); the JSONL log sink is
+    attached here so engine emission streams live."""
     wanted = (
-        getattr(args, "trace", None)
+        always
+        or getattr(args, "trace", None)
         or getattr(args, "profile", False)
         # --stats needs a tracer too: without one a --parallel run has
         # nothing to stitch worker kernel counters into, and the kernel
@@ -421,7 +436,10 @@ def _tracer_of(args: argparse.Namespace) -> Optional[Tracer]:
     if not wanted:
         return None
     tracer = Tracer()
-    _arm_memory(args, tracer)
+    if getattr(args, "memory", False):
+        from repro.obs.memory import MemoryProfiler
+
+        tracer.memory = MemoryProfiler(getattr(args, "memory_backend", "rss"))
     if getattr(args, "log_jsonl", None):
         tracer.add_sink(JsonlSink(args.log_jsonl))
     return tracer
@@ -493,6 +511,12 @@ def _report_observation(args: argparse.Namespace,
             )
     if args.profile:
         print(render_profile(tracer, guard if args.stats else None))
+    _export_observation(args, tracer, guard)
+
+
+def _export_observation(args: argparse.Namespace, tracer: Tracer,
+                        guard: Optional[EvaluationGuard]) -> None:
+    """Write the requested trace and metrics files; close the sinks."""
     if args.trace:
         write_trace(args.trace, tracer, guard)
     if getattr(args, "metrics_out", None):
@@ -540,12 +564,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     db = _load(args.database)
     formula = parse_formula(args.formula)
-    if args.explain:
-        from repro.core.planner import compile_formula, explain, optimize
-
-        plan = optimize(compile_formula(formula), db)
-        print(explain(plan))
-        return 0
     budget = _budget_of(args)
     tracer = _tracer_of(args)
     guard = _guard_of(args, budget)
@@ -555,11 +573,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         with _cache_context(args), (
             tracer if tracer is not None else contextlib.nullcontext()
-        ):
-            if planner is not None:
-                result = planner.run(formula, db, db.theory, guard=guard)
-            else:
-                result = evaluate(formula, db, guard=guard, context=ctx)
+        ), _pool_scope(ctx, planner):
+            result = _run_formula(formula, db, guard, planner)
         _note_partial_shards(ctx)
         if not result.schema:
             print("true" if not result.is_empty() else "false")
@@ -585,16 +600,13 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
     try:
         with _cache_context(args), (
             tracer if tracer is not None else contextlib.nullcontext()
-        ):
+        ), _pool_scope(ctx, planner):
             result = evaluate_program(
                 program,
                 db,
                 max_rounds=args.max_rounds,
                 guard=guard,
                 on_budget=args.on_budget,
-                # a planner owns the context (per-operator activation);
-                # --optimize=none activates it globally, as before
-                context=ctx if planner is None else None,
                 planner=planner,
             )
         _note_partial_shards(ctx)
@@ -614,122 +626,61 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    """Run a query or program purely for its per-phase cost tree."""
+    """Run a query or program and report where the work went: the
+    per-phase cost tree, the cost ledger and the guard's counters."""
     db = _load(args.database)
-    budget = _budget_of(args)
-    guard = EvaluationGuard(budget)  # guard stats are part of the tree
-    tracer = Tracer()
-    _arm_memory(args, tracer)
-    if getattr(args, "log_jsonl", None):
-        tracer.add_sink(JsonlSink(args.log_jsonl))
-    is_program = args.query.endswith(".dl") or os.path.exists(args.query)
+    guard = EvaluationGuard(_budget_of(args))  # guard stats are part of the report
+    tracer = _tracer_of(args, always=True)
     ctx = _context_of(args)
-    mode = _optimize_mode(args)
-    planner = _planner_of(args, mode, ctx)
-    summary: str
+    planner = _planner_of(args, _optimize_mode(args), ctx)
     try:
-        with _cache_context(args), tracer, (
-            ctx if ctx is not None and planner is None
-            else contextlib.nullcontext()
-        ):
-            # without a planner the context is *activated* around the
-            # whole run (rather than passed to one engine) so the
-            # stratified engine and any nested evaluation see it through
-            # the context variable; with a planner, activation is
-            # per-operator inside the planned executor
-            summary = _run_explain(args, db, guard, is_program, planner)
+        with _cache_context(args), tracer:
+            summary = _run_explain(args, db, guard, ctx, planner)
         print(summary)
     finally:
         # a budget abort must not lose the partial telemetry: the cost
-        # tree (with the guard's per-site counters accumulated so far)
-        # and the requested exports are emitted either way
+        # tree and ledger accumulated so far, with the guard's counters,
+        # are printed and the requested exports written either way
         print()
         print(render_profile(tracer, guard))
-        if args.trace:
-            write_trace(args.trace, tracer, guard)
-        if getattr(args, "metrics_out", None):
-            write_prometheus(args.metrics_out, tracer.metrics)
-        for sink in tracer.sinks:
-            sink.close()
-        if ctx is not None:
-            ctx.close()
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run a query or program purely for its per-operator cost ledger."""
-    db = _load(args.database)
-    budget = _budget_of(args)
-    guard = EvaluationGuard(budget)  # guard stats ride along in --out
-    tracer = Tracer()
-    _arm_memory(args, tracer)
-    is_program = args.query.endswith(".dl") or os.path.exists(args.query)
-    ctx = _context_of(args)
-    try:
-        with _cache_context(args), tracer, (
-            ctx if ctx is not None else contextlib.nullcontext()
-        ):
-            summary = _run_explain(args, db, guard, is_program)
-        print(summary)
-    finally:
-        # a budget abort must not lose the partial ledger: the records
-        # appended before the trip are rendered and exported either way
-        print()
-        print(render_cost_ledger(tracer.ledger))
         if args.out:
             write_profile(args.out, tracer, guard)
-        if getattr(args, "fit", None):
-            from repro.core.costmodel import fit_cost_model
-            from repro.obs.ledger import profile_document
-
-            model = fit_cost_model([profile_document(tracer, guard)])
-            model.save(args.fit)
-            print(
-                f"cost model fitted from {model.records_used} ledger "
-                f"record(s) -> {args.fit}"
-            )
+        _export_observation(args, tracer, guard)
         if ctx is not None:
             ctx.close()
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    """Print the chosen plan: per-node est rows/cost + dispatch verdict."""
-    from repro.core.costmodel import load_cost_model
+    """Print the chosen plan, one tree per formula or rule: per-node
+    estimated rows and cost plus the dispatch verdict (no execution)."""
     from repro.core.physical import render_plan
-    from repro.core.planner import compile_formula, explain, optimize
     from repro.datalog.engine import body_formula
 
     db = _load(args.database)
-    model = load_cost_model(args.cost_model) if args.cost_model else None
-    workers = 1
-    if getattr(args, "parallel", False):
-        workers = (
-            args.workers if args.workers is not None else (os.cpu_count() or 1)
-        )
-    strategy = getattr(args, "shard_strategy", "hash")
-
-    def show(formula) -> None:
-        plan = optimize(compile_formula(formula), db)
-        print(explain(plan))
-        print()
-        print(
-            render_plan(
-                plan, db, model,
-                max_workers=workers, default_strategy=strategy,
-            )
-        )
-
-    if args.query.endswith(".dl") or os.path.exists(args.query):
+    if _is_program(args.query):
         with open(args.query, encoding="utf-8") as handle:
             program = parse_program(handle.read())
-        for index, rule in enumerate(program.rules):
-            if index:
-                print()
-            print(f"-- rule {index + 1}: {rule}")
-            show(body_formula(rule))
+        targets = [
+            (f"-- rule {index + 1}: {rule}", body_formula(rule))
+            for index, rule in enumerate(program.rules)
+        ]
     else:
-        show(parse_formula(args.query))
+        targets = [(None, parse_formula(args.query))]
+    # the context only carries the pool capacity: planning spawns no pool
+    planner = _planner_of(args, "cost", _context_of(args))
+    for index, (heading, formula) in enumerate(targets):
+        if index:
+            print()
+        if heading:
+            print(heading)
+        print(
+            render_plan(
+                planner.logical_plan(formula, db), db, planner.model,
+                max_workers=planner.max_workers,
+                default_strategy=planner.default_strategy,
+            )
+        )
     return 0
 
 
@@ -760,47 +711,59 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_explain(args, db, guard, is_program, planner=None) -> str:
+def _is_program(query: str) -> bool:
+    """Is the ``explain``/``plan`` argument a Datalog program file?"""
+    return query.endswith(".dl") or os.path.exists(query)
+
+
+def _run_formula(formula, db, guard, planner) -> Relation:
+    """Evaluate one formula, through the planner when one was built."""
+    if planner is not None:
+        return planner.run(formula, db, db.theory, guard=guard)
+    return evaluate(formula, db, guard=guard)
+
+
+def _run_explain(args, db, guard, ctx, planner) -> str:
     """One explain evaluation; returns the one-line result summary."""
-    if is_program:
-        with open(args.query, encoding="utf-8") as handle:
-            program = parse_program(handle.read())
-        kwargs = {}
+    if not _is_program(args.query):
+        with _pool_scope(ctx, planner):
+            relation = _run_formula(parse_formula(args.query), db, guard, planner)
+        if not relation.schema:
+            return f"result: {'true' if not relation.is_empty() else 'false'}"
+        return (
+            f"result: {len(relation)} generalized tuple(s) over "
+            f"({', '.join(relation.schema)})"
+        )
+    with open(args.query, encoding="utf-8") as handle:
+        program = parse_program(handle.read())
+    kwargs = {}
+    if args.engine == "naive":
+        engine = evaluate_program
+        kwargs["planner"] = planner
+    else:
         if args.engine == "seminaive":
             from repro.datalog.seminaive import evaluate_seminaive as engine
-        elif args.engine == "stratified":
-            from repro.datalog.stratified import evaluate_stratified as engine
         else:
-            engine = evaluate_program
-            kwargs["planner"] = planner
-        if planner is not None and args.engine in ("seminaive", "stratified"):
+            from repro.datalog.stratified import evaluate_stratified as engine
+        if args.optimize in ("heuristic", "cost"):
             print(
                 f"warning: --optimize applies to the naive engine only; "
                 f"running {args.engine} unplanned",
                 file=sys.stderr,
             )
+        planner = None  # the engine takes none: it gets the activated pool
+    with _pool_scope(ctx, planner):
         result = engine(
             program, db, max_rounds=args.max_rounds, guard=guard,
             on_budget=args.on_budget, **kwargs,
         )
-        idb_tuples = sum(len(result[name]) for name in program.idb)
-        if result.reached_fixpoint:
-            return (
-                f"result: fixpoint after {result.rounds} round(s), "
-                f"{idb_tuples} IDB generalized tuple(s)"
-            )
-        return f"result: cut off after {result.rounds} round(s): {result.cut}"
-    formula = parse_formula(args.query)
-    if planner is not None:
-        relation = planner.run(formula, db, db.theory, guard=guard)
-    else:
-        relation = evaluate(formula, db, guard=guard)
-    if not relation.schema:
-        return f"result: {'true' if not relation.is_empty() else 'false'}"
-    return (
-        f"result: {len(relation)} generalized tuple(s) over "
-        f"({', '.join(relation.schema)})"
-    )
+    idb_tuples = sum(len(result[name]) for name in program.idb)
+    if result.reached_fixpoint:
+        return (
+            f"result: fixpoint after {result.rounds} round(s), "
+            f"{idb_tuples} IDB generalized tuple(s)"
+        )
+    return f"result: cut off after {result.rounds} round(s): {result.cut}"
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
@@ -922,9 +885,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     query.add_argument("database")
     query.add_argument("formula")
     query.add_argument("--raw", action="store_true", help="print constraint tuples")
-    query.add_argument(
-        "--explain", action="store_true", help="print the optimized query plan"
-    )
     _add_budget_flags(query)
     _add_obs_flags(query)
     _add_cache_flag(query)
@@ -957,7 +917,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     explain_cmd = sub.add_parser(
         "explain",
-        help="run a query or .dl program and print the per-phase cost tree",
+        help="run a query or .dl program and print the per-phase cost "
+        "tree with the per-operator cost ledger (estimated vs actual "
+        "cardinalities)",
     )
     explain_cmd.add_argument("database")
     explain_cmd.add_argument(
@@ -978,6 +940,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace", default=None, metavar="FILE",
         help="also write the structured JSON trace",
     )
+    explain_cmd.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="also write the cost ledger as a repro.profile/1 JSON "
+        "document (written even when a budget aborts the run)",
+    )
     _add_budget_flags(explain_cmd)
     _add_cache_flag(explain_cmd)
     _add_parallel_flags(explain_cmd)
@@ -985,42 +952,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_telemetry_flags(explain_cmd)
     _add_memory_flags(explain_cmd)
     explain_cmd.set_defaults(fn=_cmd_explain)
-
-    profile_cmd = sub.add_parser(
-        "profile",
-        help="run a query or .dl program and print the per-operator "
-        "cost ledger (estimated vs actual cardinalities)",
-    )
-    profile_cmd.add_argument("database")
-    profile_cmd.add_argument(
-        "query",
-        help="an FO formula, or a path to a Datalog(not) program file",
-    )
-    profile_cmd.add_argument(
-        "--engine", choices=("naive", "seminaive", "stratified"), default="naive",
-        help="Datalog engine to profile (program inputs only)",
-    )
-    profile_cmd.add_argument(
-        "--max-rounds", type=int, default=None, help="cap on fixpoint rounds",
-    )
-    profile_cmd.add_argument(
-        "--on-budget", choices=("raise", "partial"), default="raise",
-    )
-    profile_cmd.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the ledger as a repro.profile/1 JSON document",
-    )
-    profile_cmd.add_argument(
-        "--fit", default=None, metavar="FILE",
-        help="also fit a repro.cost-model/1 document from this run's "
-        "ledger and write it here (see 'repro calibrate' for fitting "
-        "from saved --out documents)",
-    )
-    _add_budget_flags(profile_cmd)
-    _add_cache_flag(profile_cmd)
-    _add_parallel_flags(profile_cmd)
-    _add_memory_flags(profile_cmd)
-    profile_cmd.set_defaults(fn=_cmd_profile)
 
     plan_cmd = sub.add_parser(
         "plan",
@@ -1037,13 +968,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cost-model", default=None, metavar="FILE", dest="cost_model",
         help="plan with a fitted repro.cost-model/1 document",
     )
-    _add_parallel_flags(plan_cmd)
+    _add_pool_flags(plan_cmd)
     plan_cmd.set_defaults(fn=_cmd_plan)
 
     calibrate = sub.add_parser(
         "calibrate",
         help="fit a repro.cost-model/1 document from recorded "
-        "repro.profile/1 documents (see 'repro profile --out')",
+        "repro.profile/1 documents (see 'repro explain --out')",
     )
     calibrate.add_argument(
         "profiles", nargs="+", metavar="PROFILE",

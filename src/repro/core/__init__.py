@@ -7,11 +7,12 @@ Public surface re-exported here:
 * :class:`GTuple` and :class:`Relation` -- generalized tuples/relations;
 * the formula AST (:class:`Formula`, :func:`exists`, :func:`forall`,
   :func:`rel`, ...) and :func:`evaluate` / :func:`evaluate_boolean`;
-* the query-planner stack: plan IR (:func:`compile_formula`,
-  :func:`execute`, :func:`explain`), rewrite rules
-  (:class:`RuleEngine`, :func:`optimize`), the ledger-calibrated
-  :class:`CostModel`, and per-operator dispatch
-  (:class:`QueryPlanner`, :func:`plan_physical`);
+* the query-planner stack, one path per step: plan IR
+  (:func:`compile_formula`), rewrite rules (:class:`RuleEngine`,
+  driven by :meth:`QueryPlanner.logical_plan`), the ledger-calibrated
+  :class:`CostModel`, per-operator dispatch (:func:`plan_physical`),
+  the plan executor (:func:`execute_plan`) and the plan listing
+  (:func:`render_plan`), all behind :class:`QueryPlanner`;
 * quantifier elimination and decision procedures in :mod:`repro.core.qe`;
 * the canonical 1-D form (:class:`Interval`, :class:`IntervalSet`) and
   the box fast path (:class:`Box`, :class:`BoxSet`).
@@ -54,7 +55,7 @@ from repro.core.costmodel import (
     load_cost_model,
 )
 from repro.core.physical import QueryPlanner, execute_plan, plan_physical, render_plan
-from repro.core.planner import compile_formula, execute, explain, optimize
+from repro.core.planner import compile_formula
 from repro.core.rules import RewriteRule, RuleEngine, heuristic_engine
 from repro.core.qe import (
     eliminate_quantifiers,
@@ -108,9 +109,6 @@ __all__ = [
     "to_nnf",
     "to_prenex",
     "compile_formula",
-    "execute",
-    "explain",
-    "optimize",
     "CostModel",
     "estimate_plan",
     "fit_cost_model",

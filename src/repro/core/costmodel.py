@@ -15,8 +15,8 @@ planner can compare:
   coefficients for the parallel backend;
 * :func:`fit_cost_model` -- least-squares calibration from recorded
   ``repro.profile/1`` documents (pure-python normal equations; no
-  numpy dependency), exposed on the CLI as ``repro calibrate`` /
-  ``repro profile --fit``;
+  numpy dependency), exposed on the CLI as ``repro calibrate`` over
+  the documents ``repro explain --out`` writes;
 * a schema-versioned ``repro.cost-model/1`` JSON document round-trip
   (:meth:`CostModel.save` / :func:`load_cost_model` /
   :func:`validate_cost_model`) so a fitted model persists and is
@@ -491,7 +491,7 @@ def estimate_plan(plan, db=None, model: Optional[CostModel] = None) -> PlanEstim
             )
         if isinstance(node, p.Join):
             children = [walk(part) for part in node.parts]
-            # left-deep accumulation, matching execute()'s fold
+            # left-deep accumulation, matching execute_plan's fold
             rows = children[0].rows
             cost = 0.0
             for child in children[1:]:

@@ -1,28 +1,31 @@
-"""Physical planning: per-operator serial-vs-parallel dispatch.
+"""Physical planning: per-operator serial-vs-parallel dispatch, the
+plan executor, and the planning facade.
 
 The logical layers (:mod:`repro.core.rules`, :mod:`repro.core.costmodel`)
 decide *what* to compute; this module decides *how*: for every Join,
 Project, and Absorb node it compares the cost model's serial price
 against the modeled sharded price over candidate worker counts and
-picks the cheaper side — replacing the old all-or-nothing ``--parallel``
-switch (and the blunt single-CPU host check that papered over its
-1-core regression).  With ``--parallel`` the CLI now passes an
+picks the cheaper side.  With ``--parallel`` the CLI passes an
 :class:`~repro.parallel.context.ExecutionContext` as a *capability*;
 the planner decides where it is actually used.
 
 * :func:`plan_physical` -- a :class:`Decision` per parallelizable node
   (plan nodes are value objects, so the map is keyed by the node);
-* :func:`execute_plan` -- a plan executor that activates the execution
-  context only around nodes whose decision says parallel (temporarily
-  pinning the context's worker count and shard strategy to the
-  decision), and memoizes ``Shared`` subtrees so duplicated subplans
-  evaluate once;
-* :class:`QueryPlanner` -- the facade the CLI and the Datalog engine
-  use: ``--optimize`` mode, logical-plan cache, ``planner.*`` metrics,
-  ``planner.decision`` log records, and a ``planner.plan`` span for
-  trace provenance;
-* :func:`render_plan` -- the ``repro plan`` listing: one line per node
-  with estimated rows, modeled cost, and the dispatch verdict.
+* :func:`execute_plan` -- the plan executor, the only one: it evaluates
+  every node itself, activates the execution context only around nodes
+  whose decision says parallel (temporarily pinning the context's
+  worker count and shard strategy to the decision), and memoizes
+  ``Shared`` subtrees so duplicated subplans evaluate once;
+* :class:`QueryPlanner` -- the facade every planned entry point uses
+  (``query``/``datalog``/``explain --optimize``, ``repro plan``, the
+  Datalog engine): rule-engine rewrites (``logical_plan``, the only
+  caller of the rule engine), a logical-plan cache, dispatch decisions
+  (``physical_plan``), ``planner.*`` metrics, ``planner.decision`` log
+  records, and a ``planner.plan`` span for trace provenance;
+* :func:`render_plan` -- the ``repro plan`` listing: one line per node,
+  labelled with the node's own text (``Scan edge(x, y)``,
+  ``Select [x < 5]``), with estimated rows, modeled cost, and the
+  dispatch verdict.
 
 Equivalence is the whole contract: a planned run must produce a
 relation equivalent to the unplanned evaluator's, and planned-serial
@@ -37,7 +40,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.costmodel import CostModel, PlanEstimate, estimate_plan
 from repro.core.database import Database
-from repro.core.evaluator import _common_schema
+from repro.core.evaluator import _common_schema, _eval_relation_atom
+from repro.core.formula import RelationAtom
 from repro.core.planner import (
     Absorb,
     Complement,
@@ -52,7 +56,6 @@ from repro.core.planner import (
     Union,
     Universe,
     compile_formula,
-    execute as _execute_serial_node,
 )
 from repro.core.relation import Relation
 from repro.core.theory import ConstraintTheory, DENSE_ORDER
@@ -237,8 +240,16 @@ def execute_plan(
             if cached is None:
                 cached = memo[node.source] = run(node.source)
             return cached
-        if isinstance(node, (Scan, ConstraintScan, Universe, Empty)):
-            return _execute_serial_node(node, db, theory)
+        if isinstance(node, Scan):
+            return _eval_relation_atom(
+                RelationAtom(node.name, node.args), db, theory
+            )
+        if isinstance(node, ConstraintScan):
+            return Relation.from_atoms(node.schema, [[node.atom]], theory)
+        if isinstance(node, Universe):
+            return Relation.universe(node.columns, theory)
+        if isinstance(node, Empty):
+            return Relation.empty(node.columns, theory)
         if isinstance(node, Select):
             return run(node.source).select(list(node.atoms))
         if isinstance(node, Project):
@@ -285,8 +296,8 @@ def execute_plan(
 # ------------------------------------------------------------------- facade
 
 
-#: accepted --optimize modes
-OPTIMIZE_MODES = ("none", "heuristic", "cost")
+#: accepted planner modes (the CLI's ``--optimize none`` builds no planner)
+OPTIMIZE_MODES = ("heuristic", "cost")
 
 
 class QueryPlanner:
@@ -294,11 +305,12 @@ class QueryPlanner:
 
     ``mode``:
 
-    * ``"none"`` — not constructed (callers fall back to the direct
-      evaluator); listed for completeness.
     * ``"heuristic"`` — rule-engine rewrites, always-serial execution.
     * ``"cost"`` — rewrites plus cost-modeled per-operator dispatch
       through ``context`` when one is granted.
+
+    There is no ``"none"`` mode: unplanned runs build no planner and
+    go through the direct evaluator.
 
     Logical plans are cached per formula (Datalog re-derives the same
     rule bodies every round; ``planner.cache.hits`` counts the wins),
@@ -440,6 +452,22 @@ class QueryPlanner:
 # ------------------------------------------------------------------ rendering
 
 
+def _node_text(node: Plan) -> str:
+    """One plan node as text, without its children: ``Scan edge(x, y)``,
+    ``Select [x < 5]``, ``Project ('x', 'z')``, ``Join``."""
+    if isinstance(node, Scan):
+        return f"Scan {node.name}({', '.join(str(a) for a in node.args)})"
+    if isinstance(node, ConstraintScan):
+        return f"Constraint [{node.atom}]"
+    if isinstance(node, Select):
+        return f"Select [{' and '.join(str(a) for a in node.atoms)}]"
+    if isinstance(node, Project):
+        return f"Project {node.columns}"
+    if isinstance(node, (Universe, Empty)):
+        return f"{type(node).__name__} {node.columns}"
+    return type(node).__name__
+
+
 def render_plan(
     plan: Plan,
     db: Optional[Database] = None,
@@ -469,7 +497,7 @@ def render_plan(
             )
         elif est.cached:
             verdict = "  [memoized]"
-        label = "  " * depth + est.label
+        label = "  " * depth + _node_text(est.node)
         lines.append(
             f"  {label:<32} est_rows={est.rows:>10.0f} "
             f"est_cost={est.seconds * 1e3:>9.3f}ms{verdict}"

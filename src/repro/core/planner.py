@@ -1,9 +1,9 @@
-"""Query plans: explicit relational algebra with an optimizer.
+"""Query plans: the relational-algebra IR every planned run goes through.
 
 The closed-form evaluator (:mod:`repro.core.evaluator`) walks the
 formula tree directly.  For a database *system*, query processing wants
-an explicit plan stage: compile the formula to an algebra tree, apply
-rewrite passes, then execute.  This module provides exactly that:
+an explicit plan stage: compile the formula to an algebra tree, rewrite
+it, then execute.  This module holds the first step and the IR:
 
 * :class:`Plan` nodes: ``Scan``, ``ConstraintScan``, ``Select``,
   ``Project``, ``Join``, ``Union``, ``Complement``, ``Absorb``,
@@ -11,31 +11,27 @@ rewrite passes, then execute.  This module provides exactly that:
 * :func:`compile_formula` -- formula to a naive plan mirroring the
   evaluator's recursion (Datalog¬ rule bodies compile through the same
   IR: :mod:`repro.datalog.engine` builds the body formula and hands it
-  here when a planner is attached);
-* :func:`optimize` -- the heuristic rewrite entry point, now a thin
-  wrapper over the HepPlanner-style rule engine in
-  :mod:`repro.core.rules` (named :class:`~repro.core.rules.RewriteRule`
-  objects applied to fixpoint under a firing budget);
-* :func:`execute` -- run a plan against a database;
-* :func:`explain` -- a readable indented plan dump.
+  to the planner when one is attached).
 
-Cost-based planning lives one layer up: :mod:`repro.core.costmodel`
-annotates a plan with calibrated per-node cardinality/cost estimates
-and :mod:`repro.core.physical` decides serial-vs-parallel dispatch per
-operator.
+The rest of the path lives one layer up, behind one entry point each:
+:class:`repro.core.physical.QueryPlanner` rewrites a compiled plan with
+the rule engine in :mod:`repro.core.rules` (``logical_plan``), prices
+it with :mod:`repro.core.costmodel` and decides serial-vs-parallel
+dispatch per operator (``physical_plan``), and
+:func:`repro.core.physical.execute_plan` runs it;
+:func:`repro.core.physical.render_plan` prints it.
 
-``execute(optimize(compile_formula(f)), db)`` is equivalence-tested
-against ``evaluate(f, db)`` on random formulas; the E12/E20 ablation
-benchmarks measure the optimizer's effect.
+Planned runs are equivalence-tested against ``evaluate(f, db)`` and
+against the sampling oracle (:mod:`repro.core.sampling`) on random
+formulas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from repro.core.database import Database
-from repro.core.evaluator import _common_schema, _result_schema
+from repro.core.evaluator import _common_schema
 from repro.core.formula import (
     And,
     Constraint,
@@ -47,10 +43,8 @@ from repro.core.formula import (
     RelationAtom,
     _Boolean,
 )
-from repro.core.relation import Relation
 from repro.core.terms import Var
-from repro.core.theory import ConstraintTheory, DENSE_ORDER
-from repro.errors import EvaluationError, SchemaError
+from repro.errors import EvaluationError
 
 __all__ = [
     "Plan",
@@ -66,9 +60,6 @@ __all__ = [
     "Absorb",
     "Shared",
     "compile_formula",
-    "optimize",
-    "execute",
-    "explain",
 ]
 
 
@@ -217,8 +208,8 @@ class Shared(Plan):
 
     Plan nodes are value objects, so equal duplicated subtrees compare
     equal; the common-subplan-dedup rule wraps every occurrence in
-    ``Shared`` and executors memoize on the wrapped source, evaluating
-    it once per query.  Plain :func:`execute` just unwraps.
+    ``Shared`` and :func:`repro.core.physical.execute_plan` memoizes on
+    the wrapped source, evaluating it once per query.
     """
 
     source: Plan
@@ -259,84 +250,7 @@ def compile_formula(formula: Formula) -> Plan:
     raise EvaluationError(f"cannot compile node {type(formula).__name__}")
 
 
-# ------------------------------------------------------------------ optimize
-
-
-def _flatten_joins(plan: Plan) -> Plan:
-    plan = _rewrite_children(plan, _flatten_joins)
-    if isinstance(plan, Join):
-        parts: List[Plan] = []
-        for p in plan.parts:
-            if isinstance(p, Join):
-                parts.extend(p.parts)
-            else:
-                parts.append(p)
-        return Join(tuple(parts))
-    return plan
-
-
-def _push_selections(plan: Plan) -> Plan:
-    """Merge Select(Join(...)) into the join part that covers the atom."""
-    plan = _rewrite_children(plan, _push_selections)
-    if isinstance(plan, Select) and isinstance(plan.source, Join):
-        remaining: List = []
-        parts = list(plan.source.parts)
-        for atom in plan.atoms:
-            needed = {v.name for v in atom.variables}
-            placed = False
-            for i, part in enumerate(parts):
-                if needed <= set(part.schema):
-                    parts[i] = Select(part, (atom,))
-                    placed = True
-                    break
-            if not placed:
-                remaining.append(atom)
-        pushed = Join(tuple(parts))
-        return Select(pushed, tuple(remaining)) if remaining else pushed
-    if isinstance(plan, Select) and isinstance(plan.source, Union):
-        needed = set()
-        for atom in plan.atoms:
-            needed |= {v.name for v in atom.variables}
-        if all(needed <= set(p.schema) for p in plan.source.parts):
-            return Union(tuple(Select(p, plan.atoms) for p in plan.source.parts))
-        return plan
-    if isinstance(plan, Select) and isinstance(plan.source, Select):
-        return Select(plan.source.source, plan.source.atoms + plan.atoms)
-    return plan
-
-
-def _estimate(plan: Plan, db: Optional[Database]) -> int:
-    """Crude representation-size estimate (tuple counts)."""
-    if isinstance(plan, Scan):
-        if db is not None and plan.name in db:
-            return max(1, len(db[plan.name]))
-        return 8
-    if isinstance(plan, (ConstraintScan, Universe, Empty)):
-        return 1
-    if isinstance(plan, Select):
-        return _estimate(plan.source, db)
-    if isinstance(plan, Project):
-        return _estimate(plan.source, db)
-    if isinstance(plan, Join):
-        product = 1
-        for p in plan.parts:
-            product *= _estimate(p, db)
-        return product
-    if isinstance(plan, Union):
-        return sum(_estimate(p, db) for p in plan.parts)
-    if isinstance(plan, Complement):
-        return 2 ** min(_estimate(plan.source, db), 16)
-    if isinstance(plan, (Absorb, Shared)):
-        return _estimate(plan.source, db)
-    return 4  # pragma: no cover
-
-
-def _reorder_joins(plan: Plan, db: Optional[Database]) -> Plan:
-    plan = _rewrite_children(plan, lambda p: _reorder_joins(p, db))
-    if isinstance(plan, Join) and len(plan.parts) > 2:
-        ordered = tuple(sorted(plan.parts, key=lambda p: _estimate(p, db)))
-        return Join(ordered)
-    return plan
+# ------------------------------------------------------------------ rewrite
 
 
 def _rewrite_children(plan: Plan, rewrite) -> Plan:
@@ -355,130 +269,3 @@ def _rewrite_children(plan: Plan, rewrite) -> Plan:
     if isinstance(plan, Shared):
         return Shared(rewrite(plan.source))
     return plan
-
-
-def _constraint_joins_to_selects(plan: Plan) -> Plan:
-    """Turn ConstraintScan join parts into selections on a sibling.
-
-    ``Join(R, sigma)`` with a constraint whose variables are covered by
-    ``R`` becomes ``Select(R, sigma)`` -- avoiding a join operator call.
-    """
-    plan = _rewrite_children(plan, _constraint_joins_to_selects)
-    if not isinstance(plan, Join):
-        return plan
-    relational = [p for p in plan.parts if not isinstance(p, ConstraintScan)]
-    constraints = [p for p in plan.parts if isinstance(p, ConstraintScan)]
-    if not relational or not constraints:
-        return plan
-    leftover: List[Plan] = []
-    for scan in constraints:
-        needed = set(scan.schema)
-        placed = False
-        for i, part in enumerate(relational):
-            if needed <= set(part.schema):
-                relational[i] = Select(part, (scan.atom,))
-                placed = True
-                break
-        if not placed:
-            leftover.append(scan)
-    parts = relational + leftover
-    if len(parts) == 1:
-        return parts[0]
-    return Join(tuple(parts))
-
-
-def optimize(plan: Plan, database: Optional[Database] = None) -> Plan:
-    """Apply the heuristic rewrite rules (semantics-preserving).
-
-    Thin wrapper over the rule engine in :mod:`repro.core.rules`; the
-    historical pass functions above remain for targeted use and tests.
-    """
-    from repro.core.rules import heuristic_engine
-
-    return heuristic_engine(database).run(plan)
-
-
-# ------------------------------------------------------------------ execute
-
-
-def execute(
-    plan: Plan,
-    database: Optional[Database] = None,
-    theory: ConstraintTheory = DENSE_ORDER,
-) -> Relation:
-    """Run a plan; the result schema is the plan's schema."""
-    db = database if database is not None else Database(theory=theory)
-
-    if isinstance(plan, Universe):
-        return Relation.universe(plan.columns, theory)
-    if isinstance(plan, Empty):
-        return Relation.empty(plan.columns, theory)
-    if isinstance(plan, ConstraintScan):
-        return Relation.from_atoms(plan.schema, [[plan.atom]], theory)
-    if isinstance(plan, Scan):
-        from repro.core.evaluator import _eval_relation_atom
-
-        return _eval_relation_atom(RelationAtom(plan.name, plan.args), db, theory)
-    if isinstance(plan, Select):
-        source = execute(plan.source, db, theory)
-        return source.select(list(plan.atoms))
-    if isinstance(plan, Project):
-        source = execute(plan.source, db, theory)
-        return source.project(plan.columns)
-    if isinstance(plan, Join):
-        parts = [execute(p, db, theory) for p in plan.parts]
-        result = parts[0]
-        for p in parts[1:]:
-            result = result.join(p)
-        target = plan.schema
-        if result.schema != target:
-            result = result.extend(_common_schema(result.schema, target)).project(target)
-        return result
-    if isinstance(plan, Union):
-        target = plan.schema
-        result = Relation.empty(target, theory)
-        for p in plan.parts:
-            piece = execute(p, db, theory)
-            padded = piece.extend(_common_schema(piece.schema, target))
-            if padded.schema != target:
-                padded = padded.project(target)
-            result = result.union(padded)
-        return result
-    if isinstance(plan, Complement):
-        return execute(plan.source, db, theory).complement()
-    if isinstance(plan, Absorb):
-        return execute(plan.source, db, theory).simplify()
-    if isinstance(plan, Shared):
-        return execute(plan.source, db, theory)
-    raise EvaluationError(f"cannot execute plan node {type(plan).__name__}")
-
-
-def explain(plan: Plan, indent: int = 0) -> str:
-    """A readable indented dump of the plan tree."""
-    pad = "  " * indent
-    if isinstance(plan, Scan):
-        args = ", ".join(str(a) for a in plan.args)
-        return f"{pad}Scan {plan.name}({args})"
-    if isinstance(plan, ConstraintScan):
-        return f"{pad}Constraint [{plan.atom}]"
-    if isinstance(plan, Universe):
-        return f"{pad}Universe {plan.columns}"
-    if isinstance(plan, Empty):
-        return f"{pad}Empty {plan.columns}"
-    if isinstance(plan, Select):
-        atoms = " and ".join(str(a) for a in plan.atoms)
-        return f"{pad}Select [{atoms}]\n" + explain(plan.source, indent + 1)
-    if isinstance(plan, Project):
-        return f"{pad}Project {plan.columns}\n" + explain(plan.source, indent + 1)
-    if isinstance(plan, (Join, Union)):
-        label = "Join" if isinstance(plan, Join) else "Union"
-        lines = [f"{pad}{label}"]
-        lines += [explain(p, indent + 1) for p in plan.parts]
-        return "\n".join(lines)
-    if isinstance(plan, Complement):
-        return f"{pad}Complement\n" + explain(plan.source, indent + 1)
-    if isinstance(plan, Absorb):
-        return f"{pad}Absorb\n" + explain(plan.source, indent + 1)
-    if isinstance(plan, Shared):
-        return f"{pad}Shared\n" + explain(plan.source, indent + 1)
-    return f"{pad}?{type(plan).__name__}"  # pragma: no cover

@@ -1,18 +1,20 @@
 """HepPlanner-style rewrite-rule engine for query plans.
 
-The seed planner hard-coded four rewrite passes; this module replaces
-that with the architecture Calcite's HepPlanner popularized (see
-SNIPPETS.md Snippet 2): a list of named :class:`RewriteRule` objects,
-each a ``matches``/``apply`` pair over a single plan node, driven to
-fixpoint by a :class:`RuleEngine` under a total rule-firing budget.
+The architecture Calcite's HepPlanner popularized (see SNIPPETS.md
+Snippet 2): a list of named :class:`RewriteRule` objects, each a
+``matches``/``apply`` pair over a single plan node, driven to fixpoint
+by a :class:`RuleEngine` under a total rule-firing budget.  It is the
+only plan rewriter; :meth:`repro.core.physical.QueryPlanner.logical_plan`
+is its one caller in the engine.
 
 Rules must be semantics-preserving on the query's pointset and must
 keep the plan's output schema unchanged -- both are checked by the
 random-formula equivalence tests in ``tests/core``.
 
-The engine is purely logical: cardinality/cost estimation lives in
-:mod:`repro.core.costmodel` and serial-vs-parallel dispatch in
-:mod:`repro.core.physical`.
+The engine is purely logical: apart from the crude tuple-count
+estimate :class:`ReorderJoin` orders join parts by, cardinality/cost
+estimation lives in :mod:`repro.core.costmodel` and serial-vs-parallel
+dispatch in :mod:`repro.core.physical`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.core.planner import (
     Shared,
     Union,
     Universe,
-    _estimate,
     _rewrite_children,
 )
 
@@ -192,6 +193,28 @@ class ConstraintJoinToSelect(RewriteRule):
                 leftover.append(scan)
         parts = relational + leftover
         return parts[0] if len(parts) == 1 else Join(tuple(parts))
+
+
+def _estimate(plan: Plan, db: Optional[Database]) -> int:
+    """Crude representation-size estimate (tuple counts) for join order."""
+    if isinstance(plan, Scan):
+        if db is not None and plan.name in db:
+            return max(1, len(db[plan.name]))
+        return 8
+    if isinstance(plan, (ConstraintScan, Universe, Empty)):
+        return 1
+    if isinstance(plan, (Select, Project, Absorb, Shared)):
+        return _estimate(plan.source, db)
+    if isinstance(plan, Join):
+        product = 1
+        for p in plan.parts:
+            product *= _estimate(p, db)
+        return product
+    if isinstance(plan, Union):
+        return sum(_estimate(p, db) for p in plan.parts)
+    if isinstance(plan, Complement):
+        return 2 ** min(_estimate(plan.source, db), 16)
+    return 4  # pragma: no cover
 
 
 class ReorderJoin(RewriteRule):

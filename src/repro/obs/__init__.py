@@ -21,7 +21,7 @@ without changing any engine signature:
 * :mod:`repro.obs.ledger` — the per-operator cost ledger
   (``repro.profile/1``): estimated-vs-actual cardinalities, kernel
   cache attribution, and dispatch shape per relation-algebra call
-  (the ``repro profile`` subcommand);
+  (printed by ``repro explain``, exported by its ``--out``);
 * :mod:`repro.obs.stitch` — cross-process trace stitching: worker-side
   telemetry snapshots (``repro.worker-telemetry/1``) grafted into the
   parent tracer at shard-harvest time, so traces, stats, and the

@@ -30,9 +30,10 @@ actually use:
 The ledger is bounded (``max_records``; excess appends are counted in
 ``dropped``, never stored), serialized as a schema-versioned
 ``repro.profile/1`` document by :func:`profile_document` /
-:func:`write_profile`, and rendered as the estimated-vs-actual table
-``repro profile`` prints (:func:`render_cost_ledger`, also folded
-into :func:`repro.obs.profile.render_profile`).
+:func:`write_profile` (``repro explain --out``), and rendered as the
+estimated-vs-actual table (:func:`render_cost_ledger`, folded into
+:func:`repro.obs.profile.render_profile`, which ``repro explain``
+prints).
 
 This module must not import :mod:`repro.obs.trace` at module level
 (the tracer owns a ledger; the import goes the other way).
@@ -338,7 +339,7 @@ def validate_profile(document: Any) -> dict:
 
 
 def render_cost_ledger(ledger: CostLedger) -> str:
-    """The estimated-vs-actual cardinality table (``repro profile``).
+    """The estimated-vs-actual cardinality table (``repro explain``).
 
     One row per operator: calls, summed input/output cardinalities,
     summed pre-execution estimates, the est/actual ratio (the

@@ -14,8 +14,8 @@ report the ``explain`` CLI subcommand prints:
   per engine, per-round delta sizes from the round events;
 * the **cost-ledger table** — estimated-vs-actual cardinalities and
   kernel-cache hit rates per operator, when the tracer's
-  :class:`~repro.obs.ledger.CostLedger` recorded any calls (also
-  available standalone via the ``repro profile`` subcommand).
+  :class:`~repro.obs.ledger.CostLedger` recorded any calls (``repro
+  explain --out`` also exports it as a ``repro.profile/1`` document).
 
 :func:`phase_breakdown` returns the same content as a plain dict —
 the machine-readable form ``benchmarks/collect_results.py`` folds into

@@ -1,5 +1,5 @@
 """The ledger-calibrated cost model: document round-trip, fitting from
-profile documents, and plan-tree estimation."""
+profile documents, and plan-tree estimation over rule-engine plans."""
 
 import json
 
@@ -18,8 +18,9 @@ from repro.core.costmodel import (
 )
 from repro.core.database import Database
 from repro.core.formula import Not, constraint, exists, rel
-from repro.core.planner import Absorb, Join, Scan, Shared, Union, compile_formula, optimize
+from repro.core.planner import Absorb, Join, Scan, Shared, Union, compile_formula
 from repro.core.relation import Relation
+from repro.core.rules import heuristic_engine
 from repro.core.terms import Var
 from repro.core.theory import DENSE_ORDER
 from repro.errors import EncodingError
@@ -222,7 +223,7 @@ class TestEstimatePlan:
     def test_tree_totals_include_children(self):
         db = self._db()
         f = exists("y", rel("T", "x", "y") & constraint(lt("y", 5)))
-        est = estimate_plan(optimize(compile_formula(f), db), db)
+        est = estimate_plan(heuristic_engine(db).run(compile_formula(f)), db)
         assert est.total_seconds >= est.seconds
         assert est.children
         assert est.total_seconds == pytest.approx(
@@ -232,7 +233,7 @@ class TestEstimatePlan:
     def test_estimator_kinds_match_the_ledger(self):
         db = self._db()
         f = Not(rel("S", "x") & rel("S", "y"))
-        est = estimate_plan(optimize(compile_formula(f), db), db)
+        est = estimate_plan(heuristic_engine(db).run(compile_formula(f)), db)
         kinds = set()
 
         def visit(e):

@@ -1,5 +1,6 @@
-"""Physical planning: per-operator dispatch decisions, the planned
-executor, and the QueryPlanner facade."""
+"""Physical planning: per-operator dispatch decisions, the plan
+executor, and the QueryPlanner facade.  Plans come from the rule engine
+(``heuristic_engine(db).run``) and run through ``execute_plan``."""
 
 import pytest
 
@@ -23,9 +24,9 @@ from repro.core.planner import (
     Shared,
     Union,
     compile_formula,
-    optimize,
 )
 from repro.core.relation import Relation
+from repro.core.rules import heuristic_engine
 from repro.core.terms import Var
 from repro.core.theory import DENSE_ORDER
 from repro.obs import Tracer
@@ -46,7 +47,7 @@ def _db(n=16):
 
 def _join_plan(db):
     f = exists("y", rel("E", "x", "y") & rel("E", "y", "z"))
-    return optimize(compile_formula(f), db)
+    return heuristic_engine(db).run(compile_formula(f))
 
 
 def _cheap_dispatch_model():
@@ -122,7 +123,7 @@ class TestExecutePlan:
         db = _db()
         f = exists("y", rel("E", "x", "y") & rel("E", "y", "z"))
         direct = evaluate(f, db)
-        planned = execute_plan(optimize(compile_formula(f), db), db)
+        planned = execute_plan(heuristic_engine(db).run(compile_formula(f)), db)
         assert planned.equivalent(direct)
 
     def test_shared_subtrees_execute_once(self):
@@ -176,9 +177,12 @@ class TestExecutePlan:
 
 class TestQueryPlanner:
     def test_mode_validation(self):
-        assert OPTIMIZE_MODES == ("none", "heuristic", "cost")
+        assert OPTIMIZE_MODES == ("heuristic", "cost")
         with pytest.raises(ValueError, match="mode"):
             QueryPlanner(mode="fast")
+        # "none" is the CLI's word for "no planner", not a planner mode
+        with pytest.raises(ValueError, match="mode"):
+            QueryPlanner(mode="none")
 
     def test_run_matches_evaluator(self):
         db = _db()

@@ -1,4 +1,6 @@
-"""Tests for the query planner and optimizer."""
+"""Tests for the plan IR: compilation, rule-engine rewrites (planned
+with ``heuristic_engine(db).run``), execution through ``execute_plan``
+and the ``render_plan`` listing."""
 
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from repro.core.atoms import le, lt
 from repro.core.database import Database
 from repro.core.evaluator import evaluate
 from repro.core.formula import Not, constraint, exists, forall, rel
+from repro.core.physical import execute_plan, render_plan
 from repro.core.planner import (
     Complement,
     ConstraintScan,
@@ -20,11 +23,9 @@ from repro.core.planner import (
     Select,
     Union,
     compile_formula,
-    execute,
-    explain,
-    optimize,
 )
 from repro.core.relation import Relation
+from repro.core.rules import _estimate, heuristic_engine
 from repro.core.theory import DENSE_ORDER
 from tests.strategies import formulas, fractions as fracs
 
@@ -61,13 +62,14 @@ class TestCompile:
 
 class TestOptimizePasses:
     def test_constraint_becomes_selection(self):
-        plan = optimize(compile_formula(rel("S", "x") & constraint(lt("x", 5))))
+        f = rel("S", "x") & constraint(lt("x", 5))
+        plan = heuristic_engine().run(compile_formula(f))
         assert isinstance(plan, Select)
         assert isinstance(plan.source, Scan)
 
     def test_join_flattening(self):
         f = (rel("S", "x") & rel("T", "x", "y")) & rel("S", "y")
-        plan = optimize(compile_formula(f))
+        plan = heuristic_engine().run(compile_formula(f))
         assert isinstance(plan, Join)
         assert len(plan.parts) == 3
 
@@ -75,21 +77,19 @@ class TestOptimizePasses:
         big = Relation.from_points(("x",), [(i,) for i in range(8)])
         db["Big"] = big
         f = rel("Big", "x") & rel("S", "x")
-        plan = optimize(compile_formula(f), db)
+        plan = heuristic_engine(db).run(compile_formula(f))
         assert isinstance(plan, Join)
         # with only 2 parts order is untouched; with 3+, smallest first
         f3 = rel("Big", "x") & rel("S", "x") & rel("T", "x", "y")
-        plan3 = optimize(compile_formula(f3), db)
+        plan3 = heuristic_engine(db).run(compile_formula(f3))
         sizes = []
-        from repro.core.planner import _estimate
-
         for part in plan3.parts:
             sizes.append(_estimate(part, db))
         assert sizes == sorted(sizes)
 
     def test_explain_renders(self, db):
-        plan = optimize(compile_formula(exists("y", rel("T", "x", "y") & constraint(lt("y", 5)))))
-        text = explain(plan)
+        f = exists("y", rel("T", "x", "y") & constraint(lt("y", 5)))
+        text = render_plan(heuristic_engine().run(compile_formula(f)))
         assert "Project" in text
         assert "Scan T" in text
         assert "Select" in text
@@ -99,38 +99,38 @@ class TestExecution:
     def test_matches_evaluator_on_example(self, db):
         f = exists("y", rel("T", "x", "y") & constraint(lt("y", 5)))
         direct = evaluate(f, db)
-        naive = execute(compile_formula(f), db)
-        optimized = execute(optimize(compile_formula(f), db), db)
+        naive = execute_plan(compile_formula(f), db)
+        optimized = execute_plan(heuristic_engine(db).run(compile_formula(f)), db)
         assert naive.equivalent(direct)
         assert optimized.equivalent(direct)
 
     def test_union_with_mixed_schemas(self, db):
         f = rel("S", "x") | constraint(lt("y", 0))
-        plan = optimize(compile_formula(f), db)
-        out = execute(plan, db)
+        plan = heuristic_engine(db).run(compile_formula(f))
+        out = execute_plan(plan, db)
         assert out.schema == ("x", "y")
         assert out.contains_point([1, 100])
         assert out.contains_point([100, -1])
 
     def test_complement(self, db):
         f = Not(rel("S", "x"))
-        out = execute(optimize(compile_formula(f), db), db)
+        out = execute_plan(heuristic_engine(db).run(compile_formula(f)), db)
         assert out.contains_point([2])
         assert not out.contains_point([5])
 
     @settings(max_examples=80, deadline=None)
     @given(formulas(depth=2), st.data())
     def test_random_formulas_agree(self, f, data):
-        """compile -> optimize -> execute == evaluate, pointwise."""
+        """compile -> rewrite -> execute_plan == evaluate, pointwise."""
         direct = evaluate(f)
-        via_plan = execute(optimize(compile_formula(f)))
+        via_plan = execute_plan(heuristic_engine().run(compile_formula(f)))
         names = sorted(v.name for v in f.free_variables())
         point = [data.draw(fracs) for _ in names]
         assert direct.contains_point(point) == via_plan.contains_point(point)
 
     def test_sentences(self, db):
         f = exists(["x", "y"], rel("T", "x", "y"))
-        out = execute(optimize(compile_formula(f), db), db)
+        out = execute_plan(heuristic_engine(db).run(compile_formula(f)), db)
         assert not out.is_empty()
 
 
@@ -140,10 +140,10 @@ class TestOptimizerWins:
         tuples; verify via representation sizes, not wall-clock."""
         f = rel("S", "x") & rel("S", "y") & constraint(lt("x", 2)) & constraint(lt("y", 2))
         naive_plan = compile_formula(f)
-        fast_plan = optimize(naive_plan, db)
-        naive_out = execute(naive_plan, db)
-        fast_out = execute(fast_plan, db)
+        fast_plan = heuristic_engine(db).run(naive_plan)
+        naive_out = execute_plan(naive_plan, db)
+        fast_out = execute_plan(fast_plan, db)
         assert fast_out.equivalent(naive_out)
         # the optimized plan has selections directly on scans
-        text = explain(fast_plan)
+        text = render_plan(fast_plan, db)
         assert text.count("Select") >= 2

@@ -1,5 +1,6 @@
 """The rewrite-rule engine: named rules, fixpoint, firing budget,
-absorption placement, and common-subplan dedup."""
+absorption placement, and common-subplan dedup.  Rewritten plans run
+through ``execute_plan``, the one plan executor."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from repro.core.atoms import le, lt
 from repro.core.database import Database
 from repro.core.evaluator import evaluate
 from repro.core.formula import Not, constraint, exists, rel
+from repro.core.physical import execute_plan
 from repro.core.planner import (
     Absorb,
     Complement,
@@ -21,8 +23,6 @@ from repro.core.planner import (
     Union,
     Universe,
     compile_formula,
-    execute,
-    optimize,
 )
 from repro.core.relation import Relation
 from repro.core.rules import (
@@ -178,18 +178,18 @@ class TestIndividualRules:
 
 
 class TestPinnedShapes:
-    """The optimize() output shapes the seed tests pinned must survive
-    the move from fixed passes to the rule engine."""
+    """The plan shapes the seed tests pinned for the fixed rewrite
+    passes, which the rule engine must still produce."""
 
     def test_optimize_delegates_to_engine(self):
         f = rel("S", "x") & constraint(lt("x", 5))
-        plan = optimize(compile_formula(f), _db())
+        plan = heuristic_engine(_db()).run(compile_formula(f))
         assert isinstance(plan, Select)
         assert isinstance(plan.source, Scan)
 
     def test_absorb_placed_by_full_pipeline(self):
         f = Not(rel("S", "x") & rel("T", "x", "y"))
-        plan = optimize(compile_formula(f), _db())
+        plan = heuristic_engine(_db()).run(compile_formula(f))
         absorbs = [n for n in _nodes(plan) if isinstance(n, Absorb)]
         assert absorbs, "complement of a join should absorb its input"
 
@@ -200,7 +200,7 @@ class TestEquivalence:
     def test_rule_engine_preserves_semantics(self, f, data):
         direct = evaluate(f)
         plan = heuristic_engine(None).run(compile_formula(f))
-        via_plan = execute(plan)
+        via_plan = execute_plan(plan)
         assert via_plan.schema == direct.schema
         names = sorted(v.name for v in f.free_variables())
         point = [data.draw(fracs) for _ in names]
@@ -210,8 +210,8 @@ class TestEquivalence:
         db = _db()
         sub = Select(_scan("T", "x", "y"), (lt("x", 5),))
         plan = Union((Project(Shared(sub), ("x",)), Project(Shared(sub), ("x",))))
-        out = execute(plan, db)
-        ref = execute(Union((Project(sub, ("x",)), Project(sub, ("x",)))), db)
+        out = execute_plan(plan, db)
+        ref = execute_plan(Union((Project(sub, ("x",)), Project(sub, ("x",)))), db)
         assert out.equivalent(ref)
         wrapped = Complement(Absorb(_scan("S", "x")))
-        assert execute(wrapped, db).equivalent(execute(Complement(_scan("S", "x")), db))
+        assert execute_plan(wrapped, db).equivalent(execute_plan(Complement(_scan("S", "x")), db))

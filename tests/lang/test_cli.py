@@ -87,8 +87,7 @@ class TestReencode:
 
 class TestExplain:
     def test_plan_dump(self, db_file, capsys):
-        assert main(["query", db_file, "--explain",
-                     "exists y (T(x, y) and y < 5)"]) == 0
+        assert main(["plan", db_file, "exists y (T(x, y) and y < 5)"]) == 0
         out = capsys.readouterr().out
         assert "Project" in out
         assert "Scan T" in out

@@ -1,5 +1,6 @@
 """The planner's CLI surface: ``--optimize`` on query/datalog/explain,
-``repro plan``, ``repro calibrate``, and ``repro profile --fit``."""
+who owns the worker pool on ``explain``, ``repro plan``, and
+``repro explain --out`` followed by ``repro calibrate``."""
 
 from __future__ import annotations
 
@@ -90,6 +91,56 @@ class TestOptimizeFlag:
         assert "not JSON" in err
 
 
+def _ledger_parallel_column(out):
+    """The ``parallel`` column of every row of the printed cost ledger."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("cost ledger"))
+    column = []
+    for line in lines[start + 2:]:
+        if not line.startswith("  ") or line.split()[0] == "memory":
+            break
+        column.append(line.split()[-1])
+    return column
+
+
+class TestExplainPool:
+    @pytest.fixture()
+    def path12(self, tmp_path):
+        db = Database({"edge": Relation.from_points(
+            ("x", "y"), [(i, i + 1) for i in range(11)]
+        )})
+        db_path = tmp_path / "path12.cdb"
+        db_path.write_text(encode_database(db))
+        program = tmp_path / "tc.dl"
+        program.write_text(
+            "tc(x, y) :- edge(x, y).\ntc(x, z) :- tc(x, y), edge(y, z).\n"
+        )
+        return str(db_path), str(program)
+
+    def test_unplanned_engine_runs_on_the_pool(self, path12):
+        # --parallel implies a planner, which seminaive cannot take: the
+        # run must fall back to the activated pool, not to no pool at all
+        db, program = path12
+        code, out, err = _run_cli(
+            ["explain", db, program, "--engine", "seminaive",
+             "--parallel", "--workers", "2"]
+        )
+        assert code == 0
+        column = _ledger_parallel_column(out)
+        assert column
+        assert any(cell != "serial" for cell in column)
+        assert "unplanned" not in err
+
+    def test_explicit_optimize_warns_for_unplanned_engines(self, path12):
+        db, program = path12
+        code, _, err = _run_cli(
+            ["explain", db, program, "--engine", "seminaive",
+             "--optimize", "cost"]
+        )
+        assert code == 0
+        assert "running seminaive unplanned" in err
+
+
 class TestPlanCommand:
     def test_plan_formula_lists_nodes_and_verdicts(self, workload):
         db, _ = workload
@@ -98,6 +149,12 @@ class TestPlanCommand:
         assert "est_rows" in out and "est_cost" in out
         assert "[serial]" in out
         assert "total modeled cost" in out
+        # one tree, each row labelled with its node's own text
+        labels = [line.split("est_rows")[0].strip()
+                  for line in out.splitlines() if "est_rows" in line]
+        assert labels == [
+            "Project ('x', 'z')", "Join", "Scan edge(x, y)", "Scan edge(y, z)",
+        ]
 
     def test_plan_program_prints_one_plan_per_rule(self, workload):
         db, program = workload
@@ -118,7 +175,7 @@ class TestPlanCommand:
         db, program = workload
         profile = tmp_path / "profile.json"
         model = tmp_path / "model.json"
-        assert _run_cli(["profile", db, program, "--out", str(profile)])[0] == 0
+        assert _run_cli(["explain", db, program, "--out", str(profile)])[0] == 0
         assert _run_cli(
             ["calibrate", str(profile), "--out", str(model)]
         )[0] == 0
@@ -133,7 +190,7 @@ class TestCalibrate:
     def test_round_trip_from_profile_documents(self, workload, tmp_path):
         db, program = workload
         profile = tmp_path / "profile.json"
-        code, _, _ = _run_cli(["profile", db, program, "--out", str(profile)])
+        code, _, _ = _run_cli(["explain", db, program, "--out", str(profile)])
         assert code == 0
         model_path = tmp_path / "model.json"
         code, out, _ = _run_cli(
@@ -158,12 +215,14 @@ class TestCalibrate:
 class TestProfileFit:
     def test_fit_writes_a_loadable_model(self, workload, tmp_path):
         db, program = workload
+        profile = tmp_path / "profile.json"
         model_path = tmp_path / "model.json"
+        assert _run_cli(["explain", db, program, "--out", str(profile)])[0] == 0
         code, out, _ = _run_cli(
-            ["profile", db, program, "--fit", str(model_path)]
+            ["calibrate", str(profile), "--out", str(model_path)]
         )
         assert code == 0
-        assert "cost model fitted" in out
+        assert "fitted cost model" in out
         model = load_cost_model(str(model_path))
         assert model.source == "fit"
         assert model.records_used > 0
@@ -171,7 +230,7 @@ class TestProfileFit:
     def test_profile_documents_carry_estimator_kinds(self, workload, tmp_path):
         db, program = workload
         profile = tmp_path / "profile.json"
-        assert _run_cli(["profile", db, program, "--out", str(profile)])[0] == 0
+        assert _run_cli(["explain", db, program, "--out", str(profile)])[0] == 0
         document = json.loads(profile.read_text())
         kinds = {r.get("estimator") for r in document["records"]}
         assert any(k and "." in k for k in kinds)

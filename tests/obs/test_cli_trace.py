@@ -181,7 +181,7 @@ class TestMemoryFlag:
 
     def test_profile_memory_adds_ledger_columns(self, db_file, capsys):
         assert main(
-            ["profile", db_file, "exists y (e(x, y))", "--memory"]
+            ["explain", db_file, "exists y (e(x, y))", "--memory"]
         ) == EXIT_OK
         out = capsys.readouterr().out
         assert "alloc blocks" in out

@@ -1,5 +1,5 @@
 """The per-operator cost ledger: records, bounds, document round-trip,
-rendering, and the ``repro profile`` CLI surface."""
+rendering, and its CLI surface (``repro explain``, ``--out``)."""
 
 from __future__ import annotations
 
@@ -300,7 +300,7 @@ def _run_cli(argv):
 class TestProfileCli:
     def test_profile_prints_ledger_table(self, workload):
         db, program = workload
-        code, out, _ = _run_cli(["profile", db, program, "--engine", "seminaive"])
+        code, out, _ = _run_cli(["explain", db, program, "--engine", "seminaive"])
         assert code == 0
         assert "cost ledger" in out
         assert "join" in out and "est out" in out
@@ -309,7 +309,7 @@ class TestProfileCli:
         db, program = workload
         out_path = tmp_path / "profile.json"
         code, _, _ = _run_cli(
-            ["profile", db, program, "--out", str(out_path)]
+            ["explain", db, program, "--out", str(out_path)]
         )
         assert code == 0
         document = load_profile(str(out_path))
@@ -321,7 +321,7 @@ class TestProfileCli:
         db, program = workload
         out_path = tmp_path / "profile.json"
         code, out, err = _run_cli(
-            ["profile", db, program, "--max-tuples", "1",
+            ["explain", db, program, "--max-tuples", "1",
              "--out", str(out_path)]
         )
         assert code == 3
@@ -333,7 +333,7 @@ class TestProfileCli:
     def test_profile_accepts_parallel_flags(self, workload):
         db, program = workload
         code, out, _ = _run_cli(
-            ["profile", db, program, "--parallel", "--workers", "2"]
+            ["explain", db, program, "--parallel", "--workers", "2"]
         )
         assert code == 0
         assert "cost ledger" in out
