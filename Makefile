@@ -41,18 +41,20 @@ ci:
 	$(MAKE) perfbench-check
 
 # the benchmark's own correctness checks (CI's perfbench job): its
-# self-tests, then one short run of every workload, whose last line must
-# report "correct": true and "failed": 0
+# self-tests, then one short run of every workload untraced and one
+# traced (--trace 1 adds the harness-vs-engine cross-checks: cache
+# hits and misses, join calls, critical-path reconciliation); the last
+# line of every run must report "correct": true and "failed": 0
 perfbench-check:
 	PYTHONPATH=src:. python -m pytest perfbench/tests
 	@mkdir -p .perfbench
-	@for workload in tc_serial fo_session tc_parallel; do \
-		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 1 \
+	@for trace in 0 1; do for workload in tc_serial fo_session tc_parallel; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 1 --trace $$trace \
 			> .perfbench/check.log || exit 1; \
 		cat .perfbench/check.log; \
 		python -c 'import json, sys; r = json.loads(sys.stdin.readlines()[-1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
-			< .perfbench/check.log || { echo "$$workload: incorrect answer or failed operations"; exit 1; }; \
-	done
+			< .perfbench/check.log || { echo "$$workload (--trace $$trace): incorrect answer or failed operations"; exit 1; }; \
+	done; done
 
 # the cross-process chaos matrix: deterministic faults and worker
 # crashes injected inside pool workers; the oracle must still match

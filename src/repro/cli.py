@@ -73,9 +73,11 @@ encoding/input error, ``2`` usage error, ``3`` budget exhausted,
 ``4`` benchmark regression, ``5`` unrecoverable shard failure (see
 the README table; asserted by ``tests/obs/test_cli_exit_codes.py``).
 
-``--no-cache`` disables the kernel memo cache and the tuple intern
-pool (:mod:`repro.perf`) for the run — the escape hatch for timing
-comparisons and for ruling the cache out when debugging.
+``--no-cache`` disables the kernel memo cache, the tuple intern
+pool and the column-rename shortcut (:mod:`repro.perf`) for the run,
+so every conjunction goes through the kernel as in the seed — the
+escape hatch for timing comparisons and for ruling the fast path out
+when debugging.
 
 ``--parallel`` (with ``--workers`` and ``--shard-strategy``) grants a
 worker pool for the expensive relation kernels
@@ -253,7 +255,8 @@ def _add_memory_flags(parser: argparse.ArgumentParser) -> None:
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the kernel memo cache and tuple interning for this run",
+        help="disable the kernel memo cache, tuple interning and the "
+        "column-rename shortcut for this run (seed behavior)",
     )
 
 

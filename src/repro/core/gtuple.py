@@ -27,7 +27,7 @@ from repro.core.theory import ConstraintTheory
 from repro.errors import SchemaError, TheoryError
 from repro.perf.interning import intern_pool
 
-__all__ = ["GTuple", "Schema", "check_schema"]
+__all__ = ["GTuple", "Schema", "check_schema", "rename_substitution"]
 
 Schema = Tuple[str, ...]
 
@@ -35,6 +35,11 @@ Schema = Tuple[str, ...]
 def _restore_gtuple(theory: ConstraintTheory, schema: Schema, atoms: FrozenSet) -> "GTuple":
     """Unpickle through the interning constructor (see GTuple.__reduce__)."""
     return GTuple._canonical(theory, schema, atoms)
+
+
+def rename_substitution(mapping: Mapping[str, str]) -> Dict[Var, Var]:
+    """The variable substitution of a column renaming (identities dropped)."""
+    return {Var(old): Var(new) for old, new in mapping.items() if old != new}
 
 
 def check_schema(schema: Sequence[str]) -> Schema:
@@ -240,9 +245,24 @@ class GTuple:
         return GTuple._canonical(self.theory, frozen, self.atoms)
 
     def rename(self, mapping: Mapping[str, str]) -> "GTuple":
-        """Rename columns according to ``mapping`` (missing = identity)."""
+        """Rename columns according to ``mapping`` (missing = identity).
+
+        A renaming is injective on the columns, so it cannot change
+        what the conjunction says.  When the theory can rename the
+        canonical atoms directly (:meth:`ConstraintTheory.rename_canonical`:
+        dense order with the kernel cache on and no ``Var = Var``
+        atom) the result is interned as is; otherwise the renamed
+        atoms go through :meth:`make` like any other conjunction.
+        Both give the same tuple.
+        """
         new_schema = check_schema(tuple(mapping.get(c, c) for c in self.schema))
-        subst = {Var(old): Var(new) for old, new in mapping.items() if old != new}
+        return self._renamed(new_schema, rename_substitution(mapping))
+
+    def _renamed(self, new_schema: Schema, subst: Mapping[Var, Var]) -> "GTuple":
+        """:meth:`rename` with the schema checked and ``subst`` built."""
+        atoms = self.theory.rename_canonical(self.atoms, subst)
+        if atoms is not None:
+            return GTuple._canonical(self.theory, new_schema, atoms)
         atoms = []
         for a in self.atoms:
             sub = self.theory.substitute_atom(a, subst)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.atoms import Op
-from repro.core.gtuple import GTuple, Schema, check_schema
+from repro.core.gtuple import GTuple, Schema, check_schema, rename_substitution
 from repro.core.terms import Const, Term, Var
 from repro.core.theory import ConstraintTheory, DenseOrderTheory, DENSE_ORDER
 from repro.errors import SchemaError, TheoryError
@@ -354,10 +354,17 @@ class Relation:
         return Relation._trusted(self.theory, target, reordered)
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
-        """Rename columns (missing entries = identity)."""
+        """Rename columns (missing entries = identity).
+
+        The target schema and the variable substitution are built once
+        for all tuples; each tuple is renamed by
+        :meth:`GTuple.rename`'s rule, so dense-order tuples skip the
+        kernel while the kernel cache is on.
+        """
         target = check_schema(tuple(mapping.get(c, c) for c in self.schema))
+        subst = rename_substitution(mapping)
         return Relation._trusted(
-            self.theory, target, [t.rename(mapping) for t in self.tuples]
+            self.theory, target, [t._renamed(target, subst) for t in self.tuples]
         )
 
     def extend(self, schema: Sequence[str]) -> "Relation":

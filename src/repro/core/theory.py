@@ -137,6 +137,19 @@ class ConstraintTheory(ABC):
             return None
         return self.canonicalize(atoms)
 
+    def rename_canonical(
+        self, atoms: FrozenSet, mapping: Mapping[Var, Var]
+    ) -> Optional[FrozenSet]:
+        """The canonical form of ``atoms`` under an injective renaming.
+
+        ``atoms`` is already canonical; a theory overrides this when it
+        can read the renamed canonical form off the atoms without
+        canonicalizing again.  None means "canonicalize the renamed
+        atoms" (:meth:`GTuple.rename` then goes through
+        :meth:`GTuple.make`), which is always correct.
+        """
+        return None
+
     def conjunction_variables(self, conjunction: Iterable) -> FrozenSet[Var]:
         out: set = set()
         for a in conjunction:
@@ -308,6 +321,36 @@ class DenseOrderTheory(ConstraintTheory):
                 return None
             return kernel.canonical_atoms()
         return self._entry(conjunction).canonical()
+
+    def rename_canonical(
+        self, atoms: FrozenSet[Atom], mapping: Mapping[Var, Var]
+    ) -> Optional[FrozenSet[Atom]]:
+        """Rename a canonical conjunction without the kernel.
+
+        ``BoundsMatrix.canonical_atoms`` reads variable names in one
+        place only: a constant-free equality class takes its
+        ``term_key``-least member as representative, written as a
+        ``Var = Var`` atom.  Pinned variables (``v = c``), the
+        transitive reduction among representatives, edge strictness
+        and the orientation of ``<``/``<=`` do not depend on names, so
+        without a ``Var = Var`` atom the renamed atoms are the
+        canonical form of the renamed conjunction.  An injective
+        renaming never folds an atom, and ``v = c`` keeps its
+        variable on the left, so each atom is rebuilt as is.
+
+        None (canonicalize instead) for a ``Var = Var`` atom, and with
+        the kernel cache off: ``--no-cache`` is the seed path the
+        shortcut is checked against.
+        """
+        if not kernel_cache().enabled:
+            return None
+        renamed = []
+        for a in atoms:
+            left, right = a.left, a.right
+            if a.op is Op.EQ and isinstance(right, Var):
+                return None
+            renamed.append(Atom(mapping.get(left, left), a.op, mapping.get(right, right)))
+        return frozenset(renamed)
 
     def equality_atom(self, left: Term, right: Term) -> Union[Atom, bool]:
         from repro.core.atoms import eq

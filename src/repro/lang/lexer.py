@@ -67,8 +67,13 @@ def tokenize(text: str) -> List[Token]:
                 j += 1
             if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
                 j += 1
+                start = j
                 while j < n and text[j].isdigit():
                     j += 1
+                if int(text[start:j]) == 0:
+                    raise ParseError(
+                        f"zero denominator in number {text[i:j]!r} at position {i}"
+                    )
             tokens.append(("number", text[i:j], i))
             i = j
             continue

@@ -17,9 +17,10 @@ A *trace document* is the serialized form of one
 
 ``start``/``end`` are seconds on a monotonic clock relative to the
 tracer's epoch.  :func:`validate_trace` checks the invariants the
-schema promises (parent references resolve, spans close after they
-open, children nest inside their parents), so a document that loads
-cleanly can be consumed by downstream tooling
+schema promises (field types: integer ids and parents, numeric times,
+object attrs; parent references resolve, spans close after they open,
+children nest inside their parents), so a document that loads cleanly
+can be consumed by downstream tooling
 (``benchmarks/collect_results.py`` ingests these into
 ``BENCH_PROFILES.json``) without defensive code.
 """
@@ -114,6 +115,14 @@ def _fail(message: str) -> None:
     raise EncodingError(f"invalid trace document: {message}")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_trace(document: Any) -> dict:
     """Check the trace-document invariants; returns the document."""
     if not isinstance(document, dict):
@@ -139,6 +148,16 @@ def validate_trace(document: Any) -> dict:
                 _fail(f"span missing key {key!r}")
         if not isinstance(entry["name"], str):
             _fail("span name is not a string")
+        if not _is_int(entry["id"]):
+            _fail(f"span id {entry['id']!r} is not an integer")
+        if not (entry["parent"] is None or _is_int(entry["parent"])):
+            _fail(f"span {entry['id']} parent {entry['parent']!r} is not an integer or null")
+        if not _is_number(entry["start"]):
+            _fail(f"span {entry['id']} start {entry['start']!r} is not a number")
+        if not (entry["end"] is None or _is_number(entry["end"])):
+            _fail(f"span {entry['id']} end {entry['end']!r} is not a number or null")
+        if not isinstance(entry["attrs"], dict):
+            _fail(f"span {entry['id']} attrs is not an object")
         if entry["id"] in by_id:
             _fail(f"duplicate span id {entry['id']}")
         by_id[entry["id"]] = entry
@@ -171,7 +190,15 @@ def validate_trace(document: Any) -> dict:
     for entry in events:
         if not isinstance(entry, dict) or "name" not in entry or "time" not in entry:
             _fail("event missing name/time")
+        if not isinstance(entry["name"], str):
+            _fail("event name is not a string")
+        if not _is_number(entry["time"]):
+            _fail(f"event time {entry['time']!r} is not a number")
+        if not isinstance(entry.get("attrs", {}), dict):
+            _fail("event attrs is not an object")
         parent = entry.get("parent")
+        if not (parent is None or _is_int(parent)):
+            _fail(f"event parent {parent!r} is not an integer or null")
         if parent is not None and parent not in by_id:
             _fail(f"event references unknown parent {parent}")
     for name, value in metrics["counters"].items():

@@ -173,9 +173,13 @@ def reset_kernel_cache() -> None:
 def kernel_cache_disabled() -> Iterator[None]:
     """Route every kernel call through the uncached path (``--no-cache``).
 
-    Disables both the memo cache and the interning pool, restoring
-    their previous states on exit.  Existing entries are kept -- they
-    cannot go stale -- so re-enabling resumes where the cache left off.
+    Disables the memo cache and the interning pool, restoring their
+    previous states on exit.  Column renames then canonicalize their
+    result through the kernel too: the dense-order rename shortcut
+    (``DenseOrderTheory.rename_canonical``) is gated on the cache, so
+    this is the seed behavior the fast path is tested against.
+    Existing entries are kept -- they cannot go stale -- so re-enabling
+    resumes where the cache left off.
     """
     from repro.perf.interning import intern_pool
 

@@ -51,6 +51,10 @@ class TestTokens:
         with pytest.raises(ParseError):
             tokenize("x @ y")
 
+    def test_zero_denominator_rejected_with_position(self):
+        with pytest.raises(ParseError, match=r"zero denominator in number '1/00' at position 4"):
+            tokenize("x < 1/00")
+
     def test_positions_recorded(self):
         toks = tokenize("ab cd")
         assert toks[0][2] == 0

@@ -42,6 +42,12 @@ class TestExpressions:
             with pytest.raises(ParseError):
                 parse_linear_expression(bad)
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_linear_formula("2*x < 1/0")
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_linear_expression("0/0 * x")
+
 
 class TestAtoms:
     def test_comparison_normalizes(self):

@@ -44,6 +44,10 @@ class TestTerms:
         with pytest.raises(ParseError):
             parse_term("x y")
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_term("-3/0")
+
 
 class TestFormulaStructure:
     def test_atom(self):
@@ -103,6 +107,10 @@ class TestFormulaStructure:
         for bad in ("exists (x)", "R(x", "x <", "and x < 1", "x < 1 extra"):
             with pytest.raises(ParseError):
                 parse_formula(bad)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError, match="zero denominator.*position 13"):
+            parse_formula("E(x) and x < 1/0")
 
 
 class TestFormulaSemantics:
@@ -174,3 +182,7 @@ class TestProgramParsing:
     def test_missing_dot_rejected(self):
         with pytest.raises(ParseError):
             parse_program("h(x) :- e(x)")
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_program("h(x) :- e(x), x < 1/0.")

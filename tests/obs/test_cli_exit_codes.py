@@ -79,6 +79,34 @@ class TestExitError:
         assert main(["query", db_file, "exists exists ((("]) == EXIT_ERROR
         capsys.readouterr()
 
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    def test_zero_denominator_in_query(self, db_file, capsys):
+        assert main(["query", db_file, "e(x, y) and x < 1/0"]) == EXIT_ERROR
+        self.assert_one_error_line(capsys)
+
+    def test_zero_denominator_in_program(self, db_file, tmp_path, capsys):
+        path = tmp_path / "zero.dl"
+        path.write_text("p(x) :- e(x, y), y < 1/0.\n", encoding="utf-8")
+        assert main(["datalog", db_file, str(path)]) == EXIT_ERROR
+        self.assert_one_error_line(capsys)
+
+    def test_mistyped_trace_field(self, db_file, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        assert main(["query", db_file, "exists y e(x, y)", "--trace", str(trace)]) == EXIT_OK
+        document = json.loads(trace.read_text(encoding="utf-8"))
+        document["spans"][0]["start"] = "soon"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["trace", "analyze", str(bad)]) == EXIT_ERROR
+        self.assert_one_error_line(capsys)
+
 
 class TestExitUsage:
     def test_unknown_subcommand(self, capsys):

@@ -5,14 +5,25 @@ durations, unknown schema ids, and other corrupted documents.
 trip; this battery checks the other direction — every invariant named
 in :func:`repro.obs.export.validate_trace` actually rejects."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.datalog.engine import evaluate_program
 from repro.errors import EncodingError
 from repro.lang import parse_program
-from repro.obs import TRACE_SCHEMA, Tracer, trace_document, validate_trace
+from repro.obs import (
+    TRACE_SCHEMA,
+    Tracer,
+    analyze_trace,
+    collapsed_stacks,
+    trace_document,
+    validate_trace,
+)
 
 
 def base_document():
@@ -180,17 +191,79 @@ class TestStructure:
             validate_trace(doc)
 
 
+def real_document():
+    db = Database()
+    db["E"] = Relation.from_points(("x", "y"), [(0, 1), (1, 2)])
+    program = parse_program(
+        "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).\n"
+    )
+    tracer = Tracer()
+    with tracer:
+        evaluate_program(program, db)
+        tracer.event("probe", detail=1)
+    return validate_trace(trace_document(tracer))
+
+
+#: one real trace, corrupted field by field below (never mutated itself)
+REAL = real_document()
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestCorruptedRealDocument:
     def test_real_trace_survives_then_breaks_when_corrupted(self):
-        db = Database()
-        db["E"] = Relation.from_points(("x", "y"), [(0, 1), (1, 2)])
-        program = parse_program(
-            "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).\n"
-        )
-        tracer = Tracer()
-        with tracer:
-            evaluate_program(program, db)
-        doc = validate_trace(trace_document(tracer))
+        doc = real_document()
         doc["spans"][0]["start"] = doc["spans"][0]["end"] + 1.0
         with pytest.raises(EncodingError):
             validate_trace(doc)
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("spans", "id", [1]),
+            ("spans", "id", True),
+            ("spans", "parent", {"id": 1}),
+            ("spans", "start", "0.5"),
+            ("spans", "end", [0.5]),
+            ("spans", "attrs", ["k", "v"]),
+            ("events", "parent", [1]),
+            ("events", "time", "now"),
+        ],
+        ids=[
+            "span-id-list", "span-id-bool", "span-parent-object",
+            "span-start-string", "span-end-list", "span-attrs-list",
+            "event-parent-list", "event-time-string",
+        ],
+    )
+    def test_mistyped_fields_are_encoding_errors(self, section, field, value):
+        doc = copy.deepcopy(REAL)
+        doc[section][0][field] = value
+        with pytest.raises(EncodingError):
+            validate_trace(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["spans", "events"]),
+        st.data(),
+        json_values,
+    )
+    def test_any_field_value_is_rejected_or_valid(self, section, data, value):
+        doc = copy.deepcopy(REAL)
+        entry = data.draw(st.sampled_from(doc[section]))
+        entry[data.draw(st.sampled_from(sorted(entry)))] = value
+        try:
+            validate_trace(doc)
+        except EncodingError:
+            return
+        # a document that validates is safe for the trace commands
+        analyze_trace(doc)
+        collapsed_stacks(doc)

@@ -18,6 +18,7 @@ from repro.core.theory import DENSE_ORDER
 from repro.datalog.engine import evaluate_program
 from repro.datalog.seminaive import evaluate_seminaive
 from repro.errors import EvaluationError
+from repro.lang import parse_program
 from repro.perf import kernel_cache_disabled, reset_kernel_cache
 from repro.queries.library import transitive_closure_program
 from tests.strategies import formulas
@@ -49,6 +50,32 @@ def small_digraphs(draw, max_nodes=5):
             if a != b and draw(st.booleans()):
                 edges.add((a, b))
     return n, frozenset(edges)
+
+
+@st.composite
+def mixed_edge_relations(draw, max_tuples=6):
+    """``E(x, y)`` mixing point tuples with interval tuples
+    (``c <= x < y <= d``) and diagonal tuples (``x = y``,
+    ``c <= x <= d``), so fixpoint rounds rename non-point tuples and
+    ``Var = Var`` tuples."""
+    from repro.core.atoms import eq, le, lt
+
+    schema = ("x", "y")
+    tuples = []
+    kinds = st.sampled_from(["point", "interval", "diagonal"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=max_tuples)):
+        c = draw(st.integers(min_value=0, max_value=4))
+        d = draw(st.integers(min_value=c + 1, max_value=5))
+        if kind == "point":
+            ends = draw(st.sampled_from([(c, d), (d, c)]))
+            tuples.append(GTuple.point(DENSE_ORDER, schema, ends))
+        elif kind == "interval":
+            atoms = [le(c, "x"), lt("x", "y"), le("y", d)]
+            tuples.append(GTuple.make(DENSE_ORDER, schema, atoms))
+        else:
+            atoms = [eq("x", "y"), le(c, "x"), le("x", d)]
+            tuples.append(GTuple.make(DENSE_ORDER, schema, atoms))
+    return Relation(DENSE_ORDER, schema, tuples)
 
 
 class TestFirstOrderEquivalence:
@@ -92,3 +119,21 @@ class TestDatalogEquivalence:
             semi_plain = evaluate_seminaive(program, db)["tc"]
         assert frozenset(semi.tuples) == frozenset(semi_plain.tuples)
         assert frozenset(semi.tuples) == frozenset(cached.tuples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_edge_relations())
+    def test_transitive_closure_over_intervals_and_diagonals(self, edges):
+        db = Database({"E": edges})
+        # TC of the converse: its scans swap E's columns, so a diagonal
+        # tuple's equality class changes its representative on the way
+        # to the head
+        programs = (transitive_closure_program(), parse_program(
+            "tc(x, y) :- E(y, x).\ntc(x, z) :- tc(x, y), E(z, y).\n"
+        ))
+        for program in programs:
+            for engine in (evaluate_program, evaluate_seminaive):
+                reset_kernel_cache()
+                cached = engine(program, db)["tc"]
+                with kernel_cache_disabled():
+                    plain = engine(program, db)["tc"]
+                assert cached.tuples == plain.tuples

@@ -5,14 +5,24 @@
 byte-identical output to the original quadratic algorithms on random
 inputs — not just equivalent pointsets, the same tuples in the same
 order, so downstream syntactic fixpoint tests see no difference.
+``GTuple.rename`` (canonical atoms renamed without the kernel) must
+return the very tuple ``GTuple.make`` builds from the renamed atoms,
+and keep the pointset.
 """
+
+import itertools
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gtuple import GTuple
+from repro.core.atoms import eq, lt
+from repro.core.gtuple import GTuple, rename_substitution
 from repro.core.relation import Relation, _absorb, _join_partition
+from repro.core.sampling import sample_points
+from repro.core.terms import Var
 from repro.core.theory import DENSE_ORDER
+from repro.perf import kernel_cache_disabled
 from tests.strategies import conjunctions
 
 SCHEMA = ("x", "y", "z", "u", "v")
@@ -134,3 +144,93 @@ class TestTrustedConstructor:
         trusted = Relation._trusted(DENSE_ORDER, SCHEMA, tuples)
         assert trusted.tuples == checked.tuples
         assert trusted.schema == checked.schema
+
+
+#: rename targets: the schema itself plus names sorting before and after
+#: it, so renamings swap columns and reverse their name order
+RENAME_POOL = SCHEMA + ("a", "w0", "zz")
+
+
+@st.composite
+def renamings(draw):
+    """An injective renaming of SCHEMA into RENAME_POOL."""
+    targets = draw(st.permutations(RENAME_POOL))[: len(SCHEMA)]
+    return dict(zip(SCHEMA, targets))
+
+
+@st.composite
+def rename_gtuples(draw):
+    """Like gtuples(), but half of them force two columns equal, so
+    constant-free equality classes (``Var = Var`` atoms) are common."""
+    atoms = draw(conjunctions(max_size=4))
+    if draw(st.booleans()):
+        left, right = draw(st.permutations(SCHEMA))[:2]
+        atoms.append(eq(left, right))
+    made = GTuple.make(DENSE_ORDER, SCHEMA, atoms)
+    return made if made is not None else GTuple.universe(DENSE_ORDER, SCHEMA)
+
+
+class TestRenameMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rename_gtuples(), renamings())
+    def test_rename_is_make_of_the_renamed_atoms(self, t, mapping):
+        subst = rename_substitution(mapping)
+        new_schema = tuple(mapping[c] for c in SCHEMA)
+        renamed = t.rename(mapping)
+        reference = GTuple.make(
+            DENSE_ORDER, new_schema, [a.substitute(subst) for a in t.atoms]
+        )
+        assert renamed is reference
+        with kernel_cache_disabled():
+            assert t.rename(mapping) == renamed
+
+    @settings(max_examples=60, deadline=None)
+    @given(rename_gtuples(), renamings())
+    def test_rename_keeps_the_pointset(self, t, mapping):
+        renamed = t.rename(mapping)
+        # rename keeps column positions, so a point of t renamed is the
+        # same vector of values over the new schema; columns no atom
+        # mentions are unconstrained and stay at one sample value
+        points = sample_points(t.constants() or {Fraction(0)})
+        mentioned = DENSE_ORDER.conjunction_variables(t.atoms)
+        free = [i for i, c in enumerate(SCHEMA) if Var(c) in mentioned]
+        for values in itertools.product(points, repeat=len(free)):
+            point = [points[0]] * len(SCHEMA)
+            for i, value in zip(free, values):
+                point[i] = value
+            assert t.contains_point(point) == renamed.contains_point(point)
+
+    def test_var_var_class_takes_the_make_path(self):
+        # {x, y} is one class with representative x; renamed, b = a has
+        # representative a, so the bound moves from b to a
+        t = GTuple.make(DENSE_ORDER, ("x", "y"), [eq("x", "y"), lt("y", 3)])
+        assert t.atoms == {eq("x", "y"), lt("x", 3)}
+        mapping = {"x": "b", "y": "a"}
+        assert DENSE_ORDER.rename_canonical(t.atoms, rename_substitution(mapping)) is None
+        renamed = t.rename(mapping)
+        assert renamed.atoms == {eq("a", "b"), lt("a", 3)}
+        assert renamed is GTuple.make(DENSE_ORDER, ("b", "a"), [eq("a", "b"), lt("b", 3)])
+
+    def test_disabled_cache_takes_the_make_path(self):
+        t = GTuple.make(DENSE_ORDER, ("x", "y"), [lt("x", "y"), lt("y", 3)])
+        subst = rename_substitution({"x": "y", "y": "x"})
+        assert DENSE_ORDER.rename_canonical(t.atoms, subst) == {lt("y", "x"), lt("x", 3)}
+        with kernel_cache_disabled():
+            assert DENSE_ORDER.rename_canonical(t.atoms, subst) is None
+
+    def test_linear_tuple_takes_the_make_path(self):
+        from repro.linear.latoms import lin_le, lin_lt
+        from repro.linear.theory import LINEAR
+
+        t = GTuple.make(
+            LINEAR, ("x", "y"), [lin_le({"x": 1, "y": 1}, 1), lin_lt(0, "x")]
+        )
+        mapping = {"x": "y", "y": "x"}
+        subst = rename_substitution(mapping)
+        assert LINEAR.rename_canonical(t.atoms, subst) is None
+        renamed = t.rename(mapping)
+        assert renamed is GTuple.make(
+            LINEAR, ("y", "x"), [LINEAR.substitute_atom(a, subst) for a in t.atoms]
+        )
+        assert renamed.contains_point([Fraction(1, 4), Fraction(1, 2)])
+        assert not renamed.contains_point([Fraction(0), Fraction(1, 2)])
