@@ -88,10 +88,10 @@ pool is *used* is decided per operator by the cost-based planner:
 otherwise, and the planner dispatches only the Join/Project/Absorb
 nodes whose modeled parallel cost beats serial (so a 1-core box
 simply gets serial decisions — no host-level special case).
-Without a planner (``--optimize=none``, or a Datalog engine that
-takes none) the pool is activated around the whole run and every
-eligible kernel shards; one helper makes this choice for ``query``,
-``datalog`` and ``explain`` alike.  Shard dispatch is fault-tolerant:
+Without a planner (``--optimize=none``) the pool is activated around
+the whole run and every eligible kernel shards; one helper makes this
+choice for ``query``, ``datalog`` and ``explain`` alike.  Shard
+dispatch is fault-tolerant:
 ``--shard-timeout`` bounds each shard, ``--shard-retries`` caps pool
 re-dispatches before a failing shard is quarantined (re-executed
 serially in-process), and ``--on-shard-failure`` picks the terminal
@@ -407,9 +407,9 @@ def _pool_scope(ctx, planner):
     """Who owns the worker pool for one run, decided in one place.
 
     A planner owns it and activates it only around the operators it
-    dispatches.  Without one (``--optimize none``, or an engine that
-    takes no planner) the pool is activated around the whole run, so
-    every kernel and nested evaluation sees it.
+    dispatches.  Without one (``--optimize none``) the pool is
+    activated around the whole run, so every kernel and nested
+    evaluation sees it.
     """
     if ctx is None or planner is not None:
         return contextlib.nullcontext()
@@ -739,26 +739,16 @@ def _run_explain(args, db, guard, ctx, planner) -> str:
         )
     with open(args.query, encoding="utf-8") as handle:
         program = parse_program(handle.read())
-    kwargs = {}
     if args.engine == "naive":
         engine = evaluate_program
-        kwargs["planner"] = planner
+    elif args.engine == "seminaive":
+        from repro.datalog.seminaive import evaluate_seminaive as engine
     else:
-        if args.engine == "seminaive":
-            from repro.datalog.seminaive import evaluate_seminaive as engine
-        else:
-            from repro.datalog.stratified import evaluate_stratified as engine
-        if args.optimize in ("heuristic", "cost"):
-            print(
-                f"warning: --optimize applies to the naive engine only; "
-                f"running {args.engine} unplanned",
-                file=sys.stderr,
-            )
-        planner = None  # the engine takes none: it gets the activated pool
+        from repro.datalog.stratified import evaluate_stratified as engine
     with _pool_scope(ctx, planner):
         result = engine(
             program, db, max_rounds=args.max_rounds, guard=guard,
-            on_budget=args.on_budget, **kwargs,
+            on_budget=args.on_budget, planner=planner,
         )
     idb_tuples = sum(len(result[name]) for name in program.idb)
     if result.reached_fixpoint:

@@ -23,18 +23,18 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.cobjects.active_domain import ActiveDomain
 from repro.cobjects.calculus import CFormula, evaluate_ccalc
 from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.core.theory import DENSE_ORDER
-from repro.errors import DatalogError, EvaluationError
-from repro.obs.trace import active_tracer, span
-from repro.runtime.budget import Budget, BudgetExceeded
-from repro.runtime.faults import fault_point
-from repro.runtime.guard import EvaluationGuard, round_limit_error
+from repro.datalog.engine import check_on_budget, resolve_guard, run_rounds
+from repro.errors import DatalogError
+from repro.obs.trace import span
+from repro.runtime.budget import Budget
+from repro.runtime.guard import EvaluationGuard
 
 __all__ = ["FixpointQuery", "PartialRelation", "evaluate_fixpoint"]
 
@@ -77,6 +77,26 @@ class FixpointQuery:
         return len(self.variables)
 
 
+def stage(
+    query,
+    current: Relation,
+    database: Database,
+    extra_constants: Iterable[Fraction],
+    adom: ActiveDomain,
+) -> Relation:
+    """``{x | phi(S, x)}`` for a fixpoint or while ``query``, with its
+    relation variable ``S`` bound to ``current``: one round's relation."""
+    schema = tuple(query.variables)
+    working = database.copy()
+    working[query.name] = current
+    derived = evaluate_ccalc(query.formula, working, extra_constants, adom)
+    missing = [v for v in schema if v not in derived.schema]
+    if missing:
+        derived = derived.extend(tuple(derived.schema) + tuple(missing))
+    projected = derived.project(tuple(sorted(schema)))
+    return Relation(DENSE_ORDER, schema, [t.reorder(schema) for t in projected.tuples])
+
+
 def evaluate_fixpoint(
     query: FixpointQuery,
     database: Database,
@@ -95,71 +115,39 @@ def evaluate_fixpoint(
     closed-form property of the dense-order engine).
 
     Non-convergence within ``max_rounds`` (or the budget) is reported
-    like every other fixpoint engine: raise
+    like every other fixpoint engine, through the shared round protocol
+    (:func:`~repro.datalog.engine.run_rounds`): raise
     :class:`~repro.runtime.budget.RoundLimitExceeded` (an
     :class:`EvaluationError`) by default, or return the sound partial
     state as a tagged :class:`PartialRelation` under
     ``on_budget="partial"``.
     """
-    from repro.datalog.engine import check_on_budget, resolve_guard
-
     check_on_budget(on_budget)
     guard = resolve_guard(guard, budget)
     if query.name in database:
         raise DatalogError(
             f"relation variable {query.name!r} clashes with a stored relation"
         )
-    schema = tuple(query.variables)
-    current = Relation.empty(schema, DENSE_ORDER)
     adom = ActiveDomain(database, extra_constants)
-    rounds = 0
+    current = Relation.empty(tuple(query.variables), DENSE_ORDER)
+
+    def step(_round: int, traced: bool):
+        nonlocal current
+        grown = current.union(
+            stage(query, current, database, extra_constants, adom)
+        ).simplify()
+        # syntactic stagnation of canonical tuples is a sound fixpoint
+        # test for inflationary iteration (see repro.datalog.engine)
+        old, new = frozenset(current.tuples), frozenset(grown.tuples)
+        if new != old:
+            current = grown
+        return new != old, {"delta_tuples": len(new - old)} if traced else None
+
     with guard if guard is not None else contextlib.nullcontext(), span(
         "ccalc.fixpoint", relvar=query.name, arity=query.arity
     ):
-        while True:
-            with span("ccalc.fixpoint.round", round=rounds + 1) as sp:
-                try:
-                    if guard is not None:
-                        guard.on_round("ccalc.fixpoint.round")
-                    fault_point("ccalc.fixpoint.round")
-                    working = database.copy()
-                    working[query.name] = current
-                    derived = evaluate_ccalc(query.formula, working, extra_constants, adom)
-                    missing = [v for v in schema if v not in derived.schema]
-                    if missing:
-                        derived = derived.extend(tuple(derived.schema) + tuple(missing))
-                    projected = derived.project(tuple(sorted(schema)))
-                    ordered = Relation(
-                        DENSE_ORDER, schema, [t.reorder(schema) for t in projected.tuples]
-                    )
-                    grown = current.union(ordered).simplify()
-                    if sp is not None:
-                        delta = len(
-                            frozenset(grown.tuples) - frozenset(current.tuples)
-                        )
-                        sp.attrs["delta_tuples"] = delta
-                        tracer = active_tracer()
-                        tracer.metrics.count("ccalc.fixpoint.rounds")
-                        tracer.metrics.observe("ccalc.fixpoint.delta_tuples", delta)
-                        tracer.log(
-                            "ccalc.fixpoint.round",
-                            round=rounds + 1,
-                            delta_tuples=delta,
-                        )
-                except BudgetExceeded as error:
-                    if on_budget == "partial":
-                        return PartialRelation(current, rounds, str(error))
-                    raise
-            rounds += 1
-            # syntactic stagnation of canonical tuples is a sound fixpoint
-            # test for inflationary iteration (see repro.datalog.engine)
-            if frozenset(grown.tuples) == frozenset(current.tuples):
-                return current
-            current = grown
-            if max_rounds is not None and rounds >= max_rounds:
-                error = round_limit_error(
-                    "ccalc.fixpoint.round", max_rounds, rounds, guard
-                )
-                if on_budget == "partial":
-                    return PartialRelation(current, rounds, str(error))
-                raise error
+        rounds, cut = run_rounds(
+            "ccalc.fixpoint", "ccalc.fixpoint.round", step,
+            guard=guard, on_budget=on_budget, max_rounds=max_rounds,
+        )
+    return current if cut is None else PartialRelation(current, rounds, cut)

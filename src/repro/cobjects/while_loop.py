@@ -28,16 +28,17 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.cobjects.active_domain import ActiveDomain
-from repro.cobjects.calculus import CFormula, evaluate_ccalc
-from repro.cobjects.fixpoint import PartialRelation
+from repro.cobjects.calculus import CFormula
+from repro.cobjects.fixpoint import PartialRelation, stage
 from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.core.theory import DENSE_ORDER
+from repro.datalog.engine import check_on_budget, resolve_guard, run_rounds
+from repro.encoding.cells import CellDecomposition
 from repro.errors import DatalogError, EvaluationError
-from repro.obs.trace import active_tracer, span
-from repro.runtime.budget import Budget, BudgetExceeded
-from repro.runtime.faults import fault_point
-from repro.runtime.guard import EvaluationGuard, round_limit_error
+from repro.obs.trace import span
+from repro.runtime.budget import Budget
+from repro.runtime.guard import EvaluationGuard
 
 __all__ = ["WhileQuery", "WhileDivergence", "evaluate_while"]
 
@@ -138,17 +139,12 @@ def evaluate_while(
     is non-monotone, so unlike the inflationary engines a truncated
     while-state is not a sound under-approximation of the limit).
     """
-    from repro.datalog.engine import check_on_budget, resolve_guard
-
     check_on_budget(on_budget)
     guard = resolve_guard(guard, budget)
     if query.name in database:
         raise DatalogError(
             f"relation variable {query.name!r} clashes with a stored relation"
         )
-    from repro.encoding.cells import CellDecomposition
-
-    schema = tuple(query.variables)
     loop_constants = (
         set(database.constants())
         | set(extra_constants)
@@ -156,64 +152,37 @@ def evaluate_while(
     )
     adom = ActiveDomain(database, loop_constants)
     decomposition = CellDecomposition(loop_constants)
-    current = Relation.empty(schema, DENSE_ORDER)
+    current = Relation.empty(tuple(query.variables), DENSE_ORDER)
     seen: Dict[FrozenSet, int] = {_state_key(current, decomposition): 0}
-    rounds = 0
+
+    def step(this_round: int, traced: bool):
+        nonlocal current
+        new = stage(query, current, database, extra_constants, adom)
+        fields = None
+        if traced:
+            # replacement semantics: the delta is the symmetric
+            # difference between consecutive states
+            delta = len(frozenset(new.tuples) ^ frozenset(current.tuples))
+            fields = {"delta_tuples": delta, "state_tuples": len(new.tuples)}
+        key = _state_key(new, decomposition)
+        previous_round = seen.get(key)
+        if previous_round is not None and previous_round != this_round - 1:
+            raise WhileDivergence(
+                f"state of round {this_round} repeats round {previous_round}: "
+                f"cycle of length {this_round - previous_round}, the loop diverges"
+            )
+        # stabilized when the state repeats the previous round's:
+        # S = {x | phi(S, x)}
+        if previous_round is None:
+            seen[key] = this_round
+        current = new
+        return previous_round is None, fields
+
     with guard if guard is not None else contextlib.nullcontext(), span(
         "ccalc.while", relvar=query.name, arity=query.arity
     ):
-        while True:
-            with span("ccalc.while.round", round=rounds + 1) as sp:
-                try:
-                    if guard is not None:
-                        guard.on_round("ccalc.while.round")
-                    fault_point("ccalc.while.round")
-                    working = database.copy()
-                    working[query.name] = current
-                    derived = evaluate_ccalc(query.formula, working, extra_constants, adom)
-                    missing = [v for v in schema if v not in derived.schema]
-                    if missing:
-                        derived = derived.extend(tuple(derived.schema) + tuple(missing))
-                    projected = derived.project(tuple(sorted(schema)))
-                    new = Relation(
-                        DENSE_ORDER, schema, [t.reorder(schema) for t in projected.tuples]
-                    )
-                    if sp is not None:
-                        # replacement semantics: the delta is the symmetric
-                        # difference between consecutive states
-                        delta = len(
-                            frozenset(new.tuples) ^ frozenset(current.tuples)
-                        )
-                        sp.attrs["delta_tuples"] = delta
-                        sp.attrs["state_tuples"] = len(new.tuples)
-                        tracer = active_tracer()
-                        tracer.metrics.count("ccalc.while.rounds")
-                        tracer.metrics.observe("ccalc.while.delta_tuples", delta)
-                        tracer.log(
-                            "ccalc.while.round",
-                            round=rounds + 1,
-                            delta_tuples=delta,
-                            state_tuples=len(new.tuples),
-                        )
-                except BudgetExceeded as error:
-                    if on_budget == "partial":
-                        return PartialRelation(current, rounds, str(error))
-                    raise
-            this_round = rounds + 1
-            key = _state_key(new, decomposition)
-            previous_round = seen.get(key)
-            if previous_round == this_round - 1:
-                return new  # stabilized: S = {x | phi(S, x)}
-            if previous_round is not None:
-                raise WhileDivergence(
-                    f"state of round {this_round} repeats round {previous_round}: "
-                    f"cycle of length {this_round - previous_round}, the loop diverges"
-                )
-            seen[key] = this_round
-            current = new
-            rounds = this_round
-            if max_rounds is not None and rounds >= max_rounds:
-                error = round_limit_error("ccalc.while.round", max_rounds, rounds, guard)
-                if on_budget == "partial":
-                    return PartialRelation(current, rounds, str(error))
-                raise error
+        rounds, cut = run_rounds(
+            "ccalc.while", "ccalc.while.round", step,
+            guard=guard, on_budget=on_budget, max_rounds=max_rounds,
+        )
+    return current if cut is None else PartialRelation(current, rounds, cut)

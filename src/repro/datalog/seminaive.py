@@ -17,80 +17,23 @@ head variables unconstrained by the body) fall back to full evaluation
 each round: inflationary negation is non-monotone, so delta reasoning
 does not apply to them.
 
-``evaluate_seminaive`` is a drop-in replacement for
-:func:`~repro.datalog.engine.evaluate_program`, equivalence-tested
-against it on random programs.
+``evaluate_seminaive`` is the naive engine's driver
+(:func:`~repro.datalog.engine.run_program`) with deltas on, a drop-in
+replacement for :func:`~repro.datalog.engine.evaluate_program`,
+equivalence-tested against it stage by stage.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.core.database import Database
-from repro.core.evaluator import evaluate
-from repro.core.relation import Relation
-from repro.core.theory import ConstraintTheory
-from repro.datalog.ast import ConstraintLiteral, PredicateLiteral, Program, Rule
-from repro.datalog.engine import (
-    FixpointResult,
-    _derive,
-    body_formula,
-    check_on_budget,
-    head_schema,
-    resolve_guard,
-)
-from repro.errors import DatalogError
-from repro.obs.trace import active_tracer, span
-from repro.runtime.budget import Budget, BudgetExceeded
-from repro.runtime.faults import fault_point
-from repro.runtime.guard import EvaluationGuard, round_limit_error
+from repro.datalog.ast import Program
+from repro.datalog.engine import FixpointResult, run_program
+from repro.runtime.budget import Budget
+from repro.runtime.guard import EvaluationGuard
 
 __all__ = ["evaluate_seminaive"]
-
-
-def _positive_idb_positions(r: Rule, program: Program) -> List[int]:
-    out = []
-    for i, literal in enumerate(r.body):
-        if (
-            isinstance(literal, PredicateLiteral)
-            and not literal.negated
-            and literal.name in program.idb
-        ):
-            out.append(i)
-    return out
-
-
-def _uses_negated_idb(r: Rule, program: Program) -> bool:
-    return any(
-        isinstance(l, PredicateLiteral) and l.negated and l.name in program.idb
-        for l in r.body
-    )
-
-
-def _derive_with_delta(
-    r: Rule,
-    position: int,
-    state: Database,
-    deltas: Dict[str, Relation],
-    theory: ConstraintTheory,
-) -> Relation:
-    """Evaluate one rule with the given body position bound to its delta."""
-    literal = r.body[position]
-    delta = deltas[literal.name]
-    if delta.is_empty():
-        return Relation.empty(head_schema(len(r.head_args)), theory)
-    scratch = state.copy()
-    delta_name = f"__delta_{literal.name}"
-    scratch[delta_name] = delta
-    rewritten_body = tuple(
-        PredicateLiteral(delta_name, literal.args, negated=False)
-        if i == position
-        else l
-        for i, l in enumerate(r.body)
-    )
-    rewritten = Rule(r.head_name, r.head_args, rewritten_body)
-    return _derive(rewritten, scratch, theory)
 
 
 def evaluate_seminaive(
@@ -102,123 +45,23 @@ def evaluate_seminaive(
     guard: Optional[EvaluationGuard] = None,
     on_budget: str = "raise",
     context=None,
+    planner=None,
 ) -> FixpointResult:
     """Inflationary fixpoint via semi-naive evaluation.
 
     Same result as :func:`~repro.datalog.engine.evaluate_program`
-    (the fixpoint is unique); round counts may differ by the usual
-    off-by-one of delta initialization.  Budgets behave identically:
-    ``on_budget="raise"`` raises on exhaustion, ``"partial"`` returns
-    the truncated state tagged with what was cut.  ``context``
-    optionally activates an
-    :class:`~repro.parallel.context.ExecutionContext` for the run.
+    (the fixpoint is unique; each stage is equivalent to the naive one,
+    though a round count may differ when a naive round re-derives
+    covered facts in a new representation), and the same options:
+    budgets (``on_budget="raise"`` raises on exhaustion, ``"partial"``
+    returns the last completed round tagged with what was cut),
+    ``context`` (an :class:`~repro.parallel.context.ExecutionContext`
+    activated for the run) and ``planner`` (every rule-body evaluation,
+    delta variants included, planned by a
+    :class:`~repro.core.physical.QueryPlanner`).
     """
-    check_on_budget(on_budget)
-    guard = resolve_guard(guard, budget)
-    theory = database.theory
-    for name, arity in program.edb.items():
-        if name not in database:
-            raise DatalogError(f"EDB predicate {name!r} missing from the database")
-        if database.arity(name) != arity:
-            raise DatalogError(
-                f"EDB predicate {name!r} has arity {database.arity(name)}, "
-                f"program declares {arity}"
-            )
-    state = database.copy()
-    for name, arity in program.idb.items():
-        if name in state:
-            raise DatalogError(f"IDB predicate {name!r} already stored in the database")
-        state[name] = Relation.empty(head_schema(arity), theory)
-
-    delta_rules: Dict[Rule, List[int]] = {}
-    full_rules: List[Rule] = []
-    for r in program.rules:
-        positions = _positive_idb_positions(r, program)
-        if positions and not _uses_negated_idb(r, program):
-            delta_rules[r] = positions
-        else:
-            full_rules.append(r)
-
-    deltas: Dict[str, Relation] = {
-        name: Relation.empty(head_schema(arity), theory)
-        for name, arity in program.idb.items()
-    }
-    first_round = True
-    rounds = 0
-    with contextlib.nullcontext() if context is None else context, \
-            contextlib.nullcontext() if guard is None else guard:
-        with span(
-            "datalog.seminaive",
-            rules=len(program.rules),
-            delta_rules=len(delta_rules),
-        ):
-            while True:
-                with span("datalog.seminaive.round", round=rounds + 1) as sp:
-                    try:
-                        if guard is not None:
-                            guard.on_round("seminaive.round")
-                        fault_point("seminaive.round")
-                        additions: Dict[str, List[Relation]] = {
-                            name: [] for name in program.idb
-                        }
-                        for r in full_rules:
-                            additions[r.head_name].append(_derive(r, state, theory))
-                        for r, positions in delta_rules.items():
-                            if first_round:
-                                # no deltas yet: seed with a full evaluation
-                                additions[r.head_name].append(_derive(r, state, theory))
-                            else:
-                                for position in positions:
-                                    additions[r.head_name].append(
-                                        _derive_with_delta(
-                                            r, position, state, deltas, theory
-                                        )
-                                    )
-                        changed = False
-                        new_deltas: Dict[str, Relation] = {}
-                        for name in program.idb:
-                            current = state[name]
-                            merged = current
-                            for piece in additions[name]:
-                                merged = merged.union(piece)
-                            merged = merged.simplify()
-                            old_tuples = frozenset(current.tuples)
-                            fresh = [t for t in merged.tuples if t not in old_tuples]
-                            new_deltas[name] = Relation._trusted(
-                                theory, merged.schema, fresh
-                            )
-                            # merged and old differ iff something fresh
-                            # appeared or simplify absorbed an old tuple
-                            if fresh or len(merged.tuples) != len(old_tuples):
-                                changed = True
-                            state[name] = merged
-                        if sp is not None:
-                            delta = sum(len(d.tuples) for d in new_deltas.values())
-                            sp.attrs["delta_tuples"] = delta
-                            tracer = active_tracer()
-                            tracer.metrics.count("datalog.seminaive.rounds")
-                            tracer.metrics.observe(
-                                "datalog.seminaive.delta_tuples", delta
-                            )
-                            tracer.log(
-                                "datalog.seminaive.round",
-                                round=rounds + 1,
-                                delta_tuples=delta,
-                                changed=changed,
-                            )
-                    except BudgetExceeded as error:
-                        if on_budget == "partial":
-                            return FixpointResult(state, rounds, False, cut=str(error))
-                        raise
-                deltas = new_deltas
-                first_round = False
-                rounds += 1
-                if not changed:
-                    return FixpointResult(state, rounds, True)
-                if max_rounds is not None and rounds >= max_rounds:
-                    error = round_limit_error(
-                        "seminaive.round", max_rounds, rounds, guard
-                    )
-                    if on_budget == "partial":
-                        return FixpointResult(state, rounds, False, cut=str(error))
-                    raise error
+    return run_program(
+        program, database, "datalog.seminaive", "seminaive.round", deltas=True,
+        max_rounds=max_rounds, budget=budget, guard=guard, on_budget=on_budget,
+        context=context, planner=planner,
+    )

@@ -20,25 +20,14 @@ over dense-order constraint relations for comparison:
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.database import Database
-from repro.core.relation import Relation
-from repro.datalog.ast import ConstraintLiteral, PredicateLiteral, Program, Rule
-from repro.datalog.engine import (
-    FixpointResult,
-    _derive,
-    check_on_budget,
-    head_schema,
-    resolve_guard,
-)
+from repro.datalog.ast import PredicateLiteral, Program
+from repro.datalog.engine import FixpointResult, run_program
 from repro.errors import DatalogError
-from repro.obs.trace import active_tracer, span
-from repro.runtime.budget import Budget, BudgetExceeded
-from repro.runtime.faults import fault_point
-from repro.runtime.guard import EvaluationGuard, round_limit_error
+from repro.runtime.budget import Budget
+from repro.runtime.guard import EvaluationGuard
 
 __all__ = ["stratify", "is_stratifiable", "evaluate_stratified"]
 
@@ -102,37 +91,24 @@ def evaluate_stratified(
     budget: Optional[Budget] = None,
     guard: Optional[EvaluationGuard] = None,
     on_budget: str = "raise",
+    planner=None,
 ) -> FixpointResult:
     """Evaluate under the stratified semantics (perfect model).
 
-    Strata are computed once; within a stratum the rules iterate to a
-    naive least fixpoint, with predicates of earlier strata (and the
-    EDB) fixed.  Negated literals only ever refer to *completed*
-    relations, so no inflationary staging is required.
+    Strata are computed once; the naive engine's driver
+    (:func:`~repro.datalog.engine.run_program`) then iterates each
+    stratum's rules to their least fixpoint, with predicates of earlier
+    strata (and the EDB) fixed, and counts rounds on across strata.
+    Negated literals only ever refer to *completed* relations, so no
+    inflationary staging is required.
 
-    Budgets behave as in :func:`~repro.datalog.engine.evaluate_program`;
-    a partial result stops at the stratum the budget cut (later strata
-    would negate incomplete relations, which is unsound, so they are
-    not evaluated at all).
+    Budgets and ``planner`` behave as in
+    :func:`~repro.datalog.engine.evaluate_program`; a partial result
+    stops at the stratum the budget cut (later strata would negate
+    incomplete relations, which is unsound, so they are not evaluated
+    at all).
     """
-    check_on_budget(on_budget)
-    guard = resolve_guard(guard, budget)
-    theory = database.theory
     strata = stratify(program)
-    for name, arity in program.edb.items():
-        if name not in database:
-            raise DatalogError(f"EDB predicate {name!r} missing from the database")
-        if database.arity(name) != arity:
-            raise DatalogError(
-                f"EDB predicate {name!r} has arity {database.arity(name)}, "
-                f"program declares {arity}"
-            )
-    state = database.copy()
-    for name, arity in program.idb.items():
-        if name in state:
-            raise DatalogError(f"IDB predicate {name!r} already stored")
-        state[name] = Relation.empty(head_schema(arity), theory)
-
     # validate the stratification property rule-by-rule: a negated IDB
     # literal must live in a strictly earlier stratum than the head
     level_of = {name: i for i, layer in enumerate(strata) for name in layer}
@@ -147,69 +123,9 @@ def evaluate_stratified(
                 raise DatalogError(
                     f"rule {r} negates {literal.name} inside its own stratum"
                 )
-
-    total_rounds = 0
-    # carried across rounds: one frozenset per changed head per round,
-    # not a re-freeze of the whole previous state
-    state_sets: Dict[str, frozenset] = {name: frozenset() for name in program.idb}
-    with guard if guard is not None else contextlib.nullcontext():
-        with span("datalog.stratified", strata=len(strata), rules=len(program.rules)):
-            for layer in strata:
-                rules = [r for r in program.rules if r.head_name in layer]
-                while True:
-                    with span(
-                        "datalog.stratified.round",
-                        round=total_rounds + 1,
-                        stratum=level_of[layer[0]] if layer else 0,
-                    ) as sp:
-                        try:
-                            if guard is not None:
-                                guard.on_round("stratified.round")
-                            fault_point("stratified.round")
-                            changed = False
-                            delta = 0
-                            for r in rules:
-                                derived = _derive(r, state, theory)
-                                old = state[r.head_name]
-                                grown = old.union(derived).simplify()
-                                new_set = frozenset(grown.tuples)
-                                old_set = state_sets[r.head_name]
-                                if new_set != old_set:
-                                    changed = True
-                                    if sp is not None:
-                                        delta += len(new_set - old_set)
-                                    state[r.head_name] = grown
-                                    state_sets[r.head_name] = new_set
-                            if sp is not None:
-                                sp.attrs["delta_tuples"] = delta
-                                tracer = active_tracer()
-                                tracer.metrics.count("datalog.stratified.rounds")
-                                tracer.metrics.observe(
-                                    "datalog.stratified.delta_tuples", delta
-                                )
-                                tracer.log(
-                                    "datalog.stratified.round",
-                                    round=total_rounds + 1,
-                                    stratum=level_of[layer[0]] if layer else 0,
-                                    delta_tuples=delta,
-                                    changed=changed,
-                                )
-                        except BudgetExceeded as error:
-                            if on_budget == "partial":
-                                return FixpointResult(
-                                    state, total_rounds, False, cut=str(error)
-                                )
-                            raise
-                    total_rounds += 1
-                    if not changed:
-                        break
-                    if max_rounds is not None and total_rounds >= max_rounds:
-                        error = round_limit_error(
-                            "stratified.round", max_rounds, total_rounds, guard
-                        )
-                        if on_budget == "partial":
-                            return FixpointResult(
-                                state, total_rounds, False, cut=str(error)
-                            )
-                        raise error
-    return FixpointResult(state, total_rounds, True)
+    return run_program(
+        program, database, "datalog.stratified", "stratified.round",
+        strata=[[r for r in program.rules if r.head_name in layer] for layer in strata],
+        max_rounds=max_rounds, budget=budget, guard=guard, on_budget=on_budget,
+        planner=planner,
+    )

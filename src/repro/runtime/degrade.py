@@ -11,36 +11,33 @@ exception, according to a :class:`DegradePolicy`:
    retried the same way — by the time one propagates, the resilient
    dispatch loop has restarted or degraded the pool, so a whole-query
    retry runs on healthier infrastructure than the attempt that died;
-2. **simplification retry** — when the *representation* blew the
-   budget (tuple or atom limits) and the first attempt ran with
-   per-round simplification off, retry once with simplification on
-   (smaller representations, same denotation);
-3. **partial fallback** — when the budget still cuts evaluation short,
+2. **partial fallback** — when the budget cuts evaluation short,
    rerun truncated (``on_budget="partial"``) and return the partial
    :class:`~repro.datalog.engine.FixpointResult` with
    ``reached_fixpoint=False`` and ``cut`` describing what was cut —
    sound under inflationary semantics, where every derived fact is
    final.
 
-The wrapper is engine-agnostic: pass ``engine=`` any callable with the
-``evaluate_program`` signature (naive, semi-naive, stratified).
+The wrapper is engine-agnostic: pass ``engine=`` any of the three
+Datalog¬ engines (naive, semi-naive, stratified), which share one
+signature.  Every engine absorbs each round's derived tuples, so a
+representation blowup has no cheaper retry.
 
-Every degradation decision (transient retry, simplification retry,
-partial fallback) is emitted as a ``warning``-level structured log
-event through the ambient tracer (:mod:`repro.obs.log`), so a
-production run's retries are visible in the log stream and the
-flight-recorder ring — and cost nothing when nobody is observing.
+Every degradation decision (transient retry, partial fallback) is
+emitted as a ``warning``-level structured log event through the
+ambient tracer (:mod:`repro.obs.log`), so a production run's retries
+are visible in the log stream and the flight-recorder ring — and cost
+nothing when nobody is observing.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ShardFailedError
 from repro.obs.log import log_event
-from repro.runtime.budget import Budget, BudgetExceeded, TupleLimitExceeded
+from repro.runtime.budget import Budget, BudgetExceeded
 from repro.runtime.faults import TransientEvaluationError
 
 __all__ = ["DegradePolicy", "run_with_policy"]
@@ -50,18 +47,15 @@ __all__ = ["DegradePolicy", "run_with_policy"]
 class DegradePolicy:
     """What to do when a budgeted evaluation fails.
 
-    ``retry_transient``           retries for transient failures;
-    ``retry_with_simplification`` retry representation blowups with
-                                  per-round simplification forced on;
-    ``partial_on_budget``         degrade to a truncated partial result
-                                  instead of re-raising;
-    ``fallback_max_rounds``       round cap for the partial rerun
-                                  (default: the rounds the failed
-                                  attempt completed, when > 0).
+    ``retry_transient``     retries for transient failures;
+    ``partial_on_budget``   degrade to a truncated partial result
+                            instead of re-raising;
+    ``fallback_max_rounds`` round cap for the partial rerun (default:
+                            the rounds the failed attempt completed,
+                            when > 0).
     """
 
     retry_transient: int = 1
-    retry_with_simplification: bool = True
     partial_on_budget: bool = True
     fallback_max_rounds: Optional[int] = None
 
@@ -74,7 +68,6 @@ def run_with_policy(
     policy: DegradePolicy = DegradePolicy(),
     engine=None,
     max_rounds: Optional[int] = None,
-    simplify_each_round: bool = True,
 ):
     """Evaluate ``program`` under ``budget``, degrading per ``policy``.
 
@@ -86,23 +79,15 @@ def run_with_policy(
     if engine is None:
         from repro.datalog.engine import evaluate_program as engine
 
-    # engines differ in knobs (semi-naive always simplifies); pass only
-    # what the engine's signature accepts
-    supports_simplify = "simplify_each_round" in inspect.signature(engine).parameters
-
-    def attempt(simplify: bool, on_budget: str, rounds_cap: Optional[int]):
-        kwargs = dict(max_rounds=rounds_cap, budget=budget, on_budget=on_budget)
-        if supports_simplify:
-            kwargs["simplify_each_round"] = simplify
-        return engine(program, database, **kwargs)
+    def attempt(on_budget: str, rounds_cap: Optional[int]):
+        return engine(
+            program, database, max_rounds=rounds_cap, budget=budget, on_budget=on_budget
+        )
 
     transient_left = policy.retry_transient
-    simplify = simplify_each_round
-    # nothing to turn on if already on (or the engine has no such knob)
-    retried_simplified = simplify_each_round or not supports_simplify
     while True:
         try:
-            return attempt(simplify, "raise", max_rounds)
+            return attempt("raise", max_rounds)
         except (TransientEvaluationError, ShardFailedError) as error:
             if transient_left <= 0:
                 raise
@@ -112,20 +97,6 @@ def run_with_policy(
                 error=type(error).__name__, retries_left=transient_left,
             )
         except BudgetExceeded as error:
-            # representation blowup: simplification shrinks representations
-            # without changing the denoted pointset — retry once with it on
-            if (
-                isinstance(error, TupleLimitExceeded)
-                and policy.retry_with_simplification
-                and not retried_simplified
-            ):
-                retried_simplified = True
-                simplify = True
-                log_event(
-                    "degrade.retry_simplified", level="warning",
-                    error=type(error).__name__, site=error.site,
-                )
-                continue
             fallback = policy.fallback_max_rounds
             if fallback is None and error.rounds > 0:
                 fallback = error.rounds
@@ -136,4 +107,4 @@ def run_with_policy(
                 error=type(error).__name__, site=error.site,
                 fallback_max_rounds=fallback,
             )
-            return attempt(simplify, "partial", fallback)
+            return attempt("partial", fallback)

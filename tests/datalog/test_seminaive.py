@@ -12,6 +12,7 @@ from repro.core.relation import Relation
 from repro.datalog.ast import Program, cons, negated, pred, rule
 from repro.datalog.engine import evaluate_program
 from repro.datalog.seminaive import evaluate_seminaive
+from repro.lang import parse_program
 from repro.queries.library import (
     interval_overlap_tc_program,
     reachability_program,
@@ -95,6 +96,21 @@ class TestEquivalence:
         assert same_idb(program, naive, fast)
         assert fast["minimum"].contains_point([0])
         assert not fast["minimum"].contains_point([1])
+
+    def test_delta_name_is_not_captured(self):
+        """A stored relation named like a delta (``__delta_tc``) is read
+        as itself, not overwritten by the last round's additions."""
+        program = parse_program(
+            "tc(x, y) :- E(x, y).\ntc(x, z) :- tc(x, y), __delta_tc(y, z).\n"
+        )
+        db = Database({
+            "E": Relation.from_points(("x", "y"), [(0, 1), (5, 6)]),
+            "__delta_tc": Relation.from_points(("x", "y"), [(1, 2), (2, 3)]),
+        })
+        naive = evaluate_program(program, db)
+        fast = evaluate_seminaive(program, db)
+        assert same_idb(program, naive, fast)
+        assert fast["tc"].contains_point([0, 3])
 
 
 class TestPerformance:

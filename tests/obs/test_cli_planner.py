@@ -41,6 +41,8 @@ def _run_cli(argv):
 
 QUERY = "exists y (edge(x, y) and edge(y, z))"
 
+ENGINES = ("naive", "seminaive", "stratified")
+
 
 class TestOptimizeFlag:
     def test_query_modes_agree(self, workload):
@@ -117,28 +119,32 @@ class TestExplainPool:
         )
         return str(db_path), str(program)
 
-    def test_unplanned_engine_runs_on_the_pool(self, path12):
-        # --parallel implies a planner, which seminaive cannot take: the
-        # run must fall back to the activated pool, not to no pool at all
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unplanned_run_uses_the_pool(self, path12, engine):
+        # --optimize none builds no planner: the pool is activated
+        # around the whole run, so the kernels shard on it
         db, program = path12
         code, out, err = _run_cli(
-            ["explain", db, program, "--engine", "seminaive",
+            ["explain", db, program, "--engine", engine, "--optimize", "none",
              "--parallel", "--workers", "2"]
         )
         assert code == 0
         column = _ledger_parallel_column(out)
         assert column
         assert any(cell != "serial" for cell in column)
-        assert "unplanned" not in err
 
-    def test_explicit_optimize_warns_for_unplanned_engines(self, path12):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_optimize_plans_every_engine(self, path12, engine):
         db, program = path12
-        code, _, err = _run_cli(
-            ["explain", db, program, "--engine", "seminaive",
-             "--optimize", "cost"]
+        _, plain_out, _ = _run_cli(["explain", db, program, "--engine", engine])
+        code, out, err = _run_cli(
+            ["explain", db, program, "--engine", engine, "--optimize", "heuristic"]
         )
         assert code == 0
-        assert "running seminaive unplanned" in err
+        assert "planner.plan" in out
+        assert "planner.plan" not in plain_out
+        assert "warning" not in err
+        assert out.splitlines()[0] == plain_out.splitlines()[0]  # the result line
 
 
 class TestPlanCommand:

@@ -77,38 +77,3 @@ class TestPartialFallback:
         assert not result.reached_fixpoint
         assert result.cut is not None
 
-
-class TestSimplificationRetry:
-    def test_tuple_blowup_retries_with_simplification(self):
-        """A tuple-limit trip on an unsimplified run is retried once
-        with per-round simplification forced on (the fault fires only
-        on the first attempt, so the retry runs clean)."""
-        program, db = slow_tc_workload(6)
-        with FaultRegistry() as reg:
-            reg.inject("datalog.round", charge_tuples=10_000, times=1)
-            result = run_with_policy(
-                program,
-                db,
-                budget=Budget(max_tuples=5_000),
-                simplify_each_round=False,
-            )
-        assert result.reached_fixpoint
-        baseline = run_with_policy(program, db)
-        assert frozenset(result["tc"].tuples) == frozenset(baseline["tc"].tuples)
-
-    def test_simplification_retry_can_be_disabled(self):
-        from repro.runtime.budget import TupleLimitExceeded
-
-        program, db = slow_tc_workload(6)
-        with FaultRegistry() as reg:
-            reg.inject("datalog.round", charge_tuples=10_000, times=2)
-            with pytest.raises(TupleLimitExceeded):
-                run_with_policy(
-                    program,
-                    db,
-                    budget=Budget(max_tuples=5_000),
-                    simplify_each_round=False,
-                    policy=DegradePolicy(
-                        retry_with_simplification=False, partial_on_budget=False
-                    ),
-                )
