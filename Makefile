@@ -23,14 +23,19 @@ bench-watch:
 results:
 	python benchmarks/collect_results.py
 
-# what .github/workflows/ci.yml runs; the per-test timeout needs the
-# pytest-timeout plugin, which local environments may not have
+# what .github/workflows/ci.yml runs; tier-1 runs in dev mode (-X dev)
+# with unclosed files and exceptions in __del__ as errors; the per-test
+# timeout needs the pytest-timeout plugin, which local environments may
+# not have
+DEV_PYTEST = python -X dev -m pytest tests/ \
+	-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
+
 ci:
 	@if python -c "import pytest_timeout" 2>/dev/null; then \
-		pytest tests/ --timeout=300 --timeout-method=thread; \
+		$(DEV_PYTEST) --timeout=300 --timeout-method=thread; \
 	else \
 		echo "pytest-timeout not installed; running without per-test timeouts"; \
-		pytest tests/; \
+		$(DEV_PYTEST); \
 	fi
 	pytest benchmarks/bench_e13_budget_overhead.py -s
 	pytest benchmarks/bench_e14_trace_overhead.py -s

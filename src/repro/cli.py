@@ -123,6 +123,7 @@ from repro.core.relation import Relation
 from repro.datalog.engine import evaluate_program
 from repro.encoding.standard import decode_database, encode_database, encoding_size
 from repro.errors import ReproError, ShardFailedError
+from repro.files import read_text
 from repro.lang import parse_formula, parse_program
 from repro.obs import (
     JsonlSink,
@@ -170,8 +171,7 @@ EXIT_SHARD = 5
 
 
 def _load(path: str) -> Database:
-    with open(path, encoding="utf-8") as handle:
-        return decode_database(handle.read())
+    return decode_database(read_text(path, "database file"))
 
 
 def _budget_of(args: argparse.Namespace) -> Optional[Budget]:
@@ -592,8 +592,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_datalog(args: argparse.Namespace) -> int:
     db = _load(args.database)
-    with open(args.program, encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = parse_program(read_text(args.program, "program file"))
     budget = _budget_of(args)
     tracer = _tracer_of(args)
     guard = _guard_of(args, budget)
@@ -662,8 +661,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     db = _load(args.database)
     if _is_program(args.query):
-        with open(args.query, encoding="utf-8") as handle:
-            program = parse_program(handle.read())
+        program = parse_program(read_text(args.query, "program file"))
         targets = [
             (f"-- rule {index + 1}: {rule}", body_formula(rule))
             for index, rule in enumerate(program.rules)
@@ -737,8 +735,7 @@ def _run_explain(args, db, guard, ctx, planner) -> str:
             f"result: {len(relation)} generalized tuple(s) over "
             f"({', '.join(relation.schema)})"
         )
-    with open(args.query, encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = parse_program(read_text(args.query, "program file"))
     if args.engine == "naive":
         engine = evaluate_program
     elif args.engine == "seminaive":

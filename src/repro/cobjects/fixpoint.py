@@ -135,7 +135,7 @@ def evaluate_fixpoint(
         nonlocal current
         grown = current.union(
             stage(query, current, database, extra_constants, adom)
-        ).simplify()
+        ).simplify(absorbed=len(current))
         # syntactic stagnation of canonical tuples is a sound fixpoint
         # test for inflationary iteration (see repro.datalog.engine)
         old, new = frozenset(current.tuples), frozenset(grown.tuples)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import EncodingError
+from repro.files import read_json
 
 __all__ = [
     "COST_MODEL_SCHEMA",
@@ -211,14 +212,7 @@ class CostModel:
 
 def load_cost_model(path: str) -> CostModel:
     """Read and validate a ``repro.cost-model/1`` document from disk."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise EncodingError(
-                f"cost-model file {path!r} is not JSON: {error}"
-            ) from None
-    return CostModel.from_document(document)
+    return CostModel.from_document(read_json(path, "cost-model file"))
 
 
 def _fail(message: str) -> None:

@@ -487,16 +487,24 @@ class Relation:
 
     # ------------------------------------------------------------ maintenance
 
-    def simplify(self) -> "Relation":
-        """Drop tuples subsumed by other tuples (containment absorption)."""
-        kept = _absorb(list(self.tuples))
+    def simplify(self, *, absorbed: int = 0) -> "Relation":
+        """Drop tuples subsumed by other tuples (containment absorption).
+
+        ``absorbed`` says that the first ``absorbed`` tuples are the
+        output of an earlier absorption, so no two of them subsume each
+        other: those pairs are not tested (delta absorption).  The kept
+        tuples and their order are those of the full pass, the default.
+        A prefix that is not absorbed can only keep extra subsumed
+        tuples; the pointset is the same.
+        """
+        kept = _absorb(list(self.tuples), absorbed)
         tracer = active_tracer()
         if tracer is not None:
             metrics = tracer.metrics
             metrics.count("relation.simplify.calls")
-            absorbed = len(self.tuples) - len(kept)
-            if absorbed:
-                metrics.count("relation.simplify.tuples_absorbed", absorbed)
+            dropped = len(self.tuples) - len(kept)
+            if dropped:
+                metrics.count("relation.simplify.tuples_absorbed", dropped)
                 removed = sum(len(t.atoms) for t in self.tuples) - sum(
                     len(t.atoms) for t in kept
                 )
@@ -560,11 +568,17 @@ def _ledger(tracer, op: str, k0: dict, dispatch: Optional[dict], *,
     )
 
 
-def _absorb(tuples: List[GTuple]) -> List[GTuple]:
+def _absorb(tuples: List[GTuple], absorbed: int = 0) -> List[GTuple]:
     """Remove tuples whose conjunction is subsumed by another tuple's.
 
     ``t`` is subsumed by ``s`` when ``t`` entails every atom of ``s``
     (then the pointset of ``t`` is included in that of ``s``).
+
+    The first ``absorbed`` tuples must be the output of an earlier
+    absorption (see :meth:`Relation.simplify`): a pair of them is never
+    tested, so an inflationary round tests only the pairs that involve
+    a new tuple.  Both the hash dedup and :meth:`Relation.union` keep
+    first occurrences, so that prefix survives dedup unchanged.
 
     The pairwise pass is still quadratic in the worst case, but most
     candidate pairs are dismissed without touching the entailment
@@ -601,9 +615,12 @@ def _absorb(tuples: List[GTuple]) -> List[GTuple]:
         if ctx is not None and ctx.eligible(len(distinct)):
             from repro.parallel.backend import parallel_absorb
 
-            kept, dispatch = parallel_absorb(distinct, ctx)
+            kept, dispatch = parallel_absorb(distinct, ctx, absorbed)
         else:
-            kept = [distinct[i] for i in _absorb_survivors(distinct, 0, len(distinct))]
+            kept = [
+                distinct[i]
+                for i in _absorb_survivors(distinct, 0, len(distinct), absorbed)
+            ]
     if tracer is not None:
         # pre-execution estimate: absorption only removes tuples, so
         # the deduplicated input size is a hard upper bound
@@ -615,7 +632,9 @@ def _absorb(tuples: List[GTuple]) -> List[GTuple]:
     return kept
 
 
-def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int]:
+def _absorb_survivors(
+    distinct: List[GTuple], start: int, stop: int, absorbed: int = 0
+) -> List[int]:
     """Indices in ``[start, stop)`` of tuples not absorbed by any other.
 
     ``distinct`` must be deduplicated, non-trivial (no universe tuple,
@@ -624,6 +643,14 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
     disjoint ranges can be decided independently (the parallel backend
     fans them out) and concatenated in order to reproduce the full
     serial pass.
+
+    ``distinct[:absorbed]`` must be pairwise non-subsuming, as the
+    output of an earlier absorption is: an ``i`` in it is tested only
+    against ``j >= absorbed``, any other ``i`` against every ``j``.
+    Skipping those pairs is exact.  If kept tuples ``i`` and ``j``
+    had ``j`` subsume ``i``, keeping ``i`` would need ``i`` to subsume
+    ``j`` and win the tie-break below, and keeping ``j`` would need
+    ``j`` to win the same tie.
     """
     theory = distinct[0].theory
     dense = isinstance(theory, DenseOrderTheory)
@@ -656,8 +683,8 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
 
     kept: List[int] = []
     for i in range(start, stop):
-        absorbed = False
-        for j in range(len(distinct)):
+        dropped = False
+        for j in range(absorbed if i < absorbed else 0, len(distinct)):
             if i == j or not subsumes(j, i):
                 continue
             if subsumes(i, j):
@@ -672,9 +699,9 @@ def _absorb_survivors(distinct: List[GTuple], start: int, stop: int) -> List[int
                 ki, kj = stable_key(i), stable_key(j)
                 if (ki, i) < (kj, j):
                     continue
-            absorbed = True
+            dropped = True
             break
-        if not absorbed:
+        if not dropped:
             kept.append(i)
     return kept
 

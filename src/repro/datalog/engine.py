@@ -334,7 +334,8 @@ def run_program(
         new_added: Dict[str, Relation] = {}
         delta_tuples = 0
         for head, value in pending.items():
-            value = pending[head] = value.simplify()
+            # the stored stage leads the union and is already absorbed
+            value = pending[head] = value.simplify(absorbed=len(state[head]))
             # Inflationary rounds only add tuples, and tuples are stored
             # in canonical form over a constant set that never grows, so
             # the *syntactic* tuple sets live in a finite space: comparing

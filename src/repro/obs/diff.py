@@ -29,6 +29,7 @@ import json
 from typing import Dict, List, Optional
 
 from repro.errors import EncodingError
+from repro.files import read_json
 from repro.obs.analyze import operator_hotspots, phase_totals
 
 __all__ = [
@@ -181,8 +182,7 @@ def write_trace_diff(path: str, document: dict) -> str:
 
 def load_trace_diff(path: str) -> dict:
     """Read and validate a trace-diff document from ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return validate_trace_diff(json.load(handle))
+    return validate_trace_diff(read_json(path, "trace-diff file"))
 
 
 def _fmt(seconds: float) -> str:

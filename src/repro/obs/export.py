@@ -31,6 +31,7 @@ import json
 from typing import Any, Optional
 
 from repro.errors import EncodingError
+from repro.files import read_json
 from repro.obs.trace import Tracer
 
 __all__ = [
@@ -103,12 +104,7 @@ def write_trace(path: str, tracer: Tracer, guard=None) -> dict:
 
 def load_trace(path: str) -> dict:
     """Read and validate a trace document from disk."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise EncodingError(f"trace file {path!r} is not JSON: {error}") from None
-    return validate_trace(document)
+    return validate_trace(read_json(path, "trace file"))
 
 
 def _fail(message: str) -> None:

@@ -41,6 +41,7 @@ import os
 import time
 from typing import Any, Optional
 
+from repro.files import read_json
 from repro.obs.sink import RingBufferSink
 
 __all__ = [
@@ -317,13 +318,4 @@ def validate_postmortem(document: Any) -> dict:
 
 def load_postmortem(path: str) -> dict:
     """Read and validate a post-mortem document from disk."""
-    from repro.errors import EncodingError
-
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise EncodingError(
-                f"postmortem file {path!r} is not JSON: {err}"
-            ) from None
-    return validate_postmortem(document)
+    return validate_postmortem(read_json(path, "postmortem file"))

@@ -41,6 +41,7 @@ from statistics import median
 from typing import Dict, List, Optional
 
 from repro.errors import EncodingError
+from repro.files import read_text
 
 __all__ = [
     "HISTORY_SCHEMA",
@@ -123,18 +124,18 @@ def validate_history_record(record) -> dict:
 def load_history(path: str) -> List[dict]:
     """Read and validate every record in a JSONL history file."""
     records: List[dict] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise EncodingError(
-                    f"bench history {path!r} line {lineno} is not JSON: {error}"
-                ) from None
-            records.append(validate_history_record(record))
+    lines = read_text(path, "bench history").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise EncodingError(
+                f"bench history {path!r} line {lineno} is not JSON: {error}"
+            ) from None
+        records.append(validate_history_record(record))
     return records
 
 

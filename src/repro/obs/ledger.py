@@ -45,6 +45,7 @@ import json
 from typing import Any, List, Optional
 
 from repro.errors import EncodingError
+from repro.files import read_json
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -265,14 +266,7 @@ def write_profile(path: str, tracer, guard=None) -> dict:
 
 def load_profile(path: str) -> dict:
     """Read and validate a ``repro.profile/1`` document from disk."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise EncodingError(
-                f"profile file {path!r} is not JSON: {error}"
-            ) from None
-    return validate_profile(document)
+    return validate_profile(read_json(path, "profile file"))
 
 
 def _fail(message: str) -> None:

@@ -206,19 +206,20 @@ def parallel_project(
 
 
 def parallel_absorb(
-    distinct: Sequence, ctx: ExecutionContext
+    distinct: Sequence, ctx: ExecutionContext, absorbed: int = 0
 ) -> Tuple[list, dict]:
     """Fan the absorption survivor scan out across index ranges.
 
     Each shard receives the full deduplicated list (subsumption is a
-    global test) and decides one contiguous range; concatenating the
-    surviving indices in range order reproduces the serial
-    ``_absorb`` result byte-for-byte.  Returns
+    global test), the length of its already-absorbed prefix, and
+    decides one contiguous range; concatenating the surviving indices
+    in range order reproduces the serial ``_absorb(distinct, absorbed)``
+    result byte-for-byte, skipped pairs included.  Returns
     ``(kept_tuples, dispatch_info)``.
     """
     ranges = index_ranges(len(distinct), ctx.workers)
     distinct = list(distinct)
-    payloads = [(distinct, r.start, r.stop) for r in ranges]
+    payloads = [(distinct, r.start, r.stop, absorbed) for r in ranges]
     t0 = time.perf_counter()
     # absorption has a semantically exact degraded fallback: keeping a
     # failed range unfiltered only leaves redundant (absorbable) tuples

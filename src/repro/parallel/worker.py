@@ -269,14 +269,17 @@ def project_shard(payload) -> Tuple[list, List[int], float]:
 def absorb_shard(payload) -> Tuple[List[int], float]:
     """Absorption survivors for one contiguous index range.
 
-    Payload: ``(distinct, start, stop)`` — the **full** deduplicated
-    tuple list plus the range this shard decides.  Survival of index
-    ``i`` depends on the whole list (any tuple may subsume it) but not
-    on other survival decisions, so disjoint ranges computed
-    independently and concatenated in order reproduce the serial
-    result byte-for-byte.  Returns ``(surviving_indices, seconds)``.
+    Payload: ``(distinct, start, stop, absorbed)`` — the **full**
+    deduplicated tuple list, the range this shard decides, and the
+    length of the list's already-absorbed prefix, whose pairs are not
+    tested (see :func:`~repro.core.relation._absorb_survivors`).
+    Survival of index ``i`` depends on the whole list (any tuple may
+    subsume it) but not on other survival decisions, so disjoint ranges
+    computed independently and concatenated in order reproduce the
+    serial result byte-for-byte.  Returns
+    ``(surviving_indices, seconds)``.
     """
-    distinct, start, stop = payload
+    distinct, start, stop, absorbed = payload
     t0 = time.perf_counter()
-    kept = _absorb_survivors(distinct, start, stop)
+    kept = _absorb_survivors(distinct, start, stop, absorbed)
     return kept, time.perf_counter() - t0

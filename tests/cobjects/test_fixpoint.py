@@ -11,7 +11,9 @@ from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.core.terms import as_term
 from repro.errors import DatalogError, EvaluationError
+from repro.obs import Tracer
 from repro.workloads.generators import path_graph
+from tests.datalog.test_driver import absorbing_database, full_absorption_runs
 
 
 def R(name, *args):
@@ -58,6 +60,31 @@ class TestTransitiveClosure:
         assert out.contains_point([5])
         assert out.contains_point([0])
         assert not out.contains_point([11])
+
+
+class TestDeltaAbsorption:
+    def test_stages_match_full_absorption(self):
+        """``F(x) := A(x) or exists y (F(y) and B(y, x))``: round 2
+        derives ``0 < x < 1``, which absorbs the stored ``x = 1/2``.
+        Every stage holds the tuples, in order, of a run whose
+        absorption tests every pair."""
+        db = absorbing_database()
+        step = COr((R("A", "x"), CExists(("y",), CAnd((R("F", "y"), R("B", "y", "x"))))))
+        query = FixpointQuery("F", ("x",), step)
+        with Tracer() as tracer:
+            final = evaluate_fixpoint(query, db)
+        rounds = tracer.metrics.counter("ccalc.fixpoint.rounds")
+        assert rounds == 3
+        assert tracer.metrics.counter("relation.simplify.tuples_absorbed") == 2
+
+        def run(i):
+            return evaluate_fixpoint(query, db, max_rounds=i, on_budget="partial")
+
+        stages = [run(i) for i in range(1, rounds + 1)]
+        assert stages[-1].tuples == final.tuples
+        for i, (stage, full) in enumerate(zip(stages, full_absorption_runs(run, rounds)), 1):
+            assert stage.tuples == full.tuples, i
+            assert stage.simplify().tuples == stage.tuples, i
 
 
 class TestGuards:

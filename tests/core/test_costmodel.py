@@ -104,6 +104,12 @@ class TestCostModelDocument:
         with pytest.raises(EncodingError, match="not JSON"):
             load_cost_model(str(path))
 
+    def test_non_utf8_file_raises_encoding_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        with pytest.raises(EncodingError, match="cost-model file .* is not UTF-8"):
+            load_cost_model(str(path))
+
     @pytest.mark.parametrize(
         "mutate, match",
         [

@@ -1,19 +1,24 @@
 """The one Datalog driver behind the naive, semi-naive and stratified
 engines: a cut anywhere in a round returns the last completed round,
-semi-naive computes the naive stages round for round, and the planner
+semi-naive computes the naive stages round for round, delta absorption
+stores the stages a full absorption pass stores, and the planner
 changes no engine's answer."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from repro.core.atoms import lt
+from repro.core.atoms import eq, lt
 from repro.core.database import Database
 from repro.core.physical import QueryPlanner
+from repro.core.relation import Relation
 from repro.datalog.ast import Program, cons, negated, pred, rule
 from repro.datalog.engine import evaluate_program
 from repro.datalog.seminaive import evaluate_seminaive
 from repro.datalog.stratified import evaluate_stratified
 from repro.lang import parse_program
+from repro.obs import Tracer
 from repro.queries.library import interval_overlap_tc_program, transitive_closure_program
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultRegistry
@@ -28,6 +33,31 @@ a(x, z) :- E(x, z).
 a(x, z) :- a(x, y), E(y, z).
 b(x, z) :- a(x, y), a(y, z).
 """
+
+#: over :func:`absorbing_database`, round 2 derives ``0 < x < 1``,
+#: which absorbs the stored ``x = 1/2``
+ABSORBING = """
+p(x) :- A(x).
+p(x) :- p(y), B(y, x).
+"""
+
+
+def absorbing_database():
+    half = Fraction(1, 2)
+    return Database({
+        "A": Relation.from_atoms(("x",), [[eq("x", half)]]),
+        "B": Relation.from_atoms(("y", "x"), [[eq("y", half), lt(0, "x"), lt("x", 1)]]),
+    })
+
+
+def full_absorption_runs(run, rounds):
+    """``run(i)`` for every ``i`` up to ``rounds``, with
+    :meth:`Relation.simplify` testing every pair whatever prefix its
+    caller says is absorbed."""
+    full = Relation.simplify
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Relation, "simplify", lambda self, *, absorbed=0: full(self))
+        return [run(i) for i in range(1, rounds + 1)]
 
 
 def tuple_sets(program, result):
@@ -90,6 +120,21 @@ def assert_same_stages(program, db):
             assert naive[name].equivalent(semi[name]), (i, name)
 
 
+def assert_full_pass_stages(engine, program, db):
+    """Every stage is stored absorbed, and holds the tuples, in order,
+    of the same stage under full absorption."""
+    def run(i):
+        return engine(program, db, max_rounds=i, on_budget="partial")
+
+    rounds = engine(program, db).rounds
+    stages = [run(i) for i in range(1, rounds + 1)]
+    for i, (stage, full) in enumerate(zip(stages, full_absorption_runs(run, rounds)), 1):
+        assert (stage.rounds, stage.reached_fixpoint) == (full.rounds, full.reached_fixpoint)
+        for name in program.idb:
+            assert stage[name].tuples == full[name].tuples, (i, name)
+            assert stage[name].simplify().tuples == stage[name].tuples, (i, name)
+
+
 class TestStages:
     @pytest.mark.parametrize("n", [3, 6])
     def test_transitive_closure(self, n):
@@ -106,10 +151,27 @@ class TestStages:
     def test_intervals_and_diagonals(self, edges):
         db = Database({"E": edges})
         # TC and the TC of the converse, whose scans swap E's columns
-        assert_same_stages(transitive_closure_program(), db)
-        assert_same_stages(parse_program(
+        for program in (transitive_closure_program(), parse_program(
             "tc(x, y) :- E(y, x).\ntc(x, z) :- tc(x, y), E(z, y).\n"
-        ), db)
+        )):
+            assert_same_stages(program, db)
+            for engine in ENGINES:
+                assert_full_pass_stages(engine, program, db)
+
+
+class TestDeltaAbsorption:
+    @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.__name__)
+    def test_new_tuple_absorbs_a_stored_one(self, engine):
+        program = parse_program(ABSORBING)
+        db = absorbing_database()
+        with Tracer() as tracer:
+            result = engine(program, db)
+        assert result.rounds == 3
+        assert result["p"].tuples == Relation.from_atoms(
+            ("a0",), [[lt(0, "a0"), lt("a0", 1)]]
+        ).tuples
+        assert tracer.metrics.counter("relation.simplify.tuples_absorbed") == 2
+        assert_full_pass_stages(engine, program, db)
 
 
 class TestPlanned:

@@ -44,11 +44,11 @@ class TestAppendAndLoad:
         assert stamp["python"]
 
     def test_append_is_append_only(self, tmp_path):
-        path = str(tmp_path / "history.jsonl")
-        append_history(path, {"m": 1.0})
-        before = open(path, encoding="utf-8").read()
-        append_history(path, {"m": 2.0})
-        after = open(path, encoding="utf-8").read()
+        path = tmp_path / "history.jsonl"
+        append_history(str(path), {"m": 1.0})
+        before = path.read_text(encoding="utf-8")
+        append_history(str(path), {"m": 2.0})
+        after = path.read_text(encoding="utf-8")
         assert after.startswith(before)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -65,6 +65,12 @@ class TestAppendAndLoad:
             json.dumps(record(m=1.0)) + "\n{broken\n", encoding="utf-8"
         )
         with pytest.raises(EncodingError, match="line 2"):
+            load_history(str(path))
+
+    def test_non_utf8_file_raises_encoding_error(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        with pytest.raises(EncodingError, match="bench history .* is not UTF-8"):
             load_history(str(path))
 
     def test_provenance_never_raises(self):

@@ -85,6 +85,7 @@ class TestExitError:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err
+        return lines[0]
 
     def test_zero_denominator_in_query(self, db_file, capsys):
         assert main(["query", db_file, "e(x, y) and x < 1/0"]) == EXIT_ERROR
@@ -95,6 +96,31 @@ class TestExitError:
         path.write_text("p(x) :- e(x, y), y < 1/0.\n", encoding="utf-8")
         assert main(["datalog", db_file, str(path)]) == EXIT_ERROR
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["info", "BAD"], id="info-database"),
+        pytest.param(["query", "BAD", "e(x, y)"], id="query-database"),
+        pytest.param(["datalog", "BAD", "PROGRAM"], id="datalog-database"),
+        pytest.param(["datalog", "DB", "BAD"], id="datalog-program"),
+        pytest.param(["explain", "DB", "BAD"], id="explain-program"),
+        pytest.param(["plan", "DB", "BAD"], id="plan-program"),
+        pytest.param(["query", "DB", "e(x, y)", "--optimize", "cost", "--cost-model", "BAD"],
+                     id="cost-model"),
+        pytest.param(["trace", "analyze", "BAD"], id="trace-analyze"),
+        pytest.param(["trace", "flame", "BAD"], id="trace-flame"),
+        pytest.param(["trace", "diff", "BAD", "BAD"], id="trace-diff"),
+        pytest.param(["calibrate", "BAD"], id="calibrate"),
+        pytest.param(["bench-watch", "--history", "BAD"], id="bench-watch"),
+    ])
+    def test_non_utf8_input_file(self, argv, db_file, program_file, tmp_path, capsys):
+        """A UTF-16 file (byte-order mark ``ff fe``) is an input error
+        naming the file, not a ``UnicodeDecodeError`` traceback."""
+        bad = tmp_path / "utf16.dl"
+        bad.write_bytes(b"\xff\xfe" + "p(x) :- e(x, y).".encode("utf-16-le"))
+        paths = {"BAD": str(bad), "DB": db_file, "PROGRAM": program_file}
+        assert main([paths.get(a, a) for a in argv]) == EXIT_ERROR
+        line = self.assert_one_error_line(capsys)
+        assert "is not UTF-8" in line and str(bad) in line
 
     def test_mistyped_trace_field(self, db_file, tmp_path, capsys):
         trace = tmp_path / "trace.json"

@@ -97,6 +97,18 @@ class TestValidationAndRoundTrip:
         write_trace_diff(path, document)
         assert load_trace_diff(path) == document
 
+    def test_load_rejects_non_json(self, tmp_path):
+        path = tmp_path / "junk.json"
+        path.write_text("not json {", encoding="utf-8")
+        with pytest.raises(EncodingError, match="trace-diff file .* is not JSON"):
+            load_trace_diff(str(path))
+
+    def test_load_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        with pytest.raises(EncodingError, match="trace-diff file .* is not UTF-8"):
+            load_trace_diff(str(path))
+
     def test_bad_schema_rejected(self):
         document = diff_traces(BEFORE, AFTER)
         document["schema"] = "repro.trace/1"

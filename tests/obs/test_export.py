@@ -77,6 +77,12 @@ class TestRoundTrip:
         with pytest.raises(EncodingError):
             load_trace(str(path))
 
+    def test_load_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        with pytest.raises(EncodingError, match="trace file .* is not UTF-8"):
+            load_trace(str(path))
+
 
 class TestValidation:
     def base(self):

@@ -207,6 +207,12 @@ class TestValidation:
         with pytest.raises(EncodingError):
             load_postmortem(str(path))
 
+    def test_load_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "pm.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        with pytest.raises(EncodingError, match="postmortem file .* is not UTF-8"):
+            load_postmortem(str(path))
+
 
 class TestCliAcceptance:
     def test_max_rounds_kill_produces_valid_postmortem(self, tmp_path, capsys):

@@ -238,6 +238,12 @@ class TestProfileDocument:
         with pytest.raises(EncodingError, match="not JSON"):
             load_profile(str(path))
 
+    def test_non_utf8_file_raises_encoding_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        with pytest.raises(EncodingError, match="profile file .* is not UTF-8"):
+            load_profile(str(path))
+
 
 # ------------------------------------------------------------------ rendering
 

@@ -7,7 +7,9 @@ partition:
 * ``_absorb`` broke mutual-subsumption ties by list position, so the
   surviving representative of an equivalence class depended on input
   order.  The tie-break now keeps the tuple with the smallest canonical
-  rendering, which is a property of the tuple, not of the list.
+  rendering, which is a property of the tuple, not of the list.  Delta
+  absorption (an already-absorbed prefix whose pairs are not tested)
+  must keep the same survivor, serially and on either pool.
 * ``_complement`` iterated a frozenset of atoms directly; frozenset
   iteration order follows the (per-process, salted) hash, so the
   complement's syntactic representation varied across
@@ -26,7 +28,10 @@ import sys
 
 import pytest
 
-from repro.core.relation import _absorb_survivors
+from repro.core.atoms import eq, lt
+from repro.core.relation import Relation, _absorb, _absorb_survivors
+from repro.parallel import ExecutionContext
+from repro.parallel.backend import parallel_absorb
 
 # ------------------------------------------------- absorb tie-break (stub theory)
 
@@ -69,6 +74,42 @@ def test_survival_is_positional_only_for_equal_keys():
     # which dedup upstream normally removes
     tuples = [StubTuple("a<x"), StubTuple("a<x")]
     assert _absorb_survivors(tuples, 0, 2) == [0]
+
+
+def test_absorbed_survivor_keeps_the_full_pass_survivor():
+    # a one-tuple prefix is absorbed whatever it is; the survivor is the
+    # smallest rendering whether the prefix or a new tuple holds it
+    tuples = [StubTuple("b<y"), StubTuple("a<x"), StubTuple("c<z"), StubTuple("d<u")]
+    for survivor in tuples:
+        new = [t for t in tuples if t is not survivor]
+        for perm in itertools.permutations(new):
+            stage = [survivor, *perm]
+            full = _absorb_survivors(stage, 0, len(stage))
+            assert _absorb_survivors(stage, 0, len(stage), 1) == full
+            assert [stage[i].atoms for i in full] == [frozenset(["a<x"])]
+
+
+# ------------------------------------------- delta absorption on a pool
+
+
+@pytest.mark.parametrize("pool", ["thread", "process"])
+def test_parallel_absorb_skips_the_serial_pairs(pool):
+    """Every prefix length, absorbed or not, keeps what the serial pass
+    keeps: the shard payload carries the prefix."""
+    stage = Relation.from_points(("x",), [(1,), (2,), (5,)]).tuples
+    new = Relation.from_atoms(("x",), [
+        [lt(0, "x"), lt("x", 3)], [eq("x", 1)], [lt(4, "x"), lt("x", 6)],
+        [lt(0, "x"), lt("x", 2)],
+    ]).tuples
+    distinct = list(dict.fromkeys(stage + new))
+    ctx = ExecutionContext(workers=2, pool=pool, min_tuples=2)
+    try:
+        kept = [parallel_absorb(distinct, ctx, k)[0] for k in range(len(distinct) + 1)]
+        assert ctx.pool_kind == pool and ctx.fallbacks == 0
+    finally:
+        ctx.close()
+    assert kept == [_absorb(distinct, k) for k in range(len(distinct) + 1)]
+    assert kept[len(stage)] == kept[0] != kept[len(stage) + 1]
 
 
 # ---------------------------------------------------------- hash-seed pinning

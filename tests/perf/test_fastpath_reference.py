@@ -1,10 +1,11 @@
 """The rewritten hot paths against their straight-line references.
 
-``Relation._absorb`` (hash dedup + subsumption pruning) and
-``Relation.join`` (pinned-constant partition index) must produce
-byte-identical output to the original quadratic algorithms on random
-inputs — not just equivalent pointsets, the same tuples in the same
-order, so downstream syntactic fixpoint tests see no difference.
+``Relation._absorb`` (hash dedup + subsumption pruning, and delta
+absorption behind an absorbed prefix) and ``Relation.join``
+(pinned-constant partition index) must produce byte-identical output
+to the original quadratic algorithms on random inputs — not just
+equivalent pointsets, the same tuples in the same order, so downstream
+syntactic fixpoint tests see no difference.
 ``GTuple.rename`` (canonical atoms renamed without the kernel) must
 return the very tuple ``GTuple.make`` builds from the renamed atoms,
 and keep the pointset.
@@ -22,7 +23,9 @@ from repro.core.relation import Relation, _absorb, _join_partition
 from repro.core.sampling import sample_points
 from repro.core.terms import Var
 from repro.core.theory import DENSE_ORDER
+from repro.linear.theory import LINEAR
 from repro.perf import kernel_cache_disabled
+from tests.linear.test_theory import linear_conjunctions
 from tests.strategies import conjunctions
 
 SCHEMA = ("x", "y", "z", "u", "v")
@@ -34,6 +37,13 @@ def gtuples(draw):
     if made is None:  # unsatisfiable draw: fall back to the universe
         return GTuple.universe(DENSE_ORDER, SCHEMA)
     return made
+
+
+@st.composite
+def linear_gtuples(draw):
+    schema = ("x", "y")
+    made = GTuple.make(LINEAR, schema, draw(linear_conjunctions(max_atoms=3)))
+    return GTuple.universe(LINEAR, schema) if made is None else made
 
 
 def reference_absorb(tuples):
@@ -86,6 +96,26 @@ class TestAbsorbMatchesReference:
 
         t = GTuple.make(DENSE_ORDER, SCHEMA, [lt("x", "y")])
         assert _absorb([t, u, t]) == reference_absorb([t, u, t]) == [u]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(gtuples(), max_size=5), st.lists(gtuples(), max_size=5))
+    def test_absorbed_prefix_keeps_the_same_tuples(self, old, new):
+        """Delta absorption: an absorbed stage followed by new tuples
+        keeps the reference's tuples in the reference's order."""
+        base = _absorb(list(old))
+        expected = reference_absorb(base + new)
+        assert _absorb(base + new, len(base)) == expected
+        with kernel_cache_disabled():
+            assert _absorb(base + new, len(base)) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(linear_gtuples(), max_size=4), st.lists(linear_gtuples(), max_size=4))
+    def test_absorbed_linear_prefix_keeps_the_full_pass(self, old, new):
+        """Linear tuples are not canonical, so distinct tuples can denote
+        one pointset: the reference breaks that tie by position,
+        ``_absorb`` by rendering, so the full pass is the reference."""
+        base = _absorb(list(old))
+        assert _absorb(base + new, len(base)) == _absorb(base + new)
 
 
 @st.composite
