@@ -643,92 +643,6 @@ def e19_stitching() -> None:
     print(f"(machine-readable numbers written to {out_path})")
 
 
-def e20_planner() -> None:
-    """Calibrate a cost model from an in-bench profile run, time the
-    three backends (serial / always-parallel / cost-planned) per
-    workload, and fold the numbers -- plus the E12-style direct-vs-plan
-    ablation -- into ``BENCH_PLANNER.json`` next to this script so the
-    CI gate and EXPERIMENTS.md read the same numbers."""
-    header("E20 -- cost-based query planner (repro.core.physical)")
-    import sys
-
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from bench_e20_planner import (
-        _best,
-        _context,
-        _edge_db,
-        _workloads,
-        calibrated_model,
-        two_hop_formula,
-    )
-    from repro.core.physical import QueryPlanner
-
-    cores = os.cpu_count() or 1
-    db = _edge_db()
-    model = calibrated_model()
-    entries = {"cores": cores, "records_fitted": model.records_used,
-               "workloads": {}}
-    print("| workload | serial (s) | always-parallel (s) | planned (s) | vs best |")
-    print("|---|---|---|---|---|")
-    ctx = _context()
-    try:
-        planner = QueryPlanner(mode="cost", model=model, context=ctx)
-        with ctx:
-            evaluate(two_hop_formula(), db)  # warm the pool once
-        for label, serial_t, parallel_t, planned_t in _workloads(db, planner, ctx):
-            planned_t()  # warm the logical-plan cache
-            serial = _best(serial_t)
-            parallel = _best(parallel_t)
-            planned = _best(planned_t)
-            best = min(serial, parallel)
-            entries["workloads"][label] = {
-                "serial_seconds": serial,
-                "always_parallel_seconds": parallel,
-                "planned_seconds": planned,
-                "planned_vs_best": planned / best,
-            }
-            print(
-                f"| {label} | {serial:.4f} | {parallel:.4f} | {planned:.4f} "
-                f"| {planned / best - 1.0:+.1%} |"
-            )
-    finally:
-        ctx.close()
-
-    # the E12 ablation, re-run against the rule-engine planner: direct
-    # evaluation vs the optimized plan on the interval self-join
-    from repro.core.physical import execute_plan
-
-    qdb = random_interval_database(71, count=10)
-    f = exists(
-        "y",
-        rel("S", "x") & rel("S", "y") & constraint(lt("x", "y"))
-        & constraint(lt("y", -20)),
-    )
-    _, direct_time = timed(lambda: evaluate(f, qdb))
-    plan = QueryPlanner(mode="heuristic").logical_plan(f, qdb)
-    _, plan_time = timed(lambda: execute_plan(plan, qdb))
-    entries["ablation"] = {
-        "direct_seconds": direct_time,
-        "optimized_plan_seconds": plan_time,
-        "speedup": direct_time / plan_time,
-    }
-    print()
-    print(
-        f"direct eval vs rule-engine plan (E12 ablation): "
-        f"{direct_time:.4f}s vs {plan_time:.4f}s "
-        f"({direct_time / plan_time:.1f}x)"
-    )
-
-    out_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "BENCH_PLANNER.json")
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump({"schema": "repro.bench-planner/1", **entries},
-                  handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print()
-    print(f"(machine-readable numbers written to {out_path})")
-
-
 DEFAULT_HISTORY = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_HISTORY.jsonl"
 )
@@ -790,32 +704,6 @@ def _stitching_overhead_pct() -> float:
         finally:
             ctx.close()
     return max(5.0, 100.0 * (seconds[True] / seconds[False] - 1.0))
-
-
-def _planner_vs_best_backend_pct() -> float:
-    """Cost-planned two-hop vs the best fixed backend, as a percentage.
-
-    On the quick history workload the best fixed backend is plain serial
-    evaluation, and a warm planner (logical-plan cache hit) should match
-    it to within scheduler noise.  As with ``stitching_overhead_pct``
-    the true value sits in the noise floor around zero, so the recorded
-    number is floored at 5.0; the 3.0x CI watch threshold then trips
-    only above 15%, well under the E20 hard gate of planned <= 1.05x
-    best on the full benchmark workloads.
-    """
-    import sys
-
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from bench_e20_planner import _best, _edge_db, two_hop_formula
-    from repro.core.physical import QueryPlanner
-
-    db = _edge_db()
-    f = two_hop_formula()
-    planner = QueryPlanner(mode="cost")
-    planner.run(f, db, db.theory)  # warm the logical-plan cache
-    serial = _best(lambda: evaluate(f, db), repeat=3)
-    planned = _best(lambda: planner.run(f, db, db.theory), repeat=3)
-    return max(5.0, 100.0 * (planned / serial - 1.0))
 
 
 def e21_analysis() -> None:
@@ -965,11 +853,6 @@ def bench_history(history_path: str) -> None:
         f"| stitching_overhead_pct | "
         f"{metrics['stitching_overhead_pct']:.1f} (floored at 5.0) |"
     )
-    metrics["planner_vs_best_backend_pct"] = _planner_vs_best_backend_pct()
-    print(
-        f"| planner_vs_best_backend_pct | "
-        f"{metrics['planner_vs_best_backend_pct']:.1f} (floored at 5.0) |"
-    )
     metrics["trace_analysis_seconds"] = _trace_analysis_seconds()
     print(
         f"| trace_analysis_seconds | "
@@ -1018,7 +901,6 @@ def main(argv=None) -> None:
     e17_parallel()
     e18_resilience()
     e19_stitching()
-    e20_planner()
     e21_analysis()
     bench_history(args.history)
     print()

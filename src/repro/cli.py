@@ -26,16 +26,14 @@ per-site counters plus the kernel cache/interning statistics, and
 
 Two subcommands inspect plans and runs.  ``plan`` plans without
 running: one tree per formula or Datalog rule, each node with its
-estimated rows, modeled cost and serial-vs-parallel verdict.
-``explain`` runs a query or program and reports where the work went:
-the per-phase cost tree, the per-operator cost ledger (estimated vs
-actual cardinalities) and the guard's counters; ``--out`` also writes
-the ledger as a schema-versioned ``repro.profile/1`` document (also
-when a budget aborts the run), and ``calibrate`` fits the planner's
-``repro.cost-model/1`` coefficients from such documents.
-``--optimize={none,heuristic,cost}`` picks the planning mode on
-``query``/``datalog``/``explain`` (default: ``cost`` when
-``--parallel`` is granted, ``none`` otherwise).
+estimated rows and modeled cost.  ``explain`` runs a query or program
+and reports where the work went: the per-phase cost tree, the
+per-operator cost ledger (estimated vs actual cardinalities) and the
+guard's counters; ``--out`` also writes the ledger as a
+schema-versioned ``repro.profile/1`` document (also when a budget
+aborts the run).  ``--optimize={none,heuristic}`` picks the planning
+mode on ``query``/``datalog``/``explain``: ``none`` (the default) runs
+the direct evaluator, ``heuristic`` the rule-engine rewrites.
 
 Telemetry exports (the :mod:`repro.obs.telemetry` pipeline):
 ``--log-jsonl FILE`` streams every structured log record
@@ -79,26 +77,24 @@ so every conjunction goes through the kernel as in the seed — the
 escape hatch for timing comparisons and for ruling the fast path out
 when debugging.
 
-``--parallel`` (with ``--workers`` and ``--shard-strategy``) grants a
-worker pool for the expensive relation kernels
-(:mod:`repro.parallel`); serial evaluation remains the default and
-the reference, and results are set-equivalent either way.  Where the
-pool is *used* is decided per operator by the cost-based planner:
-``--parallel`` implies ``--optimize=cost`` unless ``--optimize`` says
-otherwise, and the planner dispatches only the Join/Project/Absorb
-nodes whose modeled parallel cost beats serial (so a 1-core box
-simply gets serial decisions — no host-level special case).
-Without a planner (``--optimize=none``) the pool is activated around
-the whole run and every eligible kernel shards; one helper makes this
-choice for ``query``, ``datalog`` and ``explain`` alike.  Shard
-dispatch is fault-tolerant:
-``--shard-timeout`` bounds each shard, ``--shard-retries`` caps pool
-re-dispatches before a failing shard is quarantined (re-executed
-serially in-process), and ``--on-shard-failure`` picks the terminal
-behavior — ``fail`` (exit ``5``, no quarantine), ``serial`` (the
-default: quarantine, then exit ``5``), or ``partial`` (drop the shard
-and print the tagged partial result).  ``plan`` takes only the pool
-flags, since it runs nothing.
+``--parallel`` (with ``--workers`` and ``--shard-strategy``) activates
+a worker pool around the whole run, planned or not: every relation
+kernel (join, projection, absorption) whose input reaches the pool's
+size floor shards on it (:mod:`repro.parallel`).  Serial evaluation
+remains the default and the reference, and results are set-equivalent
+either way.  Shard dispatch is fault-tolerant: ``--shard-timeout``
+bounds each shard, ``--shard-retries`` caps pool re-dispatches before a
+failing shard is quarantined (re-executed serially in-process), and
+``--on-shard-failure`` picks the terminal behavior — ``fail`` (exit
+``5``, no quarantine), ``serial`` (the default: quarantine, then exit
+``5``), or ``partial`` (drop the shard and print the tagged partial
+result).  ``plan`` runs nothing, so it takes none of these flags.
+
+Numeric flags are checked when parsed: ``--workers`` must be at least
+1, ``--timeout`` and ``--shard-timeout`` positive, and
+``--shard-retries``, ``--max-tuples``, ``--max-depth`` and
+``--max-rounds`` non-negative; anything else is a usage error (exit
+``2``).
 
 When an observation surface is active, ``--parallel`` runs capture
 worker-side telemetry and stitch it into the parent trace (spans with
@@ -179,23 +175,51 @@ def _budget_of(args: argparse.Namespace) -> Optional[Budget]:
     budget = Budget(
         deadline_seconds=getattr(args, "timeout", None),
         max_tuples=getattr(args, "max_tuples", None),
-        max_rounds=getattr(args, "budget_rounds", None),
         max_depth=getattr(args, "max_depth", None),
     )
     return None if budget.is_unlimited() else budget
 
 
+def _bounded(kind, low, strict: bool = False):
+    """An argparse ``type``: a ``kind`` (int or float) at least ``low``,
+    or above it when ``strict``; anything else is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        # written so that a float NaN fails both comparisons
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    return parse
+
+
+#: a worker count
+_POSITIVE_INT = _bounded(int, 1)
+#: a cap on tuples, depth, rounds or retries
+_COUNT = _bounded(int, 0)
+#: a deadline
+_SECONDS = _bounded(float, 0, strict=True)
+
+
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_SECONDS, default=None, metavar="SECONDS",
         help="wall-clock deadline for evaluation",
     )
     parser.add_argument(
-        "--max-tuples", type=int, default=None, metavar="N",
+        "--max-tuples", type=_COUNT, default=None, metavar="N",
         help="cap on generalized tuples materialized",
     )
     parser.add_argument(
-        "--max-depth", type=int, default=None, metavar="N",
+        "--max-depth", type=_COUNT, default=None, metavar="N",
         help="cap on formula recursion depth",
     )
 
@@ -267,14 +291,17 @@ def _cache_context(args: argparse.Namespace):
     return contextlib.nullcontext()
 
 
-def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
+def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
+    """The pool flags, shard fault tolerance and stitching (every
+    subcommand that runs something)."""
     parser.add_argument(
         "--parallel", action="store_true",
-        help="shard the expensive relation kernels across a worker pool "
-        "(serial evaluation is the default and the reference)",
+        help="activate a worker pool around the run and shard the "
+        "relation kernels on it (serial evaluation is the default and "
+        "the reference)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_POSITIVE_INT, default=None, metavar="N",
         help="worker pool size for --parallel (default: CPU count)",
     )
     parser.add_argument(
@@ -282,19 +309,13 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
         help="tuple partitioner for --parallel: stable-hash or "
         "cell-aligned (default: hash)",
     )
-
-
-def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """The pool flags plus shard fault tolerance and stitching (every
-    subcommand that runs something)."""
-    _add_pool_flags(parser)
     parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
+        "--shard-timeout", type=_SECONDS, default=None, metavar="SECONDS",
         help="per-shard deadline; a shard past it is retried, then "
         "quarantined (default: none)",
     )
     parser.add_argument(
-        "--shard-retries", type=int, default=None, metavar="N",
+        "--shard-retries", type=_COUNT, default=None, metavar="N",
         help="pool re-dispatches per shard before quarantine (default: 2)",
     )
     parser.add_argument(
@@ -332,10 +353,8 @@ def _resilience_of(args: argparse.Namespace):
 def _context_of(args: argparse.Namespace):
     """An ExecutionContext when --parallel was requested, else None.
 
-    No host-level degrade here any more: on a 1-core machine the
-    cost planner's dispatch decisions come out serial by themselves
-    (``--optimize=none`` bypasses the planner, so forcing a pool there
-    is on the user).  A warning is kept for the explicitly forced case.
+    The caller activates it around the whole run.  On a single-CPU
+    machine an explicit ``--workers`` above 1 draws a warning.
     """
     if not getattr(args, "parallel", False):
         return None
@@ -362,58 +381,19 @@ def _context_of(args: argparse.Namespace):
 
 def _add_optimize_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--optimize", choices=("none", "heuristic", "cost"), default=None,
-        help="query planning mode: none (direct evaluator; the default "
-        "without --parallel), heuristic (rule-engine rewrites, serial "
-        "execution), or cost (rewrites plus per-operator serial-vs-"
-        "parallel dispatch; the default with --parallel)",
-    )
-    parser.add_argument(
-        "--cost-model", default=None, metavar="FILE", dest="cost_model",
-        help="plan with a fitted repro.cost-model/1 document (see "
-        "'repro calibrate'; default: conservative built-in coefficients)",
+        "--optimize", choices=("none", "heuristic"), default="none",
+        help="query planning mode: none (the direct evaluator; the "
+        "default) or heuristic (rule-engine rewrites)",
     )
 
 
-def _optimize_mode(args: argparse.Namespace) -> str:
-    """The resolved --optimize mode: an explicit choice wins; otherwise
-    --parallel turns planning on (the planner owns the dispatch
-    decisions) and plain runs stay on the reference evaluator."""
-    mode = getattr(args, "optimize", None)
-    if mode is not None:
-        return mode
-    return "cost" if getattr(args, "parallel", False) else "none"
-
-
-def _planner_of(args: argparse.Namespace, mode: str, ctx):
-    """A QueryPlanner for the resolved mode (``"none"`` -> ``None``)."""
-    if mode == "none":
+def _planner_of(args: argparse.Namespace):
+    """A QueryPlanner under ``--optimize heuristic``, else None."""
+    if args.optimize == "none":
         return None
-    from repro.core.costmodel import load_cost_model
     from repro.core.physical import QueryPlanner
 
-    model = None
-    if getattr(args, "cost_model", None):
-        model = load_cost_model(args.cost_model)
-    return QueryPlanner(
-        mode=mode,
-        model=model,
-        context=ctx,
-        default_strategy=getattr(args, "shard_strategy", "hash"),
-    )
-
-
-def _pool_scope(ctx, planner):
-    """Who owns the worker pool for one run, decided in one place.
-
-    A planner owns it and activates it only around the operators it
-    dispatches.  Without one (``--optimize none``) the pool is
-    activated around the whole run, so every kernel and nested
-    evaluation sees it.
-    """
-    if ctx is None or planner is not None:
-        return contextlib.nullcontext()
-    return ctx
+    return QueryPlanner()
 
 
 def _tracer_of(args: argparse.Namespace,
@@ -571,12 +551,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     tracer = _tracer_of(args)
     guard = _guard_of(args, budget)
     ctx = _context_of(args)
-    mode = _optimize_mode(args)
-    planner = _planner_of(args, mode, ctx)
+    planner = _planner_of(args)
     try:
         with _cache_context(args), (
             tracer if tracer is not None else contextlib.nullcontext()
-        ), _pool_scope(ctx, planner):
+        ), ctx if ctx is not None else contextlib.nullcontext():
             result = _run_formula(formula, db, guard, planner)
         _note_partial_shards(ctx)
         if not result.schema:
@@ -597,12 +576,11 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
     tracer = _tracer_of(args)
     guard = _guard_of(args, budget)
     ctx = _context_of(args)
-    mode = _optimize_mode(args)
-    planner = _planner_of(args, mode, ctx)
+    planner = _planner_of(args)
     try:
         with _cache_context(args), (
             tracer if tracer is not None else contextlib.nullcontext()
-        ), _pool_scope(ctx, planner):
+        ), ctx if ctx is not None else contextlib.nullcontext():
             result = evaluate_program(
                 program,
                 db,
@@ -634,10 +612,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     guard = EvaluationGuard(_budget_of(args))  # guard stats are part of the report
     tracer = _tracer_of(args, always=True)
     ctx = _context_of(args)
-    planner = _planner_of(args, _optimize_mode(args), ctx)
+    planner = _planner_of(args)
     try:
-        with _cache_context(args), tracer:
-            summary = _run_explain(args, db, guard, ctx, planner)
+        with _cache_context(args), tracer, (
+            ctx if ctx is not None else contextlib.nullcontext()
+        ):
+            summary = _run_explain(args, db, guard, planner)
         print(summary)
     finally:
         # a budget abort must not lose the partial telemetry: the cost
@@ -654,9 +634,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    """Print the chosen plan, one tree per formula or rule: per-node
-    estimated rows and cost plus the dispatch verdict (no execution)."""
-    from repro.core.physical import render_plan
+    """Print the rewritten plan, one tree per formula or rule, with
+    per-node estimated rows and cost (no execution)."""
+    from repro.core.physical import QueryPlanner, render_plan
     from repro.datalog.engine import body_formula
 
     db = _load(args.database)
@@ -668,47 +648,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         ]
     else:
         targets = [(None, parse_formula(args.query))]
-    # the context only carries the pool capacity: planning spawns no pool
-    planner = _planner_of(args, "cost", _context_of(args))
+    planner = QueryPlanner()
     for index, (heading, formula) in enumerate(targets):
         if index:
             print()
         if heading:
             print(heading)
-        print(
-            render_plan(
-                planner.logical_plan(formula, db), db, planner.model,
-                max_workers=planner.max_workers,
-                default_strategy=planner.default_strategy,
-            )
-        )
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    """Fit a cost model from recorded repro.profile/1 documents."""
-    from repro.core.costmodel import fit_cost_model
-    from repro.obs.ledger import load_profile
-
-    documents = [load_profile(path) for path in args.profiles]
-    model = fit_cost_model(documents)
-    print(
-        f"fitted cost model from {model.records_used} record(s) across "
-        f"{len(documents)} profile document(s)"
-    )
-    for op in sorted(model.coefficients):
-        coefs = model.coefficients[op]
-        print(
-            f"  {op:<12} base={coefs['base']:.3e} "
-            f"per_input={coefs['per_input']:.3e} "
-            f"per_unit={coefs['per_unit']:.3e} "
-            f"per_output={coefs['per_output']:.3e}"
-        )
-    for kind in sorted(model.ratios):
-        print(f"  ratio {kind:<20} {model.ratios[kind]:.3f}")
-    if args.out:
-        model.save(args.out)
-        print(f"written to {args.out}")
+        print(render_plan(planner.logical_plan(formula, db), db))
     return 0
 
 
@@ -724,11 +670,10 @@ def _run_formula(formula, db, guard, planner) -> Relation:
     return evaluate(formula, db, guard=guard)
 
 
-def _run_explain(args, db, guard, ctx, planner) -> str:
+def _run_explain(args, db, guard, planner) -> str:
     """One explain evaluation; returns the one-line result summary."""
     if not _is_program(args.query):
-        with _pool_scope(ctx, planner):
-            relation = _run_formula(parse_formula(args.query), db, guard, planner)
+        relation = _run_formula(parse_formula(args.query), db, guard, planner)
         if not relation.schema:
             return f"result: {'true' if not relation.is_empty() else 'false'}"
         return (
@@ -742,11 +687,10 @@ def _run_explain(args, db, guard, ctx, planner) -> str:
         from repro.datalog.seminaive import evaluate_seminaive as engine
     else:
         from repro.datalog.stratified import evaluate_stratified as engine
-    with _pool_scope(ctx, planner):
-        result = engine(
-            program, db, max_rounds=args.max_rounds, guard=guard,
-            on_budget=args.on_budget, planner=planner,
-        )
+    result = engine(
+        program, db, max_rounds=args.max_rounds, guard=guard,
+        on_budget=args.on_budget, planner=planner,
+    )
     idb_tuples = sum(len(result[name]) for name in program.idb)
     if result.reached_fixpoint:
         return (
@@ -888,7 +832,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     datalog.add_argument("program")
     datalog.add_argument("--show", help="print only this IDB predicate")
     datalog.add_argument(
-        "--max-rounds", type=int, default=None,
+        "--max-rounds", type=_COUNT, default=None, metavar="N",
         help="cap on fixpoint rounds",
     )
     datalog.add_argument(
@@ -921,7 +865,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="Datalog engine to profile (program inputs only)",
     )
     explain_cmd.add_argument(
-        "--max-rounds", type=int, default=None, help="cap on fixpoint rounds",
+        "--max-rounds", type=_COUNT, default=None, metavar="N",
+        help="cap on fixpoint rounds",
     )
     explain_cmd.add_argument(
         "--on-budget", choices=("raise", "partial"), default="raise",
@@ -945,8 +890,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     plan_cmd = sub.add_parser(
         "plan",
-        help="print the optimized plan with per-node estimated rows, "
-        "modeled cost, and the serial-vs-parallel verdict (no execution)",
+        help="print the optimized plan with per-node estimated rows and "
+        "modeled cost (no execution)",
     )
     plan_cmd.add_argument("database")
     plan_cmd.add_argument(
@@ -954,27 +899,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="an FO formula, or a path to a Datalog(not) program file "
         "(one plan per rule body)",
     )
-    plan_cmd.add_argument(
-        "--cost-model", default=None, metavar="FILE", dest="cost_model",
-        help="plan with a fitted repro.cost-model/1 document",
-    )
-    _add_pool_flags(plan_cmd)
     plan_cmd.set_defaults(fn=_cmd_plan)
-
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="fit a repro.cost-model/1 document from recorded "
-        "repro.profile/1 documents (see 'repro explain --out')",
-    )
-    calibrate.add_argument(
-        "profiles", nargs="+", metavar="PROFILE",
-        help="repro.profile/1 JSON documents to fit against",
-    )
-    calibrate.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the fitted model here (printed either way)",
-    )
-    calibrate.set_defaults(fn=_cmd_calibrate)
 
     roundtrip = sub.add_parser("reencode", help="normalize a database file")
     roundtrip.add_argument("database")

@@ -9,10 +9,10 @@ Public surface re-exported here:
   :func:`rel`, ...) and :func:`evaluate` / :func:`evaluate_boolean`;
 * the query-planner stack, one path per step: plan IR
   (:func:`compile_formula`), rewrite rules (:class:`RuleEngine`,
-  driven by :meth:`QueryPlanner.logical_plan`), the ledger-calibrated
-  :class:`CostModel`, per-operator dispatch (:func:`plan_physical`),
-  the plan executor (:func:`execute_plan`) and the plan listing
-  (:func:`render_plan`), all behind :class:`QueryPlanner`;
+  driven by :meth:`QueryPlanner.logical_plan`), the one row and cost
+  estimator (:func:`estimate_plan`), the plan executor
+  (:func:`execute_plan`) and the plan listing (:func:`render_plan`),
+  all behind :class:`QueryPlanner`;
 * quantifier elimination and decision procedures in :mod:`repro.core.qe`;
 * the canonical 1-D form (:class:`Interval`, :class:`IntervalSet`) and
   the box fast path (:class:`Box`, :class:`BoxSet`).
@@ -48,13 +48,8 @@ from repro.core.normal_forms import (
     to_nnf,
     to_prenex,
 )
-from repro.core.costmodel import (
-    CostModel,
-    estimate_plan,
-    fit_cost_model,
-    load_cost_model,
-)
-from repro.core.physical import QueryPlanner, execute_plan, plan_physical, render_plan
+from repro.core.costmodel import estimate_plan
+from repro.core.physical import QueryPlanner, execute_plan, render_plan
 from repro.core.planner import compile_formula
 from repro.core.rules import RewriteRule, RuleEngine, heuristic_engine
 from repro.core.qe import (
@@ -109,13 +104,9 @@ __all__ = [
     "to_nnf",
     "to_prenex",
     "compile_formula",
-    "CostModel",
     "estimate_plan",
-    "fit_cost_model",
-    "load_cost_model",
     "QueryPlanner",
     "execute_plan",
-    "plan_physical",
     "render_plan",
     "RewriteRule",
     "RuleEngine",

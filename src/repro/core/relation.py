@@ -202,9 +202,7 @@ class Relation:
         # negates to at most two atoms over dense order), but per-stage
         # absorption keeps real outputs near-linear: complementing n
         # interval pieces yields about n+1 pieces, not 2^n.  Take the
-        # smaller of the two figures and record which estimator fired,
-        # so calibration can weight the linear regime separately from
-        # the (rare) genuinely multiplicative one.
+        # smaller of the two figures.
         total_atoms = sum(len(t.atoms) for t in self.tuples)
         product = 1
         for t in self.tuples:
@@ -212,19 +210,14 @@ class Relation:
             if product > 10**12:
                 product = 10**12
                 break
-        linear = 1 + 2 * total_atoms
-        est, estimator = (
-            (linear, "complement.linear")
-            if linear <= product
-            else (product, "complement.product")
-        )
+        est = min(1 + 2 * total_atoms, product)
         result = self._complement()
         metrics.observe("relation.complement.out_tuples", len(result.tuples))
         seconds = tracer.clock() - t0
         metrics.observe("relation.complement.seconds", seconds)
         _ledger(tracer, "complement", k0, None,
                 in_tuples=len(self.tuples), out_tuples=len(result.tuples),
-                est_out=est, estimator=estimator,
+                est_out=est,
                 out_atoms=sum(len(t.atoms) for t in result.tuples),
                 seconds=seconds, m0=m0)
         return result
@@ -348,7 +341,7 @@ class Relation:
             # planner's working figure (not a hard bound)
             _ledger(tracer, "project", k0, dispatch,
                     in_tuples=in_count, out_tuples=len(reordered),
-                    est_out=in_count, estimator="project.input",
+                    est_out=in_count,
                     out_atoms=sum(len(t.atoms) for t in reordered),
                     seconds=seconds, m0=m0)
         return Relation._trusted(self.theory, target, reordered)
@@ -411,9 +404,9 @@ class Relation:
             metrics.count("relation.join.indexed")
         est = 0
         if tracer is not None:
-            # the planner-grade pre-execution estimate: candidate pairs
-            # under the partition index (each considered pair yields at
-            # most one output tuple), |L|×|R| without one
+            # the pre-execution estimate: candidate pairs under the
+            # partition index (each considered pair yields at most one
+            # output tuple), |L|×|R| without one
             if partition is None:
                 est = len(self.tuples) * len(wide_b)
             else:
@@ -464,7 +457,6 @@ class Relation:
             _ledger(tracer, "join", k0, dispatch,
                     in_tuples=len(self.tuples) + len(other.tuples),
                     out_tuples=len(result.tuples), est_out=est,
-                    estimator="join.cross" if partition is None else "join.indexed",
                     out_atoms=sum(len(t.atoms) for t in result.tuples),
                     seconds=seconds, m0=m0)
         return result
@@ -525,7 +517,7 @@ def _mem_mark(tracer):
 
 def _ledger(tracer, op: str, k0: dict, dispatch: Optional[dict], *,
             in_tuples: int, out_tuples: int, est_out: int, out_atoms: int,
-            seconds: float, estimator: str = "", m0=None) -> None:
+            seconds: float, m0=None) -> None:
     """Append one :class:`~repro.obs.ledger.CostRecord` to the active
     tracer's ledger.
 
@@ -563,7 +555,6 @@ def _ledger(tracer, op: str, k0: dict, dispatch: Optional[dict], *,
         shards=info.get("shards", 0),
         skew=info.get("skew", 1.0),
         parallel=dispatch is not None,
-        estimator=estimator,
         **memory,
     )
 
@@ -626,7 +617,7 @@ def _absorb(tuples: List[GTuple], absorbed: int = 0) -> List[GTuple]:
         # the deduplicated input size is a hard upper bound
         _ledger(tracer, "absorb", k0, dispatch,
                 in_tuples=len(tuples), out_tuples=len(kept),
-                est_out=len(distinct), estimator="absorb.dedup",
+                est_out=len(distinct),
                 out_atoms=sum(len(t.atoms) for t in kept),
                 seconds=tracer.clock() - t0, m0=m0)
     return kept

@@ -11,10 +11,9 @@ Rules must be semantics-preserving on the query's pointset and must
 keep the plan's output schema unchanged -- both are checked by the
 random-formula equivalence tests in ``tests/core``.
 
-The engine is purely logical: apart from the crude tuple-count
-estimate :class:`ReorderJoin` orders join parts by, cardinality/cost
-estimation lives in :mod:`repro.core.costmodel` and serial-vs-parallel
-dispatch in :mod:`repro.core.physical`.
+The engine is purely logical.  :class:`ReorderJoin` orders join parts
+by the row estimates of :func:`repro.core.costmodel.estimate_plan`, the
+same figures ``repro plan`` prints.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.costmodel import estimate_plan
 from repro.core.database import Database
 from repro.core.planner import (
     Absorb,
@@ -31,7 +31,6 @@ from repro.core.planner import (
     Join,
     Plan,
     Project,
-    Scan,
     Select,
     Shared,
     Union,
@@ -195,30 +194,10 @@ class ConstraintJoinToSelect(RewriteRule):
         return parts[0] if len(parts) == 1 else Join(tuple(parts))
 
 
-def _estimate(plan: Plan, db: Optional[Database]) -> int:
-    """Crude representation-size estimate (tuple counts) for join order."""
-    if isinstance(plan, Scan):
-        if db is not None and plan.name in db:
-            return max(1, len(db[plan.name]))
-        return 8
-    if isinstance(plan, (ConstraintScan, Universe, Empty)):
-        return 1
-    if isinstance(plan, (Select, Project, Absorb, Shared)):
-        return _estimate(plan.source, db)
-    if isinstance(plan, Join):
-        product = 1
-        for p in plan.parts:
-            product *= _estimate(p, db)
-        return product
-    if isinstance(plan, Union):
-        return sum(_estimate(p, db) for p in plan.parts)
-    if isinstance(plan, Complement):
-        return 2 ** min(_estimate(plan.source, db), 16)
-    return 4  # pragma: no cover
-
-
 class ReorderJoin(RewriteRule):
-    """Order >=3-way join parts smallest-estimate first."""
+    """Order >=3-way join parts smallest-estimate first (rows from
+    :func:`repro.core.costmodel.estimate_plan`; the sort is stable, so
+    parts with equal estimates keep their order)."""
 
     name = "reorder-join"
 
@@ -226,7 +205,9 @@ class ReorderJoin(RewriteRule):
         return isinstance(plan, Join) and len(plan.parts) > 2
 
     def apply(self, plan: Plan, db: Optional[Database]) -> Plan:
-        ordered = tuple(sorted(plan.parts, key=lambda p: _estimate(p, db)))
+        ordered = tuple(
+            sorted(plan.parts, key=lambda p: estimate_plan(p, db).rows)
+        )
         return plan if ordered == plan.parts else Join(ordered)
 
 

@@ -407,11 +407,9 @@ def evaluate_program(
 
     ``planner`` optionally routes every rule-body evaluation through a
     :class:`~repro.core.physical.QueryPlanner` (compile → rule-engine
-    rewrites → cost-modeled per-operator dispatch) instead of the
-    direct evaluator.  Pass *either* ``context`` (global activation)
-    or a planner holding the context (per-operator activation), not
-    both — a globally active context would pre-empt the planner's
-    per-node decisions.
+    rewrites → plan execution) instead of the direct evaluator.  The
+    two compose: a planned run inside an activated ``context`` shards
+    the planned operators on its pool, as an unplanned run would.
     """
     return run_program(
         program, database, "datalog.naive", "datalog.round",

@@ -135,17 +135,28 @@ def _fail(reason: str) -> None:
     raise EncodingError(f"invalid trace-diff document: {reason}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: ``true``/``false`` are ``int`` in Python, not here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_trace_diff(document: dict) -> dict:
     """Structurally validate a trace-diff document; returns it."""
     if not isinstance(document, dict):
         _fail("not an object")
     if document.get("schema") != TRACE_DIFF_SCHEMA:
         _fail(f"bad schema {document.get('schema')!r}")
+    labels = document.get("labels")
+    if not isinstance(labels, dict):
+        _fail("missing labels")
+    for key in ("before", "after"):
+        if not isinstance(labels.get(key), str):
+            _fail(f"labels.{key} is {labels.get(key)!r}")
     total = document.get("total")
     if not isinstance(total, dict):
         _fail("missing total")
     for key in ("before_seconds", "after_seconds", "delta_seconds"):
-        if not isinstance(total.get(key), (int, float)):
+        if not _is_number(total.get(key)):
             _fail(f"total.{key} is {total.get(key)!r}")
     for section, key in (("operators", "name"), ("phases", "phase")):
         rows = document.get(section)
@@ -161,11 +172,14 @@ def validate_trace_diff(document: dict) -> dict:
                 "after_self_seconds",
                 "delta_self_seconds",
             ):
-                if not isinstance(row.get(field), (int, float)):
+                if not _is_number(row.get(field)):
                     _fail(f"{section}[{i}].{field} is {row.get(field)!r}")
     counters = document.get("counters")
     if not isinstance(counters, dict):
         _fail("missing counters")
+    for name, value in counters.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            _fail(f"counter {name!r} is {value!r}")
     return document
 
 
@@ -205,7 +219,7 @@ def render_trace_diff(
     document: dict, *, max_rows: int = 15, max_counters: int = 12
 ) -> str:
     """The trace-diff as an aligned-text table, biggest mover first."""
-    labels = document.get("labels") or {}
+    labels = document["labels"]
     total = document["total"]
     delta = total["delta_seconds"]
     pct = (
@@ -214,8 +228,7 @@ def render_trace_diff(
         else 0.0
     )
     lines = [
-        f"trace diff: {labels.get('before', 'before')} → "
-        f"{labels.get('after', 'after')}",
+        f"trace diff: {labels['before']} → {labels['after']}",
         f"  total {_fmt_abs(total['before_seconds'])} → "
         f"{_fmt_abs(total['after_seconds'])}  ({_fmt(delta).strip()}, "
         f"{pct:+.1f}%)",
@@ -256,7 +269,7 @@ def render_trace_diff(
                 f"{_fmt_abs(row['after_self_seconds'])}  "
                 f"({_fmt(row['delta_self_seconds']).strip()})"
             )
-    counters = document.get("counters") or {}
+    counters = document["counters"]
     if counters:
         lines.append("")
         lines.append("counter deltas:")

@@ -1,4 +1,4 @@
-"""Per-operator cost ledger: the planner's measurement substrate.
+"""Per-operator cost ledger: estimated vs actual work per operator.
 
 Every instrumented ``Relation`` operation (join, projection,
 complement, absorption) appends one :class:`CostRecord` to the active
@@ -6,25 +6,22 @@ tracer's :class:`CostLedger` — operator, input/output cardinalities,
 output atom count, kernel-cache hits/misses attributed to the call
 (parent-side delta plus any stitched worker deltas), wall seconds,
 and the dispatch shape (shard count, skew, serial vs parallel).  The
-ledger is the exact input contract for a cost-based planner deciding
-serial-vs-parallel per operator: estimated output cardinality is
-recorded *next to* the actual one, so misestimation is a first-class
-column, not a post-hoc join against logs.
+estimated output cardinality is recorded *next to* the actual one, so
+misestimation is a first-class column, not a post-hoc join against
+logs.
 
-Estimates are computed **before** the operator runs, from information
-a planner would have (sizes and the partition index), so the
-estimated-vs-actual table measures the estimator the planner would
-actually use:
+Estimates are computed **before** the operator runs, from sizes and
+the partition index:
 
 * **join** — candidate pairs under the partition index (bucket size
   plus unpinned remainder per pinned left tuple; ``|L| × |R|``
   without an index).  Every output tuple comes from one considered
   pair, so this is a sound upper bound.
 * **project** — the input size (quantifier elimination is tuple-local
-  and can split tuples, but one-output-per-input is the planner's
-  base rate).
-* **complement** — the product of per-tuple atom counts, capped: the
-  DNF-negation distribution bound.
+  and can split tuples, but one output per input is the base rate).
+* **complement** — the smaller of the DNF-negation product bound
+  (per-tuple negated-atom counts multiplied, capped) and the
+  per-stage linear figure ``1 + 2·atoms``.
 * **absorb** — the deduplicated input size (absorption only removes).
 
 The ledger is bounded (``max_records``; excess appends are counted in
@@ -87,17 +84,14 @@ class CostRecord:
 
     ``est_out`` is the pre-execution output-cardinality estimate (see
     the module docstring for the per-operator estimators);
-    ``estimator`` names which estimator produced it (e.g.
-    ``"join.indexed"`` vs ``"join.cross"``), so calibration can weight
-    estimators separately instead of pooling a tight index-derived
-    bound with a loose cross-product one; ``shards`` is 0 and ``skew``
+    ``shards`` is 0 and ``skew``
     1.0 for a serial call; ``cache_hits`` / ``cache_misses`` include
     stitched worker deltas for process-pool dispatches.
     """
 
     __slots__ = ("op", "in_tuples", "out_tuples", "est_out", "out_atoms",
                  "cache_hits", "cache_misses", "seconds", "shards", "skew",
-                 "parallel", "estimator", "alloc_blocks", "alloc_bytes",
+                 "parallel", "alloc_blocks", "alloc_bytes",
                  "peak_bytes")
 
     def __init__(
@@ -114,13 +108,11 @@ class CostRecord:
         shards: int = 0,
         skew: float = 1.0,
         parallel: bool = False,
-        estimator: str = "",
         alloc_blocks: int = 0,
         alloc_bytes: int = 0,
         peak_bytes: int = 0,
     ) -> None:
         self.op = op
-        self.estimator = estimator or op
         self.in_tuples = in_tuples
         self.out_tuples = out_tuples
         self.est_out = est_out
@@ -145,7 +137,7 @@ class CostRecord:
         return self.out_atoms / self.out_tuples if self.out_tuples else 0.0
 
     def as_dict(self) -> dict:
-        out: dict = {"op": self.op, "estimator": self.estimator}
+        out: dict = {"op": self.op}
         for field in _NUMERIC_FIELDS:
             out[field] = getattr(self, field)
         out["parallel"] = self.parallel
@@ -286,17 +278,13 @@ def validate_profile(document: Any) -> dict:
     if not isinstance(records, list) or not isinstance(operators, list):
         _fail("records/operators must be arrays")
     dropped = document.get("dropped_records")
-    if not isinstance(dropped, int) or dropped < 0:
+    if not isinstance(dropped, int) or isinstance(dropped, bool) or dropped < 0:
         _fail("dropped_records must be a non-negative integer")
     for entry in records:
         if not isinstance(entry, dict):
             _fail("record is not an object")
         if not isinstance(entry.get("op"), str):
             _fail("record op is not a string")
-        # estimator is optional (documents written before the field
-        # existed stay loadable); when present it must be a string
-        if "estimator" in entry and not isinstance(entry["estimator"], str):
-            _fail("record estimator is not a string")
         for field in _NUMERIC_FIELDS:
             value = entry.get(field)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -321,7 +309,8 @@ def validate_profile(document: Any) -> dict:
     for row in operators:
         if not isinstance(row, dict) or not isinstance(row.get("operator"), str):
             _fail("operator summary row lacks an operator name")
-        if not isinstance(row.get("calls"), int) or row["calls"] < 1:
+        calls = row.get("calls")
+        if not isinstance(calls, int) or isinstance(calls, bool) or calls < 1:
             _fail(f"operator {row.get('operator')!r} has no calls")
     kernel = document.get("kernel")
     if not isinstance(kernel, dict):
@@ -337,7 +326,7 @@ def render_cost_ledger(ledger: CostLedger) -> str:
 
     One row per operator: calls, summed input/output cardinalities,
     summed pre-execution estimates, the est/actual ratio (the
-    planner's misestimation factor), mean atoms per output tuple,
+    misestimation factor), mean atoms per output tuple,
     kernel-cache hit rate, seconds, and how many calls went parallel.
     A run traced with ``--memory`` adds a per-operator memory block;
     a ledger that hit its record cap ends with an explicit warning —

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.atoms import le, lt
+from repro.core.costmodel import estimate_plan
 from repro.core.database import Database
 from repro.core.evaluator import evaluate
 from repro.core.formula import Not, constraint, exists, forall, rel
@@ -25,7 +26,7 @@ from repro.core.planner import (
     compile_formula,
 )
 from repro.core.relation import Relation
-from repro.core.rules import _estimate, heuristic_engine
+from repro.core.rules import heuristic_engine
 from repro.core.theory import DENSE_ORDER
 from tests.strategies import formulas, fractions as fracs
 
@@ -82,10 +83,9 @@ class TestOptimizePasses:
         # with only 2 parts order is untouched; with 3+, smallest first
         f3 = rel("Big", "x") & rel("S", "x") & rel("T", "x", "y")
         plan3 = heuristic_engine(db).run(compile_formula(f3))
-        sizes = []
-        for part in plan3.parts:
-            sizes.append(_estimate(part, db))
+        sizes = [estimate_plan(part, db).rows for part in plan3.parts]
         assert sizes == sorted(sizes)
+        assert [part.name for part in plan3.parts] == ["T", "S", "Big"]
 
     def test_explain_renders(self, db):
         f = exists("y", rel("T", "x", "y") & constraint(lt("y", 5)))

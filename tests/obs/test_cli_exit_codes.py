@@ -104,12 +104,9 @@ class TestExitError:
         pytest.param(["datalog", "DB", "BAD"], id="datalog-program"),
         pytest.param(["explain", "DB", "BAD"], id="explain-program"),
         pytest.param(["plan", "DB", "BAD"], id="plan-program"),
-        pytest.param(["query", "DB", "e(x, y)", "--optimize", "cost", "--cost-model", "BAD"],
-                     id="cost-model"),
         pytest.param(["trace", "analyze", "BAD"], id="trace-analyze"),
         pytest.param(["trace", "flame", "BAD"], id="trace-flame"),
         pytest.param(["trace", "diff", "BAD", "BAD"], id="trace-diff"),
-        pytest.param(["calibrate", "BAD"], id="calibrate"),
         pytest.param(["bench-watch", "--history", "BAD"], id="bench-watch"),
     ])
     def test_non_utf8_input_file(self, argv, db_file, program_file, tmp_path, capsys):
@@ -146,6 +143,29 @@ class TestExitUsage:
             main(["query"])
         assert err.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["query", "DB", "e(x, y)", "--parallel", "--workers", "0"],
+                     id="workers"),
+        pytest.param(["datalog", "DB", "PROGRAM", "--parallel", "--shard-timeout", "-1"],
+                     id="shard-timeout"),
+        pytest.param(["explain", "DB", "PROGRAM", "--parallel", "--shard-retries", "-1"],
+                     id="shard-retries"),
+        pytest.param(["query", "DB", "e(x, y)", "--timeout", "-1"], id="timeout"),
+        pytest.param(["datalog", "DB", "PROGRAM", "--max-tuples", "-1"], id="max-tuples"),
+        pytest.param(["explain", "DB", "e(x, y)", "--max-depth", "-1"], id="max-depth"),
+        pytest.param(["datalog", "DB", "PROGRAM", "--max-rounds", "-1"], id="max-rounds"),
+    ])
+    def test_out_of_range_numeric_flag(self, argv, db_file, program_file, capsys):
+        """Rejected when parsed: no ValueError traceback from the pool,
+        and no budget that trips at once."""
+        paths = {"DB": db_file, "PROGRAM": program_file}
+        with pytest.raises(SystemExit) as err:
+            main([paths.get(a, a) for a in argv])
+        assert err.value.code == EXIT_USAGE
+        stderr = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be" in stderr
+        assert "Traceback" not in stderr
 
 
 class TestExitBudget:

@@ -1,16 +1,15 @@
 """The planner's CLI surface: ``--optimize`` on query/datalog/explain,
-who owns the worker pool on ``explain``, ``repro plan``, and
-``repro explain --out`` followed by ``repro calibrate``."""
+the worker pool that ``--parallel`` activates around planned and
+unplanned ``explain`` runs, and ``repro plan``."""
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
+import re
 
 import pytest
 
-from repro.core.costmodel import COST_MODEL_SCHEMA, load_cost_model
 from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.encoding.standard import encode_database
@@ -48,18 +47,21 @@ class TestOptimizeFlag:
     def test_query_modes_agree(self, workload):
         db, _ = workload
         outputs = {}
-        for mode in ("none", "heuristic", "cost"):
+        for mode in ("none", "heuristic"):
             code, out, _ = _run_cli(
                 ["query", db, QUERY, "--optimize", mode]
             )
             assert code == 0
             outputs[mode] = out
-        assert outputs["none"] == outputs["heuristic"] == outputs["cost"]
+        assert outputs["none"] == outputs["heuristic"]
 
-    def test_parallel_implies_cost_mode(self, workload):
+    @pytest.mark.parametrize("mode", ["none", "heuristic"])
+    def test_parallel_matches_serial(self, workload, mode):
         db, _ = workload
         plain_code, plain_out, _ = _run_cli(["query", db, QUERY])
-        code, out, err = _run_cli(["query", db, QUERY, "--parallel"])
+        code, out, err = _run_cli(
+            ["query", db, QUERY, "--optimize", mode, "--parallel"]
+        )
         assert code == 0
         assert "serially" not in err  # the auto-degrade warning is gone
         assert sorted(out.splitlines()) == sorted(plain_out.splitlines())
@@ -67,30 +69,50 @@ class TestOptimizeFlag:
     def test_datalog_planned_matches_unplanned(self, workload):
         db, program = workload
         base_code, base_out, _ = _run_cli(["datalog", db, program])
-        code, out, _ = _run_cli(["datalog", db, program, "--optimize", "cost"])
+        code, out, _ = _run_cli(
+            ["datalog", db, program, "--optimize", "heuristic"]
+        )
         assert base_code == code == 0
         assert sorted(out.splitlines()) == sorted(base_out.splitlines())
 
     def test_explain_accepts_optimize(self, workload):
         db, _ = workload
         code, out, _ = _run_cli(
-            ["explain", db, QUERY, "--optimize", "cost"]
+            ["explain", db, QUERY, "--optimize", "heuristic"]
         )
         assert code == 0
         # plan provenance: the planning step shows up in the profile
         assert "planner.plan" in out
         assert "result:" in out
 
-    def test_bad_cost_model_file_is_a_clean_error(self, workload, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["query", "DB", QUERY, "--optimize", "cost"],
+        ["plan", "DB", QUERY, "--parallel"],
+    ], ids=["optimize-cost", "plan-parallel"])
+    def test_deleted_options_are_usage_errors(self, workload, argv, capsys):
         db, _ = workload
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        code, _, err = _run_cli(
-            ["query", db, QUERY, "--optimize", "cost",
-             "--cost-model", str(bad)]
-        )
-        assert code != 0
-        assert "not JSON" in err
+        argv = [db if arg == "DB" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            _run_cli(argv)
+        assert exit_info.value.code == 2
+
+    def test_no_cost_model_surface_is_left(self, capsys):
+        # the model fitter is gone from the subcommands (any other word
+        # is a usage error, exit 2), and no option mentions a cost model
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+        assert listed.split(",") == [
+            "info", "query", "datalog", "explain", "plan", "reencode",
+            "trace", "bench-watch",
+        ]
+        for command in ("query", "datalog", "explain", "plan"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            options = re.findall(r"--[a-z-]+", capsys.readouterr().out)
+            assert not [o for o in options if "cost" in o], command
 
 
 def _ledger_parallel_column(out):
@@ -134,6 +156,21 @@ class TestExplainPool:
         assert any(cell != "serial" for cell in column)
 
     @pytest.mark.parametrize("engine", ENGINES)
+    def test_planned_run_uses_the_pool(self, path12, engine):
+        # a planner owns no pool: --parallel activates it around the
+        # planned run too, so the planned operators shard on it
+        db, program = path12
+        code, out, err = _run_cli(
+            ["explain", db, program, "--engine", engine,
+             "--optimize", "heuristic", "--parallel", "--workers", "2"]
+        )
+        assert code == 0
+        assert "planner.plan" in out
+        column = _ledger_parallel_column(out)
+        assert column
+        assert any(cell != "serial" for cell in column)
+
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_optimize_plans_every_engine(self, path12, engine):
         db, program = path12
         _, plain_out, _ = _run_cli(["explain", db, program, "--engine", engine])
@@ -148,12 +185,12 @@ class TestExplainPool:
 
 
 class TestPlanCommand:
-    def test_plan_formula_lists_nodes_and_verdicts(self, workload):
+    def test_plan_formula_lists_nodes_and_estimates(self, workload):
         db, _ = workload
         code, out, _ = _run_cli(["plan", db, QUERY])
         assert code == 0
         assert "est_rows" in out and "est_cost" in out
-        assert "[serial]" in out
+        assert "serial" not in out and "parallel" not in out
         assert "total modeled cost" in out
         # one tree, each row labelled with its node's own text
         labels = [line.split("est_rows")[0].strip()
@@ -168,75 +205,3 @@ class TestPlanCommand:
         assert code == 0
         assert "-- rule 1:" in out and "-- rule 2:" in out
         assert out.count("total modeled cost") == 2
-
-    def test_plan_with_parallel_capability(self, workload):
-        db, _ = workload
-        code, out, _ = _run_cli(
-            ["plan", db, QUERY, "--parallel", "--workers", "4"]
-        )
-        assert code == 0
-        assert "pool capacity: 4 worker(s)" in out
-
-    def test_plan_with_fitted_model(self, workload, tmp_path):
-        db, program = workload
-        profile = tmp_path / "profile.json"
-        model = tmp_path / "model.json"
-        assert _run_cli(["explain", db, program, "--out", str(profile)])[0] == 0
-        assert _run_cli(
-            ["calibrate", str(profile), "--out", str(model)]
-        )[0] == 0
-        code, out, _ = _run_cli(
-            ["plan", db, QUERY, "--cost-model", str(model)]
-        )
-        assert code == 0
-        assert "cost model: fit" in out
-
-
-class TestCalibrate:
-    def test_round_trip_from_profile_documents(self, workload, tmp_path):
-        db, program = workload
-        profile = tmp_path / "profile.json"
-        code, _, _ = _run_cli(["explain", db, program, "--out", str(profile)])
-        assert code == 0
-        model_path = tmp_path / "model.json"
-        code, out, _ = _run_cli(
-            ["calibrate", str(profile), "--out", str(model_path)]
-        )
-        assert code == 0
-        assert "fitted cost model" in out
-        assert "join" in out
-        document = json.loads(model_path.read_text())
-        assert document["schema"] == COST_MODEL_SCHEMA
-        model = load_cost_model(str(model_path))
-        assert model.records_used > 0
-
-    def test_corrupt_profile_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "wrong"}))
-        code, _, err = _run_cli(["calibrate", str(bad)])
-        assert code != 0
-        assert "schema" in err
-
-
-class TestProfileFit:
-    def test_fit_writes_a_loadable_model(self, workload, tmp_path):
-        db, program = workload
-        profile = tmp_path / "profile.json"
-        model_path = tmp_path / "model.json"
-        assert _run_cli(["explain", db, program, "--out", str(profile)])[0] == 0
-        code, out, _ = _run_cli(
-            ["calibrate", str(profile), "--out", str(model_path)]
-        )
-        assert code == 0
-        assert "fitted cost model" in out
-        model = load_cost_model(str(model_path))
-        assert model.source == "fit"
-        assert model.records_used > 0
-
-    def test_profile_documents_carry_estimator_kinds(self, workload, tmp_path):
-        db, program = workload
-        profile = tmp_path / "profile.json"
-        assert _run_cli(["explain", db, program, "--out", str(profile)])[0] == 0
-        document = json.loads(profile.read_text())
-        kinds = {r.get("estimator") for r in document["records"]}
-        assert any(k and "." in k for k in kinds)

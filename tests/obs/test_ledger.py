@@ -60,18 +60,6 @@ class TestCostRecord:
         assert d["op"] == "join" and d["parallel"] is True
         assert d["est_out"] == 8 and d["skew"] == 1.2
 
-    def test_estimator_defaults_to_op(self):
-        record = CostRecord("join", in_tuples=1, out_tuples=1, est_out=1)
-        assert record.estimator == "join"
-        assert record.as_dict()["estimator"] == "join"
-
-    def test_explicit_estimator_kind_exported(self):
-        record = CostRecord(
-            "join", in_tuples=1, out_tuples=1, est_out=1,
-            estimator="join.indexed",
-        )
-        assert record.as_dict()["estimator"] == "join.indexed"
-
     def test_negative_cache_counts_clamped(self):
         record = CostRecord(
             "join", in_tuples=1, out_tuples=1, est_out=1,
@@ -120,14 +108,6 @@ class TestTracerLedger:
         assert ops == set(OPERATORS)
         assert all(not record.parallel for record in tracer.ledger)
         assert all(record.shards == 0 for record in tracer.ledger)
-
-    def test_records_carry_estimator_kinds(self):
-        tracer = _traced_workload()
-        kinds = {record.op: record.estimator for record in tracer.ledger}
-        assert kinds["join"] in ("join.indexed", "join.cross")
-        assert kinds["project"] == "project.input"
-        assert kinds["complement"] in ("complement.linear", "complement.product")
-        assert kinds["absorb"] == "absorb.dedup"
 
     def test_complement_estimate_is_an_upper_bound(self):
         # the tightened estimator (min of the per-stage linear bound
@@ -204,7 +184,6 @@ class TestProfileDocument:
             (lambda d: d.update(records=7), "arrays"),
             (lambda d: d.update(dropped_records=-1), "dropped_records"),
             (lambda d: d["records"][0].update(op=3), "op"),
-            (lambda d: d["records"][0].update(estimator=3), "estimator"),
             (lambda d: d["records"][0].update(in_tuples="x"), "in_tuples"),
             (lambda d: d["records"][0].update(seconds=-1.0), "negative"),
             (lambda d: d["records"][0].update(parallel="yes"), "parallel"),
@@ -219,10 +198,13 @@ class TestProfileDocument:
             validate_profile(document)
 
     def test_estimator_field_is_optional(self):
-        # documents written before the estimator column existed load
+        # records no longer carry an estimator kind; documents written
+        # while they did still load
         document = profile_document(_traced_workload())
+        assert all("estimator" not in record for record in document["records"])
+        validate_profile(document)
         for record in document["records"]:
-            record.pop("estimator", None)
+            record["estimator"] = "join.indexed"
         validate_profile(document)
 
     def test_parallel_record_without_shards_rejected(self):

@@ -24,6 +24,7 @@ from repro.obs import (
     trace_document,
     validate_trace,
 )
+from tests.strategies import json_values
 
 
 def base_document():
@@ -206,18 +207,6 @@ def real_document():
 
 #: one real trace, corrupted field by field below (never mutated itself)
 REAL = real_document()
-
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-3, 40)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-
 
 class TestCorruptedRealDocument:
     def test_real_trace_survives_then_breaks_when_corrupted(self):

@@ -1,16 +1,13 @@
-"""Differential suite for the cost-based planner: planned execution vs
-the serial reference.
+"""Differential suite for the planner running inside the worker pool.
 
-``--optimize=cost`` replaces the evaluator with compile → rule-engine
-rewrites → cost-modeled per-operator dispatch, which is exactly the
-kind of change that silently diverges from the reference semantics.
-Every point of the {hash, cell} × {1, 2, 4} worker matrix is pinned
-twice:
+``--optimize heuristic --parallel`` runs the rule-engine-rewritten
+plan inside an activated pool, so every planned Join/Project/Absorb
+whose input reaches the pool's floor shards.  Every point of the
+{hash, cell} × {1, 2, 4} worker matrix is pinned twice:
 
-* **semantic equivalence** — the planned result (with a dispatch-eager
-  cost model, so parallel decisions actually fire at workers > 1)
+* **semantic equivalence** — the planned result inside the pool
   denotes the same pointset as the plain serial evaluator's;
-* **guard parity** — planned-serial and planned-parallel walk the
+* **guard parity** — the same planner run without a pool walks the
   *same* plan, so a guard must report identical relation-level
   counters, materialized tuples, and completed rounds on both sides.
   (Parity against the unplanned evaluator is deliberately not asserted:
@@ -20,11 +17,12 @@ twice:
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.costmodel import CostModel
 from repro.core.evaluator import evaluate
 from repro.core.physical import QueryPlanner
 from repro.datalog.engine import evaluate_program
@@ -57,37 +55,19 @@ def _close_contexts():
         _CONTEXTS.popitem()[1].close()
 
 
-def _eager_model():
-    """Dispatch priced near zero so worker counts > 1 actually take the
-    parallel path on Hypothesis-sized inputs; serial semantics must
-    survive the planner *choosing* parallel, not just declining it."""
-    return CostModel(
-        dispatch={"base": 1e-9, "per_shard": 1e-9, "per_tuple": 1e-12,
-                  "efficiency": 1.0},
-        source="test-eager",
-    )
-
-
-def _planner(strategy, workers):
-    return QueryPlanner(
-        mode="cost",
-        model=_eager_model(),
-        context=_context(strategy, workers),
-        default_strategy=strategy,
-    )
-
-
-def check_fo_planned(formula, database=None, planner=None):
-    """Assert planner.run == evaluate (semantics) and that a serial
-    planner run of the same mode/model agrees on guard accounting."""
+def check_fo_planned(formula, database=None, planner=None, ctx=None):
+    """Assert planner.run == evaluate (semantics), inside ``ctx`` when
+    one is given, and that the same planner mode without a pool agrees
+    on guard accounting."""
     serial = evaluate(formula, database)
     theory = database.theory if database is not None else serial.theory
     baseline_guard = EvaluationGuard()
-    baseline = QueryPlanner(mode=planner.mode, model=planner.model).run(
+    baseline = QueryPlanner(mode=planner.mode).run(
         formula, database, theory, guard=baseline_guard
     )
     planned_guard = EvaluationGuard()
-    planned = planner.run(formula, database, theory, guard=planned_guard)
+    with ctx if ctx is not None else contextlib.nullcontext():
+        planned = planner.run(formula, database, theory, guard=planned_guard)
     assert serial.schema == planned.schema
     assert relations_equivalent(serial, planned), (
         f"planned FO result diverged from serial for {formula}:\n"
@@ -109,7 +89,10 @@ class TestPlannedDifferential:
     )
     @given(formula=formulas())
     def test_fo_formulas(self, strategy, workers, formula):
-        check_fo_planned(formula, planner=_planner(strategy, workers))
+        check_fo_planned(
+            formula, planner=QueryPlanner(mode="heuristic"),
+            ctx=_context(strategy, workers),
+        )
 
     @settings(
         max_examples=8,
@@ -126,12 +109,13 @@ class TestPlannedDifferential:
         baseline_guard = EvaluationGuard()
         baseline = evaluate_program(
             program, db, guard=baseline_guard,
-            planner=QueryPlanner(mode="cost", model=_eager_model()),
+            planner=QueryPlanner(mode="heuristic"),
         )
         planned_guard = EvaluationGuard()
         planned = evaluate_program(
             program, db, guard=planned_guard,
-            planner=_planner(strategy, workers),
+            context=_context(strategy, workers),
+            planner=QueryPlanner(mode="heuristic"),
         )
         assert serial.rounds == planned.rounds == baseline.rounds
         assert serial.reached_fixpoint == planned.reached_fixpoint
@@ -145,9 +129,8 @@ class TestPlannedDifferential:
 
 
 class TestDefaultModelEquivalence:
-    """The conservative default model (everything serial on small
-    inputs) must agree with the evaluator too — both planner paths,
-    with and without a granted context."""
+    """Without a pool, both accepted planner modes must agree with the
+    evaluator too (``"cost"`` is a synonym of ``"heuristic"``)."""
 
     @settings(max_examples=25, deadline=None)
     @given(formula=formulas())

@@ -407,10 +407,7 @@ class TestCli:
 
     def test_exit_code_5_on_unrecoverable_shard(self, workload):
         # a poisoned join-shard site with an unspent parent budget:
-        # retries exhaust, quarantine fails, the CLI reports exit 5.
-        # --optimize=none pins the legacy global-dispatch path (the
-        # cost planner would route this small join serially and never
-        # hit the poisoned site)
+        # retries exhaust, quarantine fails, the CLI reports exit 5
         registry = FaultRegistry(seed=9)
         registry.inject(
             "worker.join_shard",
@@ -419,17 +416,17 @@ class TestCli:
         )
         with registry:
             code, _, err = _run_cli(
-                ["query", workload, "--raw", QUERY, "--optimize=none",
+                ["query", workload, "--raw", QUERY,
                  "--parallel", "--workers", "2", "--shard-retries", "0"]
             )
         assert code == EXIT_SHARD == 5
         assert "shard failure" in err
         assert "diagnostics:" in err
 
-    def test_single_cpu_parallel_is_planner_decided(self, workload, monkeypatch):
-        # the blunt host-level auto-degrade is gone: --parallel on one
-        # CPU just hands the planner a pool it will decide not to use
-        # for a workload this small — same result, no degrade warning
+    def test_single_cpu_parallel_runs_without_degrading(self, workload, monkeypatch):
+        # there is no host-level auto-degrade: --parallel on one CPU
+        # activates the pool as anywhere else — same result, no
+        # degrade warning
         import repro.cli as cli_module
 
         monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 1)

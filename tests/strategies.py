@@ -121,3 +121,17 @@ def intervals(draw):
 @st.composite
 def interval_sets(draw, max_size=4):
     return IntervalSet(draw(st.lists(intervals(), max_size=max_size)))
+
+
+#: any JSON value, small: the replacement drawn by the one-field
+#: corruption suites of the document validators
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
