@@ -143,11 +143,16 @@ def test_report_kernel_cache(capsys):
 
 
 def test_modes_agree():
-    """Same fixpoint, tuple for tuple, with and without the fast path."""
+    """Same fixpoint, tuple for tuple, with and without the fast path:
+    from a reset cache, and again on the operation memo that run left
+    warm."""
     program, db = slow_tc_workload(5)
     reset_kernel_cache()
     cached = evaluate_program(program, db)
+    warm = evaluate_program(program, db)
     with kernel_cache_disabled():
         plain = evaluate_program(program, db)
+    assert cached.rounds == warm.rounds == plain.rounds
     for name in cached.database.names():
         assert cached[name].tuples == plain[name].tuples
+        assert warm[name].tuples == plain[name].tuples

@@ -29,7 +29,7 @@ from repro.core.theory import ConstraintTheory, DenseOrderTheory, DENSE_ORDER
 from repro.errors import SchemaError, TheoryError
 from repro.obs.trace import active_tracer
 from repro.parallel.context import active_execution_context
-from repro.perf.cache import kernel_counters
+from repro.perf.cache import kernel_cache, kernel_counters
 from repro.runtime.faults import fault_point
 from repro.runtime.guard import active_guard
 
@@ -319,10 +319,18 @@ class Relation:
                 current, victims, target, ctx, guard, tracer
             )
         else:
+            cache = self._memo_cache()
             for column in victims:
                 survivors: List[GTuple] = []
-                for t in current:
-                    survivors.extend(t.project_out_all(column))
+                if cache is None:
+                    for t in current:
+                        survivors.extend(t.project_out_all(column))
+                else:
+                    for results in cache.memo_map(
+                        ("project", column), current,
+                        lambda t, column=column: tuple(t.project_out_all(column)),
+                    ):
+                        survivors.extend(results)
                 current = survivors
                 if guard is not None:
                     guard.note("qe", len(survivors))
@@ -352,13 +360,29 @@ class Relation:
         The target schema and the variable substitution are built once
         for all tuples; each tuple is renamed by
         :meth:`GTuple.rename`'s rule, so dense-order tuples skip the
-        kernel while the kernel cache is on.
+        kernel while the kernel cache is on, and a tuple renamed the
+        same way before is served from the operation memo.
         """
         target = check_schema(tuple(mapping.get(c, c) for c in self.schema))
         subst = rename_substitution(mapping)
-        return Relation._trusted(
-            self.theory, target, [t._renamed(target, subst) for t in self.tuples]
-        )
+        cache = self._memo_cache()
+        if cache is None:
+            renamed = [t._renamed(target, subst) for t in self.tuples]
+        else:
+            renamed = cache.memo_map(
+                ("rename", target, frozenset(subst.items())), self.tuples,
+                lambda t: t._renamed(target, subst),
+            )
+        return Relation._trusted(self.theory, target, renamed)
+
+    def _memo_cache(self):
+        """The kernel cache when its operation memo serves this relation:
+        the cache is on and the tuples are dense-order (interned,
+        canonical values); None otherwise."""
+        cache = kernel_cache()
+        if cache.enabled and isinstance(self.theory, DenseOrderTheory):
+            return cache
+        return None
 
     def extend(self, schema: Sequence[str]) -> "Relation":
         """Pad with unconstrained columns to a wider schema."""

@@ -229,7 +229,9 @@ def guard_stats_table(stats: dict) -> str:
 
 def kernel_stats_table(stats: dict, merged: Optional[dict] = None) -> str:
     """The :func:`repro.perf.kernel_stats` payload as aligned text
-    (printed by ``--stats`` next to the guard table).
+    (printed by ``--stats`` next to the guard table): the kernel cache,
+    its operation memo (on exactly when the cache is) and the interning
+    pool, one line each.
 
     ``stats`` is process-wide (this process, since startup).  ``merged``
     is an optional dict of this run's ``kernel.*`` tracer counters —
@@ -252,6 +254,14 @@ def kernel_stats_table(stats: dict, merged: Optional[dict] = None) -> str:
             stats["cache.entries"],
             stats["cache.capacity"],
             stats["cache.evictions"],
+        ),
+        "  memo:%s hits %d, misses %d, entries %d/%d"
+        % (
+            "" if stats["cache.enabled"] else " (disabled)",
+            stats["memo.hits"],
+            stats["memo.misses"],
+            stats["memo.entries"],
+            stats["cache.capacity"],
         ),
         "  interning:%s reused %d, interned %d, live %d"
         % (

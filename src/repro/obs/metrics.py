@@ -40,6 +40,8 @@ Metric-name conventions (all emitted by the instrumented hot paths):
                                         merged when a guard deactivates
 ``kernel.cache.{hits,misses,evictions}``  KernelCache traffic during the
                                         tracer's outermost activation
+``kernel.memo.{hits,misses}``           operation-memo traffic (renames
+                                        and projections), same window
 ``kernel.intern.{reused,interned}``     GTuple intern-pool traffic, same
                                         window (see :mod:`repro.perf`)
 ``relation.join.indexed``               joins that used the partition index

@@ -263,13 +263,18 @@ def render_profile(tracer: Tracer, guard=None) -> str:
             )
     hits = metrics.counter("kernel.cache.hits")
     misses = metrics.counter("kernel.cache.misses")
-    if hits or misses:
-        rate = 100.0 * hits / (hits + misses)
+    memo_hits = metrics.counter("kernel.memo.hits")
+    memo_misses = metrics.counter("kernel.memo.misses")
+    # a run the operation memo served entirely makes no cache lookup,
+    # and its line must not vanish for that
+    if hits or misses or memo_hits or memo_misses:
+        rate = 100.0 * hits / (hits + misses) if hits or misses else 0.0
         reused = metrics.counter("kernel.intern.reused")
         lines.append("")
         lines.append(
             f"kernel cache: {hits} hit(s), {misses} miss(es) "
-            f"({rate:.1f}% hit rate), {reused} interned tuple reuse(s)"
+            f"({rate:.1f}% hit rate), {reused} interned tuple reuse(s), "
+            f"memo {memo_hits} hit(s) / {memo_misses} miss(es)"
         )
     if not tracer.ledger.is_empty():
         from repro.obs.ledger import render_cost_ledger

@@ -13,7 +13,10 @@ semantics:
 * :mod:`repro.perf.cache` -- a bounded, LRU-keyed memo
   (``frozenset(atoms)`` -> entailment kernel + canonical form +
   satisfiability verdict) consulted by
-  :class:`~repro.core.theory.DenseOrderTheory`;
+  :class:`~repro.core.theory.DenseOrderTheory`, and next to it a
+  bounded operation memo (interned dense-order tuple -> its rename or
+  its projection) consulted by ``Relation.rename`` and
+  ``Relation.project``;
 * :mod:`repro.perf.interning` -- a weak interning pool making
   structurally equal :class:`~repro.core.gtuple.GTuple` instances the
   *same object*, so equality short-circuits on identity and the
@@ -24,10 +27,13 @@ semantics:
 All layers are invalidation-free: atoms, canonical atom sets, and
 generalized tuples are immutable, so a cached verdict never goes
 stale.  ``--no-cache`` on the CLI (or :func:`kernel_cache_disabled`)
-routes every call through the uncached kernel; cached and uncached
-evaluation are property-tested to produce ``equivalent()`` relations
-(``tests/perf``), and E15 (``benchmarks/bench_e15_kernel_cache.py``)
-gates the speedup and the disabled-path overhead.
+routes every call through the uncached kernel and memoizes nothing;
+cached and uncached evaluation are property-tested to produce
+``equivalent()`` relations, and the same tuples in the same order for
+renames, projections and Datalog fixpoints (``tests/perf``).  E15
+(``benchmarks/bench_e15_kernel_cache.py``) gates the speedup (>= 1.5x)
+and the disabled-path overhead (< 10% asserted, 2% the printed
+target).
 """
 
 from repro.perf.cache import (

@@ -11,6 +11,15 @@ cache from :meth:`is_satisfiable`, :meth:`canonicalize`,
 :meth:`canonicalize_if_satisfiable`, :meth:`entails`,
 :meth:`make_entailer`, and :meth:`solve`.
 
+The same cache holds the *operation memo* (:meth:`KernelCache.memo_map`):
+one table per (operation, parameters) key, mapping an interned
+dense-order :class:`~repro.core.gtuple.GTuple` to that operation's
+result.  :meth:`Relation.rename <repro.core.relation.Relation.rename>`
+(key: target schema and ``Var -> Var`` substitution) and the serial
+loop of :meth:`Relation.project <repro.core.relation.Relation.project>`
+(key: the eliminated column) consult it, so a fixpoint round stops
+renaming and projecting again the tuples earlier rounds already did.
+
 Design notes:
 
 * **Keys are syntactic.**  Two logically equivalent but syntactically
@@ -24,7 +33,19 @@ Design notes:
 * **The disabled path is one attribute read.**  When ``enabled`` is
   False the theory methods fall through to the direct kernel before
   any key is built, so ``--no-cache`` runs pay a single branch per
-  call (gated < 2% by E15).
+  call, and one more per ``rename`` or ``project`` call for the
+  operation memo.  E15 prints a 2% target for that branch and
+  asserts < 10% (single-shot timings are noisy).
+* **The operation memo is exact.**  A dense-order tuple is an interned
+  canonical value, and renaming or projecting it is a deterministic
+  function of (tuple, parameters), so a memoized result is the very
+  tuple the operation would build again.  It is on exactly when
+  ``enabled`` is, skips every other theory (linear tuples are not
+  canonical), and holds at most ``capacity`` entries over all its
+  tables: a miss that finds it full empties it first.  It holds its
+  tuples strongly, so they outlive their last engine-side reference
+  until :meth:`KernelCache.clear`, :func:`reset_kernel_cache` or that
+  flush drops them.
 
 The cache is process-global (like the ambient tracer/guard slots it
 sits beside) and is *not* thread-safe beyond the atomicity of the
@@ -35,7 +56,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterator, Optional
+from typing import Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional, Sequence
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -84,9 +105,13 @@ class KernelEntry:
 
 
 class KernelCache:
-    """A bounded LRU memo of :class:`KernelEntry` objects."""
+    """A bounded LRU memo of :class:`KernelEntry` objects, plus the
+    operation memo of :meth:`memo_map`."""
 
-    __slots__ = ("capacity", "enabled", "hits", "misses", "evictions", "entries")
+    __slots__ = (
+        "capacity", "enabled", "hits", "misses", "evictions", "entries",
+        "memo", "memo_entries", "memo_hits", "memo_misses",
+    )
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, enabled: bool = True) -> None:
         if capacity < 1:
@@ -97,6 +122,12 @@ class KernelCache:
         self.misses = 0
         self.evictions = 0
         self.entries: "OrderedDict[FrozenSet, KernelEntry]" = OrderedDict()
+        #: (operation, parameters) -> {interned tuple: result}; every
+        #: table here holds at least one entry
+        self.memo: Dict[Hashable, Dict] = {}
+        self.memo_entries = 0  #: entries over all memo tables
+        self.memo_hits = 0
+        self.memo_misses = 0
 
     def lookup(self, key: FrozenSet) -> Optional[KernelEntry]:
         """The entry for ``key``, refreshed to most-recently-used."""
@@ -114,9 +145,51 @@ class KernelCache:
             self.entries.popitem(last=False)
             self.evictions += 1
 
+    def memo_map(
+        self, key: Hashable, tuples: Sequence, compute: Callable[[object], object]
+    ) -> List:
+        """``[compute(t) for t in tuples]``, served from the memo table ``key``.
+
+        ``key`` names an operation and its parameters; ``compute`` must
+        be a deterministic function of the tuple's value under that key
+        and never return None.  A hit returns what ``compute`` gave an
+        equal tuple, so the list is the plain loop's, in its order.  A
+        miss that finds the memo holding ``capacity`` entries empties it
+        first: a working set above the bound costs recomputation, never
+        per-hit bookkeeping.
+        """
+        table = self.memo.get(key)
+        if table is None:
+            table = {}
+        out = []
+        misses = 0
+        for t in tuples:
+            result = table.get(t)
+            if result is None:
+                result = compute(t)
+                if self.memo_entries >= self.capacity:
+                    self.clear_memo()
+                    table = {}
+                if not table:
+                    self.memo[key] = table
+                table[t] = result
+                self.memo_entries += 1
+                misses += 1
+            out.append(result)
+        self.memo_hits += len(out) - misses
+        self.memo_misses += misses
+        return out
+
+    def clear_memo(self) -> None:
+        """Drop every operation-memo table (counters are kept)."""
+        self.memo = {}
+        self.memo_entries = 0
+
     def clear(self) -> None:
-        """Drop all entries (counters are kept: they are monotone)."""
+        """Drop all entries and the operation memo (counters are kept:
+        they are monotone)."""
         self.entries.clear()
+        self.clear_memo()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -125,7 +198,8 @@ class KernelCache:
         state = "on" if self.enabled else "off"
         return (
             f"<KernelCache {state} {len(self.entries)}/{self.capacity} "
-            f"hits={self.hits} misses={self.misses} evictions={self.evictions}>"
+            f"hits={self.hits} misses={self.misses} evictions={self.evictions} "
+            f"memo={self.memo_entries}>"
         )
 
 
@@ -149,21 +223,26 @@ def configure_kernel_cache(
         while len(_CACHE.entries) > capacity:
             _CACHE.entries.popitem(last=False)
             _CACHE.evictions += 1
+        if _CACHE.memo_entries > capacity:
+            _CACHE.clear_memo()
     if enabled is not None:
         _CACHE.enabled = enabled
     return _CACHE
 
 
 def reset_kernel_cache() -> None:
-    """Drop all cached entries and interned tuples, reset all counters.
+    """Drop all cached entries, the operation memo and interned tuples,
+    reset all counters.
 
-    (Test isolation hook; production code never needs it because the
-    cache is invalidation-free.)
+    (Test isolation hook, and what makes a benchmark case cold;
+    production code never needs it because the cache is
+    invalidation-free.)
     """
     from repro.perf.interning import intern_pool
 
-    _CACHE.entries.clear()
+    _CACHE.clear()
     _CACHE.hits = _CACHE.misses = _CACHE.evictions = 0
+    _CACHE.memo_hits = _CACHE.memo_misses = 0
     pool = intern_pool()
     pool.clear()
     pool.reused = pool.interned = 0
@@ -173,13 +252,13 @@ def reset_kernel_cache() -> None:
 def kernel_cache_disabled() -> Iterator[None]:
     """Route every kernel call through the uncached path (``--no-cache``).
 
-    Disables the memo cache and the interning pool, restoring their
-    previous states on exit.  Column renames then canonicalize their
-    result through the kernel too: the dense-order rename shortcut
-    (``DenseOrderTheory.rename_canonical``) is gated on the cache, so
-    this is the seed behavior the fast path is tested against.
-    Existing entries are kept -- they cannot go stale -- so re-enabling
-    resumes where the cache left off.
+    Disables the memo cache (operation memo included) and the interning
+    pool, restoring their previous states on exit.  Column renames then
+    canonicalize their result through the kernel too: the dense-order
+    rename shortcut (``DenseOrderTheory.rename_canonical``) is gated on
+    the cache, so this is the seed behavior the fast path is tested
+    against.  Existing entries are kept -- they cannot go stale -- so
+    re-enabling resumes where the cache left off.
     """
     from repro.perf.interning import intern_pool
 
@@ -195,7 +274,8 @@ def kernel_cache_disabled() -> Iterator[None]:
 
 
 def kernel_counters() -> Dict[str, int]:
-    """The monotone kernel counters (cache + interning), for metrics.
+    """The monotone kernel counters (cache, operation memo, interning),
+    for metrics.
 
     Only ever-increasing quantities belong here: the ambient
     :class:`~repro.obs.trace.Tracer` snapshots these on activation and
@@ -209,6 +289,8 @@ def kernel_counters() -> Dict[str, int]:
         "cache.hits": _CACHE.hits,
         "cache.misses": _CACHE.misses,
         "cache.evictions": _CACHE.evictions,
+        "memo.hits": _CACHE.memo_hits,
+        "memo.misses": _CACHE.memo_misses,
         "intern.reused": pool.reused,
         "intern.interned": pool.interned,
     }
@@ -223,6 +305,7 @@ def kernel_stats() -> Dict[str, object]:
     out["cache.entries"] = len(_CACHE)
     out["cache.capacity"] = _CACHE.capacity
     out["cache.enabled"] = _CACHE.enabled
+    out["memo.entries"] = _CACHE.memo_entries
     out["intern.live"] = len(pool)
     out["intern.enabled"] = pool.enabled
     return out

@@ -16,9 +16,14 @@ the existing object, so
   before falling back to structural comparison.
 
 Lifetime: values are held weakly (:class:`weakref.WeakValueDictionary`),
-so the pool never extends a tuple's life -- when the last engine-side
-reference drops, the entry disappears with it.  There is nothing to
-invalidate: tuples are immutable and the key *is* the identity.
+so the pool itself never extends a tuple's life -- when the last
+reference drops, the entry disappears with it.  One holder is not the
+engines': the kernel cache's operation memo
+(:meth:`repro.perf.cache.KernelCache.memo_map`) keeps the tuples it
+renamed or projected, and their results, strongly, so those stay
+pooled until the memo is reset, cleared or emptied at its bound.
+There is nothing to invalidate: tuples are immutable and the key *is*
+the identity.
 """
 
 from __future__ import annotations

@@ -61,6 +61,21 @@ class TestMetricsOnly:
         assert "3 variable(s) eliminated" in text
         assert not tracer.spans
 
+    def test_memo_served_run_keeps_its_kernel_line(self):
+        """A rename the operation memo serves entirely makes no kernel
+        cache lookup; the profile still reports the kernel line."""
+        relation = _db()["edge"]
+        relation.rename({"x": "a", "y": "b"})  # fills the memo
+        tracer = Tracer()
+        with tracer:
+            relation.rename({"x": "a", "y": "b"})
+        assert tracer.metrics.counter("kernel.cache.hits") == 0
+        assert tracer.metrics.counter("kernel.cache.misses") == 0
+        assert tracer.metrics.counter("kernel.memo.hits") == len(relation)
+        text = render_profile(tracer)
+        assert "kernel cache: 0 hit(s), 0 miss(es)" in text
+        assert f"memo {len(relation)} hit(s) / 0 miss(es)" in text
+
     def test_ledger_without_spans_renders(self):
         tracer = Tracer()
         with tracer:

@@ -1,5 +1,7 @@
 """The ``--no-cache`` escape hatch and kernel statistics in the CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -62,9 +64,30 @@ class TestKernelStats:
         assert main(["query", db_file, "e(x, y)", "--stats", "--no-cache"]) == 0
         assert "(disabled)" in capsys.readouterr().err
 
+    def test_stats_print_the_operation_memo(self, db_file, program_file, capsys):
+        """A naive TC run renames the stored edges again every round, so
+        the memo line reports hits."""
+        reset_kernel_cache()
+        assert main(["datalog", db_file, program_file, "--stats"]) == 0
+        memo = _memo_line(capsys.readouterr().err)
+        assert "(disabled)" not in memo
+        hits, misses = map(int, re.search(r"hits (\d+), misses (\d+)", memo).groups())
+        assert hits > 0 and misses > 0
+
+    def test_memo_line_marks_disabled_cache(self, db_file, program_file, capsys):
+        assert main(["datalog", db_file, program_file, "--stats", "--no-cache"]) == 0
+        assert "(disabled)" in _memo_line(capsys.readouterr().err)
+
     def test_explain_reports_hit_rate(self, db_file, program_file, capsys):
         reset_kernel_cache()
         assert main(["explain", db_file, program_file]) == 0
         out = capsys.readouterr().out
         assert "kernel cache:" in out
         assert "hit rate" in out
+
+
+def _memo_line(err: str) -> str:
+    """The one operation-memo line of a ``--stats`` kernel table."""
+    lines = [line for line in err.splitlines() if line.strip().startswith("memo:")]
+    assert len(lines) == 1, err
+    return lines[0]

@@ -19,7 +19,7 @@ from repro.datalog.engine import evaluate_program
 from repro.datalog.seminaive import evaluate_seminaive
 from repro.errors import EvaluationError
 from repro.lang import parse_program
-from repro.perf import kernel_cache_disabled, reset_kernel_cache
+from repro.perf import kernel_cache_disabled, kernel_counters, reset_kernel_cache
 from repro.queries.library import transitive_closure_program
 from tests.strategies import formulas
 
@@ -137,3 +137,23 @@ class TestDatalogEquivalence:
                 with kernel_cache_disabled():
                     plain = engine(program, db)["tc"]
                 assert cached.tuples == plain.tuples
+
+    @settings(max_examples=25, deadline=None)
+    @given(mixed_edge_relations())
+    def test_rerun_from_the_operation_memo(self, edges):
+        """Two runs from one cold cache: the second renames and projects
+        from the memo the first filled.  Both are the seed path's
+        fixpoint, tuple for tuple, in as many rounds."""
+        db = Database({"E": edges})
+        program = transitive_closure_program()
+        for engine in (evaluate_program, evaluate_seminaive):
+            with kernel_cache_disabled():
+                plain = engine(program, db)
+            reset_kernel_cache()
+            first = engine(program, db)
+            hits = kernel_counters()["memo.hits"]
+            second = engine(program, db)
+            assert kernel_counters()["memo.hits"] > hits
+            for run in (first, second):
+                assert run["tc"].tuples == plain["tc"].tuples
+                assert run.rounds == plain.rounds

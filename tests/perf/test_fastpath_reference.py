@@ -8,7 +8,9 @@ equivalent pointsets, the same tuples in the same order, so downstream
 syntactic fixpoint tests see no difference.
 ``GTuple.rename`` (canonical atoms renamed without the kernel) must
 return the very tuple ``GTuple.make`` builds from the renamed atoms,
-and keep the pointset.
+and keep the pointset.  ``Relation.rename`` and ``Relation.project``
+served from the operation memo must return the seed path's tuples in
+the seed path's order, cold and warm.
 """
 
 import itertools
@@ -24,7 +26,14 @@ from repro.core.sampling import sample_points
 from repro.core.terms import Var
 from repro.core.theory import DENSE_ORDER
 from repro.linear.theory import LINEAR
-from repro.perf import kernel_cache_disabled
+from repro.perf import (
+    configure_kernel_cache,
+    kernel_cache_disabled,
+    kernel_counters,
+    kernel_stats,
+    reset_kernel_cache,
+)
+from repro.perf.cache import DEFAULT_CAPACITY
 from tests.linear.test_theory import linear_conjunctions
 from tests.strategies import conjunctions
 
@@ -264,3 +273,109 @@ class TestRenameMatchesReference:
         )
         assert renamed.contains_point([Fraction(1, 4), Fraction(1, 2)])
         assert not renamed.contains_point([Fraction(0), Fraction(1, 2)])
+
+
+@st.composite
+def projections(draw):
+    """The columns a projection keeps: a prefix of a permutation of SCHEMA."""
+    order = draw(st.permutations(SCHEMA))
+    return tuple(order[: draw(st.integers(0, len(SCHEMA) - 1))])
+
+
+#: the counters a warm memo must leave alone: its hits skip the kernel
+KERNEL_LOOKUPS = ("cache.hits", "cache.misses", "memo.misses")
+
+
+def _moved(before, after):
+    return {name for name in after if after[name] != before[name]}
+
+
+class TestOperationMemoMatchesReference:
+    """``Relation.rename`` and ``Relation.project`` through the memo."""
+
+    def _check(self, relation, op):
+        """``op`` on a cold memo, a warm one and the seed path agree."""
+        with kernel_cache_disabled():
+            before = kernel_counters()
+            reference = op(relation).tuples
+            assert _moved(before, kernel_counters()) == set()
+        reset_kernel_cache()
+        assert op(relation).tuples == reference
+        before = kernel_counters()
+        assert op(relation).tuples == reference
+        moved = _moved(before, kernel_counters())
+        assert not moved & set(KERNEL_LOOKUPS)
+        return "memo.hits" in moved
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(gtuples(), max_size=6), renamings())
+    def test_rename(self, tuples, mapping):
+        relation = Relation(DENSE_ORDER, SCHEMA, tuples)
+        served = self._check(relation, lambda r: r.rename(mapping))
+        assert served == bool(relation.tuples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(gtuples(), max_size=6), projections())
+    def test_project(self, tuples, columns):
+        relation = Relation(DENSE_ORDER, SCHEMA, tuples)
+        served = self._check(relation, lambda r: r.project(columns))
+        assert served == bool(relation.tuples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(gtuples(), min_size=1, max_size=6), renamings(), renamings(),
+           projections(), projections())
+    def test_parameters_key_their_own_tables(self, tuples, first, second, keep_a, keep_b):
+        """One warm memo serves two renamings and two projections of the
+        same tuples, each with the seed path's results."""
+        relation = Relation(DENSE_ORDER, SCHEMA, tuples)
+        ops = [lambda r, m=m: r.rename(m) for m in (first, second)] + [
+            lambda r, c=c: r.project(c) for c in (keep_a, keep_b)
+        ]
+        with kernel_cache_disabled():
+            expected = [op(relation).tuples for op in ops]
+        reset_kernel_cache()
+        for _ in range(2):
+            assert [op(relation).tuples for op in ops] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(gtuples(), max_size=6), renamings(), projections())
+    def test_capacity_bounds_the_memo(self, tuples, mapping, columns):
+        relation = Relation(DENSE_ORDER, SCHEMA, tuples)
+        with kernel_cache_disabled():
+            renamed = relation.rename(mapping).tuples
+            projected = relation.project(columns).tuples
+        reset_kernel_cache()
+        configure_kernel_cache(capacity=4)
+        try:
+            for _ in range(2):
+                assert relation.rename(mapping).tuples == renamed
+                assert kernel_stats()["memo.entries"] <= 4
+                assert relation.project(columns).tuples == projected
+                assert kernel_stats()["memo.entries"] <= 4
+        finally:
+            configure_kernel_cache(capacity=DEFAULT_CAPACITY)
+
+    def test_reset_empties_the_memo(self):
+        relation = Relation(DENSE_ORDER, SCHEMA, [
+            GTuple.make(DENSE_ORDER, SCHEMA, [lt("x", "y"), lt("y", 3)]),
+            GTuple.point(DENSE_ORDER, SCHEMA, (1, 2, 3, 4, 5)),
+        ])
+        reset_kernel_cache()
+        relation.rename({"x": "a"})
+        relation.project(("y", "z"))
+        stats = kernel_stats()
+        assert stats["memo.entries"] > 0
+        reset_kernel_cache()
+        stats = kernel_stats()
+        assert (stats["memo.entries"], stats["memo.hits"], stats["memo.misses"]) == (0, 0, 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(linear_gtuples(), min_size=1, max_size=4))
+    def test_linear_relations_never_touch_the_memo(self, tuples):
+        relation = Relation(LINEAR, ("x", "y"), tuples)
+        reset_kernel_cache()
+        for _ in range(2):
+            relation.rename({"x": "y", "y": "x"})
+            relation.project(("y",))
+        stats = kernel_stats()
+        assert (stats["memo.entries"], stats["memo.hits"], stats["memo.misses"]) == (0, 0, 0)

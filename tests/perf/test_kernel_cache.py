@@ -71,6 +71,26 @@ class TestKernelCacheMechanics:
         assert len(cache) == 2
         assert cache.evictions >= 4
 
+    def test_memo_map_serves_hits_and_stays_bounded(self):
+        cache = KernelCache(capacity=2)
+        calls = []
+
+        def double(n):
+            calls.append(n)
+            return 2 * n
+
+        assert cache.memo_map(("double",), [1, 2, 1], double) == [2, 4, 2]
+        assert calls == [1, 2]
+        assert (cache.memo_hits, cache.memo_misses, cache.memo_entries) == (1, 2, 2)
+        # a third entry finds the memo full: it starts over
+        assert cache.memo_map(("double",), [3, 1], double) == [6, 2]
+        assert calls == [1, 2, 3, 1]
+        assert cache.memo_entries == 2
+        assert sum(len(table) for table in cache.memo.values()) == 2
+        cache.clear()
+        assert (cache.memo, cache.memo_entries) == ({}, 0)
+        assert (cache.memo_hits, cache.memo_misses) == (1, 4)
+
     def test_entry_memoizes_canonical_including_unsat(self):
         sat = _entry(lt("x", "y"))
         assert sat.canonical() == frozenset([lt("x", "y")])
@@ -107,6 +127,9 @@ class TestDisableAndStats:
             "cache.entries",
             "cache.capacity",
             "cache.enabled",
+            "memo.hits",
+            "memo.misses",
+            "memo.entries",
             "intern.reused",
             "intern.interned",
             "intern.live",
@@ -127,7 +150,8 @@ class TestDisableAndStats:
 
 class TestTinyCapacityCorrectness:
     def test_eviction_pressure_keeps_results_exact(self):
-        """A 4-entry cache thrashes on a TC fixpoint yet must stay exact."""
+        """A 4-entry cache (and operation memo) thrashes on a TC
+        fixpoint yet must stay exact."""
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
         db = Database({"E": Relation.from_points(("x", "y"), edges)})
         program = transitive_closure_program()
@@ -141,5 +165,7 @@ class TestTinyCapacityCorrectness:
         cache = kernel_cache()
         assert cache.evictions > 0
         assert len(cache) <= 4
+        assert kernel_stats()["memo.entries"] <= 4
+        assert cache.memo_misses > 4  # the memo started over, more than once
         assert result.equivalent(baseline)
         assert frozenset(result.tuples) == frozenset(baseline.tuples)
