@@ -26,16 +26,17 @@ per-site counters plus the kernel cache/interning statistics, and
 
 Two subcommands inspect plans and runs.  ``plan`` plans without
 running: one tree per formula or Datalog rule, each node with its
-estimated rows and modeled cost.  ``explain`` runs a query or program
-and reports where the work went: the per-phase cost tree, the
-per-operator cost ledger (estimated vs actual cardinalities) and the
-guard's counters; ``--out`` also writes the ledger as a
-schema-versioned ``repro.profile/1`` document (also when a budget
-aborts the run).  ``--optimize={none,heuristic}`` picks the planning
-mode on ``query``/``datalog``/``explain``: ``none`` (the default) runs
-the direct evaluator, ``heuristic`` the rule-engine rewrites.
+estimated rows (generalized tuples).  ``explain`` runs a query or
+program and reports where the work went: the per-phase cost tree, one
+per-operator table (calls, tuples in and out, seconds, and how many
+calls sharded on a pool) and the guard's counters, also when a budget
+aborts the run; ``--trace`` writes the same run as a ``repro.trace/1``
+document.  ``--optimize={none,heuristic}`` picks the planning mode on
+``query``/``datalog``/``explain``: ``none`` (the default) runs the
+direct evaluator, ``heuristic`` the rule-engine rewrites.
 
-Telemetry exports (the :mod:`repro.obs.telemetry` pipeline):
+Telemetry exports (the sinks of :mod:`repro.obs.sink` and the flight
+recorder of :mod:`repro.obs.flightrec`):
 ``--log-jsonl FILE`` streams every structured log record
 (``repro.log/1``) as JSON lines, ``--metrics-out FILE`` writes the
 final metrics snapshot in the Prometheus text format, and
@@ -55,11 +56,13 @@ attributes the latency delta to named operators, optionally writing a
 
 ``--memory`` (on ``query``/``datalog``/``explain``) turns
 on per-span memory attribution: every traced span gains
-``mem_alloc_blocks``/``mem_peak_bytes`` attrs, the cost ledger gains
-per-operator memory columns, and ``--parallel`` runs capture the same
-attrs inside pool workers.  The default ``rss`` backend is cheap
-(gated < 5% overhead by E21); ``--memory-backend tracemalloc`` adds
-exact ``mem_alloc_bytes`` at tracemalloc's documented cost.
+``mem_alloc_blocks``/``mem_peak_bytes`` attrs, ``explain`` prints a
+per-span ``memory attribution`` table, and ``--parallel`` runs capture
+the same attrs inside pool workers.  The default ``rss`` backend is
+cheap: E21 prints a 5% target and asserts that its worst workload
+stays below 1.25x of the unprofiled traced run; ``--memory-backend
+tracemalloc`` adds exact ``mem_alloc_bytes`` at tracemalloc's
+documented cost.
 
 ``repro bench-watch`` compares the newest ``BENCH_HISTORY.jsonl``
 record against the trailing baseline and exits ``4`` on regression;
@@ -91,11 +94,13 @@ failing shard is quarantined (re-executed serially in-process), and
 ``5``), or ``partial`` (drop the shard and print the tagged partial
 result).  ``plan`` runs nothing, so it takes none of these flags.
 
-Numeric flags are checked when parsed: ``--workers`` must be at least
-1, ``--timeout`` and ``--shard-timeout`` positive, and
-``--shard-retries``, ``--max-tuples``, ``--max-depth`` and
-``--max-rounds`` non-negative; anything else is a usage error (exit
-``2``).
+Numeric flags are checked when parsed: ``--workers`` and
+``bench-watch --window`` must be at least 1, ``--timeout`` and
+``--shard-timeout`` positive, ``bench-watch --threshold`` at least 1
+(a smaller ratio would flag improvements), and ``--shard-retries``,
+``--max-tuples``, ``--max-depth``, ``--max-rounds`` and ``trace
+analyze --max-path`` non-negative; anything else is a usage error
+(exit ``2``).
 
 When an observation surface is active, ``--parallel`` runs capture
 worker-side telemetry and stitch it into the parent trace (spans with
@@ -134,7 +139,6 @@ from repro.obs import (
     render_metrics_summary,
     render_profile,
     render_watch_report,
-    write_profile,
     write_prometheus,
     write_trace,
 )
@@ -202,12 +206,14 @@ def _bounded(kind, low, strict: bool = False):
     return parse
 
 
-#: a worker count
+#: a worker count or a history window
 _POSITIVE_INT = _bounded(int, 1)
-#: a cap on tuples, depth, rounds or retries
+#: a cap on tuples, depth, rounds, retries or printed path segments
 _COUNT = _bounded(int, 0)
 #: a deadline
 _SECONDS = _bounded(float, 0, strict=True)
+#: a regression ratio: below 1 it would flag improvements
+_RATIO = _bounded(float, 1.0)
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -265,8 +271,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def _add_memory_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--memory", action="store_true",
-        help="attribute memory per span and per operator (span attrs, "
-        "cost-ledger memory fields, worker spans on --parallel runs)",
+        help="attribute memory per span (span attrs, worker spans on "
+        "--parallel runs, explain's memory attribution table)",
     )
     parser.add_argument(
         "--memory-backend", choices=("rss", "tracemalloc"), default="rss",
@@ -609,7 +615,8 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Run a query or program and report where the work went: the
-    per-phase cost tree, the cost ledger and the guard's counters."""
+    per-phase cost tree, the per-operator table and the guard's
+    counters."""
     db = _load(args.database)
     guard = EvaluationGuard(_budget_of(args))  # guard stats are part of the report
     tracer = _tracer_of(args, always=True)
@@ -623,12 +630,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print(summary)
     finally:
         # a budget abort must not lose the partial telemetry: the cost
-        # tree and ledger accumulated so far, with the guard's counters,
-        # are printed and the requested exports written either way
+        # tree and operator table accumulated so far, with the guard's
+        # counters, are printed and the requested exports written
+        # either way
         print()
         print(render_profile(tracer, guard))
-        if args.out:
-            write_profile(args.out, tracer, guard)
         _export_observation(args, tracer, guard)
         if ctx is not None:
             ctx.close()
@@ -637,7 +643,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     """Print the rewritten plan, one tree per formula or rule, with
-    per-node estimated rows and cost (no execution)."""
+    per-node estimated rows (no execution)."""
     from repro.core.physical import QueryPlanner, render_plan
     from repro.datalog.engine import body_formula
 
@@ -854,8 +860,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     explain_cmd = sub.add_parser(
         "explain",
         help="run a query or .dl program and print the per-phase cost "
-        "tree with the per-operator cost ledger (estimated vs actual "
-        "cardinalities)",
+        "tree with one per-operator table (calls, tuples in and out, "
+        "seconds, sharded calls)",
     )
     explain_cmd.add_argument("database")
     explain_cmd.add_argument(
@@ -877,11 +883,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace", default=None, metavar="FILE",
         help="also write the structured JSON trace",
     )
-    explain_cmd.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the cost ledger as a repro.profile/1 JSON "
-        "document (written even when a budget aborts the run)",
-    )
     _add_budget_flags(explain_cmd)
     _add_cache_flag(explain_cmd)
     _add_parallel_flags(explain_cmd)
@@ -892,8 +893,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     plan_cmd = sub.add_parser(
         "plan",
-        help="print the optimized plan with per-node estimated rows and "
-        "modeled cost (no execution)",
+        help="print the optimized plan with per-node estimated rows "
+        "(no execution)",
     )
     plan_cmd.add_argument("database")
     plan_cmd.add_argument(
@@ -921,7 +922,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     analyze.add_argument("trace", help="a repro.trace/1 JSON document")
     analyze.add_argument(
-        "--max-path", type=int, default=40, metavar="N", dest="max_path",
+        "--max-path", type=_COUNT, default=40, metavar="N", dest="max_path",
         help="cap on critical-path segments printed (default 40)",
     )
     analyze.set_defaults(fn=_cmd_trace_analyze)
@@ -979,11 +980,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="the repro.bench-history/1 JSONL file to read",
     )
     watch.add_argument(
-        "--threshold", type=float, default=1.5, metavar="RATIO",
+        "--threshold", type=_RATIO, default=1.5, metavar="RATIO",
         help="flag a metric slower than RATIO x its baseline (default 1.5)",
     )
     watch.add_argument(
-        "--window", type=int, default=5, metavar="N",
+        "--window", type=_POSITIVE_INT, default=5, metavar="N",
         help="baseline = median of the previous up-to-N records (default 5)",
     )
     watch.add_argument(

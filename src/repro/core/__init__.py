@@ -9,7 +9,7 @@ Public surface re-exported here:
   :func:`rel`, ...) and :func:`evaluate` / :func:`evaluate_boolean`;
 * the query-planner stack, one path per step: plan IR
   (:func:`compile_formula`), rewrite rules (:class:`RuleEngine`,
-  driven by :meth:`QueryPlanner.logical_plan`), the one row and cost
+  driven by :meth:`QueryPlanner.logical_plan`), the one row
   estimator (:func:`estimate_plan`), the plan executor
   (:func:`execute_plan`) and the plan listing (:func:`render_plan`),
   all behind :class:`QueryPlanner`;

@@ -14,8 +14,9 @@ decide *what* to compute; this module runs and prints the result:
   provenance;
 * :func:`render_plan` -- the ``repro plan`` listing: one line per node,
   labelled with the node's own text (``Scan edge(x, y)``,
-  ``Select [x < 5]``), with the estimated rows and modeled cost of
-  :func:`repro.core.costmodel.estimate_plan`.
+  ``Select [x < 5]``), with the estimated rows of
+  :func:`repro.core.costmodel.estimate_plan`, the figure the rule
+  engine's join reordering sorts by.
 
 The planner only rewrites.  Where an operator runs is not a planning
 decision: ``--parallel`` activates an
@@ -219,20 +220,17 @@ def _node_text(node: Plan) -> str:
 
 
 def render_plan(plan: Plan, db: Optional[Database] = None) -> str:
-    """The ``repro plan`` listing: the tree with est rows and cost."""
-    estimate = estimate_plan(plan, db)
-    lines: List[str] = ["plan (rows and cost from fixed per-operator coefficients)"]
+    """The ``repro plan`` listing: the tree with est rows per node."""
+    lines: List[str] = ["plan (estimated rows: generalized tuples per node)"]
 
     def walk(est: PlanEstimate, depth: int) -> None:
         label = "  " * depth + _node_text(est.node)
         lines.append(
-            f"  {label:<32} est_rows={est.rows:>10d} "
-            f"est_cost={est.seconds * 1e3:>9.3f}ms"
+            f"  {label:<32} est_rows={est.rows:>10d}"
             + ("  [memoized]" if est.cached else "")
         )
         for child in est.children:
             walk(child, depth + 1)
 
-    walk(estimate, 0)
-    lines.append(f"  total modeled cost {estimate.total_seconds * 1e3:.3f}ms")
+    walk(estimate_plan(plan, db), 0)
     return "\n".join(lines)

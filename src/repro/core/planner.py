@@ -17,8 +17,8 @@ The rest of the path lives one layer up, behind one entry point each:
 :class:`repro.core.physical.QueryPlanner` rewrites a compiled plan with
 the rule engine in :mod:`repro.core.rules` (``logical_plan``),
 :func:`repro.core.physical.execute_plan` runs it, and
-:func:`repro.core.physical.render_plan` prints it with the row and
-cost estimates of :mod:`repro.core.costmodel`.
+:func:`repro.core.physical.render_plan` prints it with the row
+estimates of :mod:`repro.core.costmodel`.
 
 Planned runs are equivalence-tested against ``evaluate(f, db)`` and
 against the sampling oracle (:mod:`repro.core.sampling`) on random

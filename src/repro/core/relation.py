@@ -29,7 +29,7 @@ from repro.core.theory import ConstraintTheory, DenseOrderTheory, DENSE_ORDER
 from repro.errors import SchemaError, TheoryError
 from repro.obs.trace import active_tracer
 from repro.parallel.context import active_execution_context
-from repro.perf.cache import kernel_cache, kernel_counters
+from repro.perf.cache import kernel_cache
 from repro.runtime.faults import fault_point
 from repro.runtime.guard import active_guard
 
@@ -192,34 +192,12 @@ class Relation:
         if tracer is None:
             return self._complement()
         t0 = tracer.clock()
-        k0 = kernel_counters()
-        m0 = _mem_mark(tracer)
         metrics = tracer.metrics
         metrics.count("relation.complement.calls")
         metrics.observe("relation.complement.in_tuples", len(self.tuples))
-        # pre-execution estimate.  The worst-case DNF bound is the
-        # product of per-tuple negated-disjunct counts (each atom
-        # negates to at most two atoms over dense order), but per-stage
-        # absorption keeps real outputs near-linear: complementing n
-        # interval pieces yields about n+1 pieces, not 2^n.  Take the
-        # smaller of the two figures.
-        total_atoms = sum(len(t.atoms) for t in self.tuples)
-        product = 1
-        for t in self.tuples:
-            product *= max(1, 2 * len(t.atoms))
-            if product > 10**12:
-                product = 10**12
-                break
-        est = min(1 + 2 * total_atoms, product)
         result = self._complement()
         metrics.observe("relation.complement.out_tuples", len(result.tuples))
-        seconds = tracer.clock() - t0
-        metrics.observe("relation.complement.seconds", seconds)
-        _ledger(tracer, "complement", k0, None,
-                in_tuples=len(self.tuples), out_tuples=len(result.tuples),
-                est_out=est,
-                out_atoms=sum(len(t.atoms) for t in result.tuples),
-                seconds=seconds, m0=m0)
+        metrics.observe("relation.complement.seconds", tracer.clock() - t0)
         return result
 
     def _complement(self) -> "Relation":
@@ -300,22 +278,16 @@ class Relation:
         if guard is not None:
             guard.note("relation.project")
         t0 = 0.0
-        k0 = None
-        m0 = None
-        in_count = len(current)
         if tracer is not None:
             t0 = tracer.clock()
-            k0 = kernel_counters()
-            m0 = _mem_mark(tracer)
             metrics = tracer.metrics
             metrics.count("relation.project.calls")
-            metrics.observe("relation.project.in_tuples", in_count)
-        dispatch = None
+            metrics.observe("relation.project.in_tuples", len(current))
         ctx = active_execution_context() if victims else None
         if ctx is not None and ctx.eligible(len(current)):
             from repro.parallel.backend import parallel_project
 
-            reordered, dispatch = parallel_project(
+            reordered, _ = parallel_project(
                 current, victims, target, ctx, guard, tracer
             )
         else:
@@ -342,16 +314,7 @@ class Relation:
             reordered = [t.reorder(target) for t in current]
         if tracer is not None:
             metrics.observe("relation.project.out_tuples", len(reordered))
-            seconds = tracer.clock() - t0
-            metrics.observe("relation.project.seconds", seconds)
-            # pre-execution estimate: dense-order QE typically preserves
-            # or shrinks the disjunct count, so input size is the
-            # planner's working figure (not a hard bound)
-            _ledger(tracer, "project", k0, dispatch,
-                    in_tuples=in_count, out_tuples=len(reordered),
-                    est_out=in_count,
-                    out_atoms=sum(len(t.atoms) for t in reordered),
-                    seconds=seconds, m0=m0)
+            metrics.observe("relation.project.seconds", tracer.clock() - t0)
         return Relation._trusted(self.theory, target, reordered)
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
@@ -409,12 +372,8 @@ class Relation:
         guard = active_guard()
         tracer = active_tracer()
         t0 = 0.0
-        k0 = None
-        m0 = None
         if tracer is not None:
             t0 = tracer.clock()
-            k0 = kernel_counters()
-            m0 = _mem_mark(tracer)
             metrics = tracer.metrics
             metrics.count("relation.join.calls")
             metrics.observe("relation.join.in_tuples", len(self.tuples) + len(other.tuples))
@@ -426,26 +385,13 @@ class Relation:
         partition = _join_partition(self, other)
         if partition is not None and tracer is not None:
             metrics.count("relation.join.indexed")
-        est = 0
-        if tracer is not None:
-            # the pre-execution estimate: candidate pairs under the
-            # partition index (each considered pair yields at most one
-            # output tuple), |L|×|R| without one
-            if partition is None:
-                est = len(self.tuples) * len(wide_b)
-            else:
-                buckets_e, unpinned_e, pins_e = partition
-                nb, nu = len(wide_b), len(unpinned_e)
-                for pin in pins_e:
-                    est += nb if pin is None else len(buckets_e.get(pin, ())) + nu
         out: List[GTuple] = []
         considered = 0
-        dispatch = None
         ctx = active_execution_context()
         if ctx is not None and wide_b and ctx.eligible(len(self.tuples)):
             from repro.parallel.backend import parallel_join
 
-            out, considered, dispatch = parallel_join(
+            out, considered, _ = parallel_join(
                 self.tuples, wide_b, combined, partition, ctx, guard
             )
         else:
@@ -476,13 +422,7 @@ class Relation:
             if skipped:
                 metrics.count("relation.join.pairs_skipped", skipped)
             metrics.observe("relation.join.out_tuples", len(result.tuples))
-            seconds = tracer.clock() - t0
-            metrics.observe("relation.join.seconds", seconds)
-            _ledger(tracer, "join", k0, dispatch,
-                    in_tuples=len(self.tuples) + len(other.tuples),
-                    out_tuples=len(result.tuples), est_out=est,
-                    out_atoms=sum(len(t.atoms) for t in result.tuples),
-                    seconds=seconds, m0=m0)
+            metrics.observe("relation.join.seconds", tracer.clock() - t0)
         return result
 
     # ------------------------------------------------------------- comparisons
@@ -532,57 +472,6 @@ class Relation:
         return [t.sample_point() for t in self.tuples]
 
 
-def _mem_mark(tracer):
-    """Open a memory frame for one operator call (``None`` unless the
-    tracer carries a :class:`~repro.obs.memory.MemoryProfiler`)."""
-    memory = tracer.memory
-    return memory.push() if memory is not None else None
-
-
-def _ledger(tracer, op: str, k0: dict, dispatch: Optional[dict], *,
-            in_tuples: int, out_tuples: int, est_out: int, out_atoms: int,
-            seconds: float, m0=None) -> None:
-    """Append one :class:`~repro.obs.ledger.CostRecord` to the active
-    tracer's ledger.
-
-    ``k0`` is the :func:`kernel_counters` snapshot taken in the
-    operator's preamble: the delta since then is this call's share of
-    the process-wide entailment-cache traffic.  ``dispatch`` is the
-    ``dispatch_info`` dict a parallel driver returned (``None`` for a
-    serial call); its stitched worker cache deltas are added on top so
-    process-pool runs attribute worker-side cache work to the operator
-    that dispatched it.  ``m0`` is the :func:`_mem_mark` frame from the
-    same preamble: closing it here attributes the call's allocation to
-    the record's memory fields (all zero without ``--memory``).
-    """
-    k1 = kernel_counters()
-    info = dispatch or {}
-    memory = {}
-    if m0 is not None and tracer.memory is not None:
-        measured = tracer.memory.pop(m0)
-        memory = {
-            "alloc_blocks": measured.get("mem_alloc_blocks", 0),
-            "alloc_bytes": measured.get("mem_alloc_bytes", 0),
-            "peak_bytes": measured.get("mem_peak_bytes", 0),
-        }
-    tracer.ledger.add(
-        op,
-        in_tuples=in_tuples,
-        out_tuples=out_tuples,
-        est_out=est_out,
-        out_atoms=out_atoms,
-        cache_hits=k1["cache.hits"] - k0["cache.hits"] + info.get("cache_hits", 0),
-        cache_misses=(
-            k1["cache.misses"] - k0["cache.misses"] + info.get("cache_misses", 0)
-        ),
-        seconds=seconds,
-        shards=info.get("shards", 0),
-        skew=info.get("skew", 1.0),
-        parallel=dispatch is not None,
-        **memory,
-    )
-
-
 def _absorb(tuples: List[GTuple], absorbed: int = 0) -> List[GTuple]:
     """Remove tuples whose conjunction is subsumed by another tuple's.
 
@@ -607,14 +496,12 @@ def _absorb(tuples: List[GTuple], absorbed: int = 0) -> List[GTuple]:
     """
     tracer = active_tracer()
     t0 = 0.0
-    k0 = None
-    m0 = None
     if tracer is not None:
         t0 = tracer.clock()
-        k0 = kernel_counters()
-        m0 = _mem_mark(tracer)
+        metrics = tracer.metrics
+        metrics.count("relation.absorb.calls")
+        metrics.observe("relation.absorb.in_tuples", len(tuples))
     distinct: List[GTuple] = list(dict.fromkeys(tuples))
-    dispatch = None
     kept: Optional[List[GTuple]] = None
     if len(distinct) <= 1:
         kept = distinct
@@ -630,20 +517,15 @@ def _absorb(tuples: List[GTuple], absorbed: int = 0) -> List[GTuple]:
         if ctx is not None and ctx.eligible(len(distinct)):
             from repro.parallel.backend import parallel_absorb
 
-            kept, dispatch = parallel_absorb(distinct, ctx, absorbed)
+            kept, _ = parallel_absorb(distinct, ctx, absorbed)
         else:
             kept = [
                 distinct[i]
                 for i in _absorb_survivors(distinct, 0, len(distinct), absorbed)
             ]
     if tracer is not None:
-        # pre-execution estimate: absorption only removes tuples, so
-        # the deduplicated input size is a hard upper bound
-        _ledger(tracer, "absorb", k0, dispatch,
-                in_tuples=len(tuples), out_tuples=len(kept),
-                est_out=len(distinct),
-                out_atoms=sum(len(t.atoms) for t in kept),
-                seconds=tracer.clock() - t0, m0=m0)
+        metrics.observe("relation.absorb.out_tuples", len(kept))
+        metrics.observe("relation.absorb.seconds", tracer.clock() - t0)
     return kept
 
 

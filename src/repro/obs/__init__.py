@@ -15,13 +15,10 @@ without changing any engine signature:
   and delta sizes, cell-decomposition counts;
 * :mod:`repro.obs.export` — structured JSON trace documents
   (``repro.trace/1``), validation, and round-trip loading;
-* :mod:`repro.obs.profile` — the per-phase cost tree behind
-  ``python -m repro.cli explain`` and the profile ingestion in
-  ``benchmarks/collect_results.py``;
-* :mod:`repro.obs.ledger` — the per-operator cost ledger
-  (``repro.profile/1``): estimated-vs-actual cardinalities, kernel
-  cache attribution, and dispatch shape per relation-algebra call
-  (printed by ``repro explain``, exported by its ``--out``);
+* :mod:`repro.obs.profile` — the per-phase cost tree and the
+  per-operator table (calls, tuples in and out, seconds, sharded
+  calls) behind ``python -m repro.cli explain``, and the profile
+  ingestion in ``benchmarks/collect_results.py``;
 * :mod:`repro.obs.stitch` — cross-process trace stitching: worker-side
   telemetry snapshots (``repro.worker-telemetry/1``) grafted into the
   parent tracer at shard-harvest time, so traces, stats, and the
@@ -36,7 +33,7 @@ without changing any engine signature:
   ``repro trace diff`` subcommand and bench-watch regression reports);
 * :mod:`repro.obs.memory` — opt-in per-span memory attribution
   (``--memory``): cheap RSS-based by default, exact tracemalloc on
-  request, flowing into span attrs and cost-ledger memory fields.
+  request, flowing into span attrs.
 
 Typical use::
 
@@ -48,8 +45,9 @@ Typical use::
     print(render_profile(tracer))
 
 The disabled-path overhead (instrumentation present, no tracer active)
-is gated < 5% by ``benchmarks/bench_e14_trace_overhead.py``, next to
-E13's budget-guard gate.
+is measured by ``benchmarks/bench_e14_trace_overhead.py``, next to
+E13's budget-guard gate: it prints a 5% target and asserts that the
+worst operator stays below 1.5x of its uninstrumented baseline.
 """
 
 from repro.obs.analyze import (
@@ -101,16 +99,6 @@ from repro.obs.history import (
     render_watch_report,
     validate_history_record,
 )
-from repro.obs.ledger import (
-    PROFILE_SCHEMA,
-    CostLedger,
-    CostRecord,
-    load_profile,
-    profile_document,
-    render_cost_ledger,
-    validate_profile,
-    write_profile,
-)
 from repro.obs.log import LOG_SCHEMA, log_event
 from repro.obs.memory import MemoryProfiler, memory_summary
 from repro.obs.metrics import Histogram, Metrics
@@ -136,14 +124,11 @@ __all__ = [
     "LEVELS",
     "LOG_SCHEMA",
     "POSTMORTEM_SCHEMA",
-    "PROFILE_SCHEMA",
     "SPEEDSCOPE_SCHEMA",
     "TRACE_DIFF_SCHEMA",
     "TRACE_SCHEMA",
     "WORKER_TELEMETRY_SCHEMA",
     "CollectingSink",
-    "CostLedger",
-    "CostRecord",
     "FlightRecorder",
     "Histogram",
     "JsonlSink",
@@ -168,7 +153,6 @@ __all__ = [
     "last_postmortem",
     "load_history",
     "load_postmortem",
-    "load_profile",
     "load_trace",
     "load_trace_diff",
     "log_event",
@@ -176,10 +160,8 @@ __all__ = [
     "operator_hotspots",
     "phase_breakdown",
     "phase_totals",
-    "profile_document",
     "prometheus_text",
     "render_analysis",
-    "render_cost_ledger",
     "render_metrics_summary",
     "render_profile",
     "render_trace_diff",
@@ -192,12 +174,10 @@ __all__ = [
     "trace_document",
     "validate_history_record",
     "validate_postmortem",
-    "validate_profile",
     "validate_speedscope",
     "validate_trace",
     "validate_trace_diff",
     "write_flame",
-    "write_profile",
     "write_prometheus",
     "write_trace",
 ]

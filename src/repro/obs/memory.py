@@ -6,10 +6,9 @@ Grohe–Schwandtner fragment bounds are ultimately space bounds — so the
 trace layer should attribute memory per operator the same way it
 attributes wall time.  A :class:`MemoryProfiler` hangs off the ambient
 :class:`~repro.obs.trace.Tracer` (``tracer.memory``, enabled by the
-``--memory`` CLI flag): every span then closes with memory attrs, and
-the cost-ledger preambles in :mod:`repro.core.relation` record
-per-operator allocation into the new
-:class:`~repro.obs.ledger.CostRecord` memory fields.
+``--memory`` CLI flag): every span then closes with memory attrs,
+which :func:`memory_summary` aggregates per span name (the ``memory
+attribution`` table of ``repro explain --memory``).
 
 Two backends, because exactness and overhead pull in opposite
 directions (tracemalloc costs ~3× wall time on the E14 workload —
@@ -22,7 +21,8 @@ measured, not guessed — which no "< 5%" gate survives):
   is set — and ``mem_alloc_blocks`` is the net
   ``sys.getallocatedblocks()`` delta (CPython allocator blocks; a
   count, not bytes, so it is *named* as blocks).  This is the backend
-  the E21 overhead gate (< 5%) holds for.
+  E21 gates: it prints a 5% target and asserts that the worst
+  workload stays below 1.25x of its unprofiled traced run.
 
 * ``tracemalloc`` — exact traced bytes: ``mem_alloc_bytes`` (net bytes
   allocated during the span) and ``mem_peak_bytes`` (traced peak above

@@ -24,10 +24,11 @@ Metric-name conventions (all emitted by the instrumented hot paths):
 ``qe.calls``                            quantifier-elimination entry points
 ``qe.eliminated_vars``                  variables existentially eliminated
 ``qe.survivors``                        tuples surviving one elimination pass
-``relation.{join,complement,project}.calls``      operator invocations
-``relation.{join,complement,project}.in_tuples``  input representation size
-``relation.{join,complement,project}.out_tuples`` output representation size
-``relation.{join,complement,project}.seconds``    per-call wall time
+``relation.<op>.calls``                 operator invocations, for <op> in
+                                        join, project, complement, absorb
+``relation.<op>.in_tuples``             input representation size
+``relation.<op>.out_tuples``            output representation size
+``relation.<op>.seconds``               per-call wall time
 ``relation.simplify.calls``             absorption passes
 ``relation.simplify.atoms_removed``     constraint atoms simplified away
 ``relation.simplify.tuples_absorbed``   subsumed tuples dropped

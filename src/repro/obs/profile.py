@@ -7,15 +7,13 @@ report the ``explain`` CLI subcommand prints:
   wall-clock per node and round attributes (delta sizes) inline;
   repeated same-name leaf spans under one parent are folded into a
   single ``×N`` line so a 40-round trace stays readable;
-* the **relation-algebra table** — per-operator call counts, input and
-  output representation sizes, and total seconds, from the metrics
-  histograms the algebra records;
+* the **relation-algebra table** — one row per operator (join,
+  projection, complement, absorption): call counts, input and output
+  representation sizes and total seconds from the metrics the algebra
+  records, and how many of the calls sharded on a worker pool (the
+  ``parallel.<op>.calls`` counters; ``serial`` when none did);
 * the **QE / fixpoint summary lines** — eliminations performed, rounds
-  per engine, per-round delta sizes from the round events;
-* the **cost-ledger table** — estimated-vs-actual cardinalities and
-  kernel-cache hit rates per operator, when the tracer's
-  :class:`~repro.obs.ledger.CostLedger` recorded any calls (``repro
-  explain --out`` also exports it as a ``repro.profile/1`` document).
+  per engine, per-round delta sizes from the round events.
 
 :func:`phase_breakdown` returns the same content as a plain dict —
 the machine-readable form ``benchmarks/collect_results.py`` folds into
@@ -33,7 +31,7 @@ from repro.obs.trace import SpanRecord, Tracer
 __all__ = ["phase_breakdown", "render_profile", "render_metrics_summary"]
 
 #: the relation-algebra operators whose in/out sizes the algebra records
-OPERATORS = ("join", "complement", "project")
+OPERATORS = ("join", "project", "complement", "absorb")
 
 
 def _format_seconds(seconds: float) -> str:
@@ -119,6 +117,7 @@ def _operator_rows(metrics: Metrics) -> List[dict]:
                 "out_tuples": int(tout.total) if tout else 0,
                 "max_out_tuples": int(tout.max) if tout and tout.max else 0,
                 "seconds": secs.total if secs else 0.0,
+                "parallel_calls": metrics.counter(f"parallel.{op}.calls"),
             }
         )
     return rows
@@ -138,8 +137,9 @@ def phase_breakdown(tracer: Tracer) -> dict:
     """The per-phase costs as a plain dict (machine-readable profile).
 
     Keys: ``total_seconds``, ``operators`` (per-operator calls/sizes/
-    seconds), ``qe`` (calls + variables eliminated), ``fixpoint``
-    (per-engine rounds + delta sizes), ``counters`` (everything else).
+    seconds/sharded calls), ``qe`` (calls + variables eliminated),
+    ``fixpoint`` (per-engine rounds + delta sizes), ``counters``
+    (everything else).
     """
     metrics = tracer.metrics
     rounds = {
@@ -197,13 +197,17 @@ def render_profile(tracer: Tracer, guard=None) -> str:
         lines.append("relation algebra")
         lines.append(
             f"  {'operator':<12} {'calls':>6} {'tuples in':>10} "
-            f"{'tuples out':>10} {'max out':>8} {'seconds':>10}"
+            f"{'tuples out':>10} {'max out':>8} {'seconds':>10} {'parallel':>9}"
         )
         for row in rows:
+            parallel = (
+                f"{row['parallel_calls']}/{row['calls']}"
+                if row["parallel_calls"] else "serial"
+            )
             lines.append(
                 f"  {row['operator']:<12} {row['calls']:>6} {row['in_tuples']:>10} "
                 f"{row['out_tuples']:>10} {row['max_out_tuples']:>8} "
-                f"{row['seconds']:>10.4f}"
+                f"{row['seconds']:>10.4f} {parallel:>9}"
             )
     qe_calls = metrics.counter("qe.calls")
     eliminated = metrics.counter("qe.eliminated_vars")
@@ -276,11 +280,6 @@ def render_profile(tracer: Tracer, guard=None) -> str:
             f"({rate:.1f}% hit rate), {reused} interned tuple reuse(s), "
             f"memo {memo_hits} hit(s) / {memo_misses} miss(es)"
         )
-    if not tracer.ledger.is_empty():
-        from repro.obs.ledger import render_cost_ledger
-
-        lines.append("")
-        lines.append(render_cost_ledger(tracer.ledger))
     if guard is not None:
         from repro.obs.export import guard_stats_table
 

@@ -106,22 +106,18 @@ def stitch_telemetry(
     shard: int,
     attempt: int,
     quarantined: bool = False,
-) -> Dict[str, int]:
-    """Graft one worker snapshot into ``tracer``; returns the worker's
-    ``kernel.*`` counter deltas (prefix stripped) when the snapshot
-    came from *another* process, ``{}`` otherwise — the cost ledger's
-    worker-cache attribution (see :class:`repro.obs.ledger.CostRecord`).
+) -> None:
+    """Graft one worker snapshot into ``tracer`` (a no-op without one).
 
     Never raises on a malformed snapshot: stitching is telemetry, and
     telemetry must not be the thing that fails a recovered shard.
     """
     if tracer is None or not isinstance(snapshot, dict):
-        return {}
+        return
     try:
-        return _stitch(tracer, snapshot, shard, attempt, quarantined)
+        _stitch(tracer, snapshot, shard, attempt, quarantined)
     except Exception:  # pragma: no cover - defensive: drop, don't fail
         tracer.metrics.count("parallel.stitch_errors")
-        return {}
 
 
 def _stitch(
@@ -130,7 +126,7 @@ def _stitch(
     shard: int,
     attempt: int,
     quarantined: bool,
-) -> Dict[str, int]:
+) -> None:
     worker_pid = snapshot.get("pid")
     same_process = worker_pid == os.getpid()
     graft_under = tracer._stack[-1] if tracer._stack else None
@@ -178,14 +174,11 @@ def _stitch(
             "attrs": dict(entry.get("attrs") or {}),
         })
 
-    kernel_delta: Dict[str, int] = {}
     for name, value in (snapshot.get("counters") or {}).items():
-        if name.startswith(_KERNEL_PREFIX):
-            if same_process:
-                # process-wide counters: the parent's own baseline
-                # delta already covers a same-process worker
-                continue
-            kernel_delta[name[len(_KERNEL_PREFIX):]] = value
+        if same_process and name.startswith(_KERNEL_PREFIX):
+            # process-wide counters: the parent's own baseline delta
+            # already covers a same-process worker
+            continue
         tracer.metrics.count(name, value)
     for name, aggregate in (snapshot.get("histograms") or {}).items():
         _merge_histogram(tracer.metrics, name, aggregate)
@@ -212,4 +205,3 @@ def _stitch(
     tracer.metrics.count("parallel.stitched_shards")
     if id_map:
         tracer.metrics.count("parallel.stitched_spans", len(id_map))
-    return kernel_delta

@@ -45,7 +45,6 @@ from contextvars import ContextVar
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.flightrec import record as _flight_record
-from repro.obs.ledger import CostLedger
 from repro.obs.metrics import Metrics
 from repro.obs.sink import Sink, level_number
 from repro.perf.cache import kernel_counters
@@ -142,9 +141,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects spans, events, metrics, and the per-operator cost
-    ledger (:class:`~repro.obs.ledger.CostLedger`, on :attr:`ledger`)
-    for one observed evaluation.
+    """Collects spans, events and metrics for one observed evaluation.
 
     ``clock`` is injectable (default ``time.perf_counter``) so tests
     can drive timings deterministically.  ``max_spans`` bounds memory:
@@ -156,7 +153,6 @@ class Tracer:
         "clock",
         "epoch",
         "metrics",
-        "ledger",
         "spans",
         "events",
         "max_spans",
@@ -181,7 +177,6 @@ class Tracer:
         self.clock = clock
         self.epoch = clock()
         self.metrics = Metrics()
-        self.ledger = CostLedger()
         self.spans: List[SpanRecord] = []
         self.events: List[dict] = []
         self.max_spans = max_spans

@@ -27,9 +27,9 @@ shard count, skew (max/mean shard size), summed worker seconds, merge
 seconds, and utilization (worker seconds over wall seconds × workers).
 Each dispatch runs under an ambient ``parallel.<op>.dispatch`` span —
 the graft point for cross-process trace stitching
-(:mod:`repro.obs.stitch`) — and returns a ``dispatch_info`` dict
-(shards, skew, stitched worker cache deltas) that the relation ops
-fold into the cost ledger (:mod:`repro.obs.ledger`).
+(:mod:`repro.obs.stitch`) — and every driver returns a trailing
+``{"shards": n}`` dict with the batch's shard count, which the
+engine ignores and ``perfbench/layers.py``'s dispatch wrapper reads.
 """
 
 from __future__ import annotations
@@ -53,20 +53,6 @@ def _run(op: str, ctx: ExecutionContext, fn, payloads, shards, degraded=None):
     with span(f"parallel.{op}.dispatch", shards=len(shards),
               workers=ctx.workers, pool=ctx.pool_kind):
         return ctx.run_shards(fn, payloads, degraded=degraded)
-
-
-def _dispatch_info(ctx: ExecutionContext, shards) -> dict:
-    """The dispatch shape the cost ledger records per operator call:
-    shard count, skew, and the stitched worker kernel-cache deltas of
-    the batch (zero for thread pools; see
-    :class:`~repro.parallel.resilience.BatchReport`)."""
-    report = ctx.last_report
-    return {
-        "shards": len(shards),
-        "skew": shard_skew(shards),
-        "cache_hits": report.worker_cache_hits if report is not None else 0,
-        "cache_misses": report.worker_cache_misses if report is not None else 0,
-    }
 
 
 def _emit(
@@ -112,9 +98,9 @@ def parallel_join(
 
     The right side (already widened) and the partition index are
     replicated to every shard; only the left tuples are partitioned.
-    Returns ``(merged_tuples, pairs_considered, dispatch_info)`` — the
+    Returns ``(merged_tuples, pairs_considered, {"shards": n})`` — the
     same multiset of merged tuples and the same pair count as the
-    serial loop, plus the dispatch shape for the cost ledger.
+    serial loop, plus the shard count.
     """
     shards = shard_indices(left_tuples, ctx.workers, ctx.shard_strategy)
     if partition is None:
@@ -153,7 +139,7 @@ def parallel_join(
             guard.tick("relation.join")
     merge_seconds = time.perf_counter() - merge0
     _emit("join", shards, ctx, wall, worker_seconds, merge_seconds)
-    return out, considered, _dispatch_info(ctx, shards)
+    return out, considered, {"shards": len(shards)}
 
 
 def parallel_project(
@@ -171,7 +157,7 @@ def parallel_project(
     loop notes ``qe`` / charges tuples once per column with that
     column's survivor count; the summed per-shard counts are replayed
     here in the same column order, so counters and charged tuples are
-    identical to serial.  Returns ``(reordered_tuples, dispatch_info)``.
+    identical to serial.  Returns ``(reordered_tuples, {"shards": n})``.
     """
     shards = shard_indices(tuples, ctx.workers, ctx.shard_strategy)
     payloads = [
@@ -202,7 +188,7 @@ def parallel_project(
             tracer.metrics.observe("qe.survivors", total)
     merge_seconds = time.perf_counter() - merge0
     _emit("project", shards, ctx, wall, worker_seconds, merge_seconds)
-    return out, _dispatch_info(ctx, shards)
+    return out, {"shards": len(shards)}
 
 
 def parallel_absorb(
@@ -215,7 +201,7 @@ def parallel_absorb(
     decides one contiguous range; concatenating the surviving indices
     in range order reproduces the serial ``_absorb(distinct, absorbed)``
     result byte-for-byte, skipped pairs included.  Returns
-    ``(kept_tuples, dispatch_info)``.
+    ``(kept_tuples, {"shards": n})``.
     """
     ranges = index_ranges(len(distinct), ctx.workers)
     distinct = list(distinct)
@@ -241,4 +227,4 @@ def parallel_absorb(
         worker_seconds += seconds
     merge_seconds = time.perf_counter() - merge0
     _emit("absorb", ranges, ctx, wall, worker_seconds, merge_seconds)
-    return kept, _dispatch_info(ctx, ranges)
+    return kept, {"shards": len(ranges)}

@@ -142,17 +142,10 @@ DEFAULT_POLICY = ResiliencePolicy()
 
 
 class BatchReport:
-    """Recovery accounting for one shard batch (one ``run_shards``).
-
-    ``worker_cache_hits`` / ``worker_cache_misses`` accumulate the
-    stitched ``kernel.*`` deltas of the batch's *cross-process*
-    shards (zero for thread pools, where the parent's process-wide
-    counters already saw the traffic) — the backend drivers fold them
-    into the cost ledger's per-call cache attribution.
-    """
+    """Recovery accounting for one shard batch (one ``run_shards``)."""
 
     __slots__ = ("retries", "deadline_exceeded", "quarantined", "dropped",
-                 "pool_restarts", "worker_cache_hits", "worker_cache_misses")
+                 "pool_restarts")
 
     def __init__(self) -> None:
         self.retries = 0
@@ -160,8 +153,6 @@ class BatchReport:
         self.quarantined = 0
         self.dropped = 0
         self.pool_restarts = 0
-        self.worker_cache_hits = 0
-        self.worker_cache_misses = 0
 
     def as_dict(self) -> dict:
         return {slot: getattr(self, slot) for slot in self.__slots__}
@@ -270,11 +261,9 @@ def dispatch_shards(
         into the parent tracer under the currently open span."""
         if not isinstance(raw, ShardEnvelope):
             return raw
-        delta = stitch_telemetry(
+        stitch_telemetry(
             tracer, raw.telemetry, shard=i, attempt=attempts[i] + 1,
         )
-        report.worker_cache_hits += delta.get("cache.hits", 0)
-        report.worker_cache_misses += delta.get("cache.misses", 0)
         return raw.result
 
     while pending:
@@ -403,7 +392,7 @@ def dispatch_shards(
                 )
                 if isinstance(raw, ShardEnvelope):
                     # a quarantined re-run is the shard's final attempt;
-                    # same-process, so the kernel delta is empty and the
+                    # same-process, so no kernel counters merge and the
                     # graft carries the quarantined marker
                     stitch_telemetry(
                         tracer, raw.telemetry, shard=i,

@@ -155,11 +155,19 @@ class TestExitUsage:
         pytest.param(["datalog", "DB", "PROGRAM", "--max-tuples", "-1"], id="max-tuples"),
         pytest.param(["explain", "DB", "e(x, y)", "--max-depth", "-1"], id="max-depth"),
         pytest.param(["datalog", "DB", "PROGRAM", "--max-rounds", "-1"], id="max-rounds"),
+        pytest.param(["trace", "analyze", "TRACE", "--max-path", "-1"], id="max-path"),
+        pytest.param(["bench-watch", "--history", "HISTORY", "--window", "0"],
+                     id="window"),
+        pytest.param(["bench-watch", "--history", "HISTORY", "--threshold", "0.5"],
+                     id="threshold"),
     ])
     def test_out_of_range_numeric_flag(self, argv, db_file, program_file, capsys):
         """Rejected when parsed: no ValueError traceback from the pool,
-        and no budget that trips at once."""
-        paths = {"DB": db_file, "PROGRAM": program_file}
+        no budget that trips at once, no truncation count past the
+        path, and no regression verdict from an empty window or from a
+        ratio that flags improvements."""
+        paths = {"DB": db_file, "PROGRAM": program_file,
+                 "TRACE": "trace.json", "HISTORY": "history.jsonl"}
         with pytest.raises(SystemExit) as err:
             main([paths.get(a, a) for a in argv])
         assert err.value.code == EXIT_USAGE

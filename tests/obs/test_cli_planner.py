@@ -88,10 +88,11 @@ class TestOptimizeFlag:
     @pytest.mark.parametrize("argv", [
         ["query", "DB", QUERY, "--optimize", "cost"],
         ["plan", "DB", QUERY, "--parallel"],
-    ], ids=["optimize-cost", "plan-parallel"])
+        ["explain", "DB", "PROG", "--out", "p.json"],
+    ], ids=["optimize-cost", "plan-parallel", "explain-out"])
     def test_deleted_options_are_usage_errors(self, workload, argv, capsys):
-        db, _ = workload
-        argv = [db if arg == "DB" else arg for arg in argv]
+        db, program = workload
+        argv = [{"DB": db, "PROG": program}.get(arg, arg) for arg in argv]
         with pytest.raises(SystemExit) as exit_info:
             _run_cli(argv)
         assert exit_info.value.code == 2
@@ -115,13 +116,14 @@ class TestOptimizeFlag:
             assert not [o for o in options if "cost" in o], command
 
 
-def _ledger_parallel_column(out):
-    """The ``parallel`` column of every row of the printed cost ledger."""
+def _parallel_column(out):
+    """The ``parallel`` column of every row of the printed operator
+    table."""
     lines = out.splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("cost ledger"))
+    start = lines.index("relation algebra")
     column = []
     for line in lines[start + 2:]:
-        if not line.startswith("  ") or line.split()[0] == "memory":
+        if not line.startswith("  "):
             break
         column.append(line.split()[-1])
     return column
@@ -151,7 +153,7 @@ class TestExplainPool:
              "--parallel", "--workers", "2"]
         )
         assert code == 0
-        column = _ledger_parallel_column(out)
+        column = _parallel_column(out)
         assert column
         assert any(cell != "serial" for cell in column)
 
@@ -166,7 +168,7 @@ class TestExplainPool:
         )
         assert code == 0
         assert "planner.plan" in out
-        column = _ledger_parallel_column(out)
+        column = _parallel_column(out)
         assert column
         assert any(cell != "serial" for cell in column)
 
@@ -189,9 +191,9 @@ class TestPlanCommand:
         db, _ = workload
         code, out, _ = _run_cli(["plan", db, QUERY])
         assert code == 0
-        assert "est_rows" in out and "est_cost" in out
+        assert "est_rows" in out
+        assert "est_cost" not in out and "modeled" not in out
         assert "serial" not in out and "parallel" not in out
-        assert "total modeled cost" in out
         # one tree, each row labelled with its node's own text
         labels = [line.split("est_rows")[0].strip()
                   for line in out.splitlines() if "est_rows" in line]
@@ -204,4 +206,4 @@ class TestPlanCommand:
         code, out, _ = _run_cli(["plan", db, program])
         assert code == 0
         assert "-- rule 1:" in out and "-- rule 2:" in out
-        assert out.count("total modeled cost") == 2
+        assert out.count("plan (estimated rows") == 2

@@ -16,7 +16,8 @@ from repro.cli import EXIT_ERROR, EXIT_OK, main
 from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.encoding.standard import encode_database
-from repro.obs import validate_speedscope, validate_trace_diff
+from repro.obs import load_trace, validate_speedscope, validate_trace_diff
+from repro.perf import reset_kernel_cache
 
 TC_PROGRAM = "tc(x, y) :- e(x, y).\ntc(x, z) :- tc(x, y), e(y, z).\n"
 
@@ -179,9 +180,23 @@ class TestMemoryFlag:
         ) == EXIT_OK
         assert "memory attribution" in capsys.readouterr().out
 
-    def test_profile_memory_adds_ledger_columns(self, db_file, capsys):
+
+class TestExplainTrace:
+    def test_explain_trace_carries_the_memo_counters(
+        self, tmp_path, db_file, capsys
+    ):
+        """The trace document of an ``explain`` run records the
+        operation memo's traffic next to the kernel cache's."""
+        program = tmp_path / "tc.dl"
+        program.write_text(TC_PROGRAM, encoding="utf-8")
+        trace = str(tmp_path / "explain.json")
+        reset_kernel_cache()  # a cold memo: the first round misses
         assert main(
-            ["explain", db_file, "exists y (e(x, y))", "--memory"]
+            ["explain", db_file, str(program), "--trace", trace]
         ) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "alloc blocks" in out
+        capsys.readouterr()
+        counters = load_trace(trace)["metrics"]["counters"]
+        # the naive engine re-derives every round, so the memo serves
+        # the renames and projections of earlier rounds
+        assert counters["kernel.memo.hits"] > 0
+        assert counters["kernel.memo.misses"] > 0

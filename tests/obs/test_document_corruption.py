@@ -1,11 +1,11 @@
 """One-field corruptions of the JSON documents the CLI writes.
 
-A real ``repro explain --out`` profile (``repro.profile/1``) and a real
-``repro trace diff -o`` document (``repro.trace-diff/1``) get one field
-replaced, at any depth, by an arbitrary JSON value.  The validator must
-then either raise ``EncodingError`` or accept the document; a
-trace-diff document it accepts must render.  (The ``repro.trace/1``
-loader has the same suite in ``test_trace_validation.py``.)"""
+A real ``repro trace diff -o`` document (``repro.trace-diff/1``) gets
+one field replaced, at any depth, by an arbitrary JSON value.  The
+validator must then either raise ``EncodingError`` or accept the
+document, and a document it accepts must render.  (The
+``repro.trace/1`` loader has the same suite in
+``test_trace_validation.py``.)"""
 
 import contextlib
 import copy
@@ -23,15 +23,15 @@ from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.encoding.standard import encode_database
 from repro.errors import EncodingError
-from repro.obs import render_trace_diff, validate_profile, validate_trace_diff
+from repro.obs import render_trace_diff, validate_trace_diff
 from tests.strategies import json_values
 
 TC_PROGRAM = "tc(x, y) :- edge(x, y).\ntc(x, z) :- tc(x, y), edge(y, z).\n"
 
 
-def _real_documents():
-    """The profile and trace-diff documents of a small TC workload, as
-    the CLI writes them."""
+def _real_document():
+    """The trace-diff document of a small TC workload, as the CLI
+    writes it."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         db = Database({"edge": Relation.from_points(
@@ -40,11 +40,9 @@ def _real_documents():
         (root / "db.cdb").write_text(encode_database(db), encoding="utf-8")
         (root / "tc.dl").write_text(TC_PROGRAM, encoding="utf-8")
         files = {name: str(root / name) for name in (
-            "db.cdb", "tc.dl", "profile.json", "before.json", "after.json",
-            "diff.json",
+            "db.cdb", "tc.dl", "before.json", "after.json", "diff.json",
         )}
         runs = [
-            ["explain", "db.cdb", "tc.dl", "--out", "profile.json"],
             ["datalog", "db.cdb", "tc.dl", "--trace", "before.json"],
             ["datalog", "db.cdb", "tc.dl", "--optimize", "heuristic",
              "--trace", "after.json"],
@@ -53,15 +51,12 @@ def _real_documents():
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in runs:
                 assert main([files.get(arg, arg) for arg in argv]) == 0
-        return tuple(
-            json.loads((root / name).read_text(encoding="utf-8"))
-            for name in ("profile.json", "diff.json")
-        )
+        return json.loads((root / "diff.json").read_text(encoding="utf-8"))
 
 
-#: the two real documents, corrupted field by field below (never
-#: mutated themselves)
-PROFILE, TRACE_DIFF = _real_documents()
+#: the real document, corrupted field by field below (never mutated
+#: itself)
+TRACE_DIFF = _real_document()
 
 
 def _paths(node, prefix=()):
@@ -87,14 +82,11 @@ def _replaced(document, path, value):
     return corrupted
 
 
-PROFILE_PATHS = list(_paths(PROFILE))
 TRACE_DIFF_PATHS = list(_paths(TRACE_DIFF))
 
 
 def test_real_documents_are_valid_and_non_trivial():
-    validate_profile(copy.deepcopy(PROFILE))
     validate_trace_diff(copy.deepcopy(TRACE_DIFF))
-    assert PROFILE["records"] and PROFILE["operators"]
     assert TRACE_DIFF["operators"] and TRACE_DIFF["counters"]
 
 
@@ -105,28 +97,13 @@ def test_malformed_labels_are_encoding_errors(value):
 
 
 @pytest.mark.parametrize(
-    "document, path",
-    [
-        (PROFILE, ("dropped_records",)),
-        (PROFILE, ("operators", 0, "calls")),
-        (TRACE_DIFF, ("total", "before_seconds")),
-        (TRACE_DIFF, ("operators", 0, "delta_self_seconds")),
-    ],
-    ids=["dropped_records", "operator-calls", "total-seconds", "row-seconds"],
+    "path",
+    [("total", "before_seconds"), ("operators", 0, "delta_self_seconds")],
+    ids=["total-seconds", "row-seconds"],
 )
-def test_boolean_numbers_are_encoding_errors(document, path):
-    validate = validate_profile if document is PROFILE else validate_trace_diff
+def test_boolean_numbers_are_encoding_errors(path):
     with pytest.raises(EncodingError):
-        validate(_replaced(document, path, True))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(PROFILE_PATHS), json_values)
-def test_any_profile_field_is_rejected_or_valid(path, value):
-    try:
-        validate_profile(_replaced(PROFILE, path, value))
-    except EncodingError:
-        pass
+        validate_trace_diff(_replaced(TRACE_DIFF, path, True))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,5 @@
 """Per-span memory attribution: backends, nesting, and the plumbing
-from ``--memory`` through the tracer, the cost ledger, and the worker
-pool.
+from ``--memory`` through the tracer and the worker pool.
 
 The byte-identical-results contract (E21's gate rides on it) is pinned
 here at unit scale: evaluating with a memory profiler armed changes
@@ -13,16 +12,12 @@ import pytest
 
 from repro.core.relation import Relation
 from repro.obs import (
-    CostLedger,
     MemoryProfiler,
     Tracer,
     memory_summary,
-    render_cost_ledger,
     trace_document,
-    validate_profile,
     validate_trace,
 )
-from repro.obs.ledger import profile_document
 from repro.obs.memory import BACKENDS, DEFAULT_BACKEND
 from repro.parallel import ExecutionContext
 from repro.parallel.context import MEMORY_BACKENDS
@@ -143,72 +138,6 @@ class TestTracerIntegration:
             with tracer.span("query"):
                 pass
         assert "mem_alloc_blocks" not in tracer.spans[0].attrs
-
-
-class TestLedgerMemoryFields:
-    def test_operator_preambles_record_memory(self):
-        tracer = Tracer()
-        tracer.memory = MemoryProfiler("rss")
-        with tracer:
-            with tracer.span("query"):
-                _rel().join(_rel().rename({"x": "y", "y": "z"}))
-        records = [r for r in tracer.ledger.records if r.op == "join"]
-        assert records
-        assert all(r.alloc_blocks >= 0 and r.peak_bytes >= 0 for r in records)
-
-    @staticmethod
-    def _tracer_with(ledger):
-        tracer = Tracer()
-        tracer.ledger = ledger
-        return tracer
-
-    def test_profile_document_round_trips_memory_fields(self):
-        ledger = CostLedger()
-        ledger.add("join", in_tuples=4, out_tuples=2, est_out=4,
-                   alloc_blocks=10, alloc_bytes=2048, peak_bytes=4096)
-        document = validate_profile(profile_document(self._tracer_with(ledger)))
-        record = document["records"][0]
-        assert record["alloc_blocks"] == 10
-        assert record["alloc_bytes"] == 2048
-        assert record["peak_bytes"] == 4096
-
-    def test_zero_memory_fields_stay_off_the_wire(self):
-        ledger = CostLedger()
-        ledger.add("join", in_tuples=4, out_tuples=2, est_out=4)
-        record = profile_document(self._tracer_with(ledger))["records"][0]
-        assert "alloc_blocks" not in record
-        assert "peak_bytes" not in record
-
-    def test_negative_memory_field_rejected(self):
-        ledger = CostLedger()
-        ledger.add("join", in_tuples=4, out_tuples=2, est_out=4)
-        document = profile_document(self._tracer_with(ledger))
-        document["records"][0]["peak_bytes"] = -1
-        from repro.errors import EncodingError
-
-        with pytest.raises(EncodingError):
-            validate_profile(document)
-
-    def test_render_shows_memory_table_when_recorded(self):
-        ledger = CostLedger()
-        ledger.add("join", in_tuples=4, out_tuples=2, est_out=4,
-                   alloc_blocks=10, peak_bytes=4096)
-        text = render_cost_ledger(ledger)
-        assert "memory" in text
-        assert "4096" in text
-
-    def test_render_warns_on_dropped_records(self):
-        ledger = CostLedger(max_records=1)
-        ledger.add("join", in_tuples=1, out_tuples=1, est_out=1)
-        ledger.add("join", in_tuples=1, out_tuples=1, est_out=1)
-        text = render_cost_ledger(ledger)
-        assert "warning" in text
-        assert "truncated" in text
-
-    def test_no_warning_under_the_cap(self):
-        ledger = CostLedger()
-        ledger.add("join", in_tuples=1, out_tuples=1, est_out=1)
-        assert "warning" not in render_cost_ledger(ledger)
 
 
 class TestWorkerCapture:

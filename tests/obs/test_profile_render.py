@@ -1,6 +1,7 @@
 """``render_profile`` edge cases: empty tracers, metrics-only runs,
-folded sibling spans, and budget-aborted runs with partial guard
-counters.  ``tests/obs/test_export.py`` covers the happy path."""
+the per-operator table, folded sibling spans, and budget-aborted runs
+with partial guard counters.  ``tests/obs/test_export.py`` covers the
+happy path."""
 
 from __future__ import annotations
 
@@ -38,9 +39,8 @@ class TestEmptyTracer:
             pass
         text = render_profile(tracer)
         assert "evaluation profile" in text
-        # no operators ran: no algebra table, no ledger table
+        # no operators ran: no operator table
         assert "relation algebra" not in text
-        assert "cost ledger" not in text
 
 
 class TestMetricsOnly:
@@ -77,12 +77,53 @@ class TestMetricsOnly:
         assert f"memo {len(relation)} hit(s) / 0 miss(es)" in text
 
     def test_ledger_without_spans_renders(self):
+        # an algebra call outside any span still gets its operator row
         tracer = Tracer()
         with tracer:
-            tracer.ledger.add("join", in_tuples=6, out_tuples=2, est_out=9)
-        text = render_profile(tracer)
-        assert "cost ledger" in text
-        assert "est/act" in text
+            _db()["edge"].simplify()
+        assert not tracer.spans
+        rows = _operator_rows(render_profile(tracer))
+        assert rows["absorb"][:3] == ["1", "8", "8"]
+
+
+def _operator_rows(text):
+    """The printed operator table as ``{operator: [cells after it]}``."""
+    lines = text.splitlines()
+    start = lines.index("relation algebra")
+    assert lines[start + 1].split() == [
+        "operator", "calls", "tuples", "in", "tuples", "out", "max", "out",
+        "seconds", "parallel",
+    ]
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("  "):
+            break
+        operator, *cells = line.split()
+        rows[operator] = cells
+    return rows
+
+
+class TestOperatorTable:
+    def test_naive_tc_has_an_absorb_row_and_runs_serially(self):
+        tracer = Tracer()
+        with tracer:
+            evaluate_program(_tc(), _db())
+        rows = _operator_rows(render_profile(tracer))
+        assert list(rows) == ["join", "project", "absorb"]
+        calls = tracer.metrics.counter("relation.absorb.calls")
+        assert calls and rows["absorb"][0] == str(calls)
+        # no pool was active: every operator ran serially
+        assert [cells[-1] for cells in rows.values()] == ["serial"] * 3
+
+    def test_parallel_column_reads_the_dispatch_counters(self):
+        tracer = Tracer()
+        with tracer:
+            tracer.metrics.count("relation.join.calls", 4)
+            tracer.metrics.count("parallel.join.calls", 3)
+            tracer.metrics.count("relation.project.calls", 2)
+        rows = _operator_rows(render_profile(tracer))
+        assert rows["join"][-1] == "3/4"
+        assert rows["project"][-1] == "serial"
 
 
 class TestFoldedSiblings:
@@ -140,13 +181,13 @@ class TestBudgetAborted:
 
     def test_aborted_run_keeps_partial_ledger(self):
         # the guard trips at the charge *inside* an operator — before
-        # that operator's ledger postamble — so the budget must be wide
-        # enough to let at least one operator complete first
+        # that operator records its output — so the budget must be
+        # wide enough to let at least one operator complete first
         tracer = Tracer()
         guard = EvaluationGuard(Budget(max_tuples=20))
         with tracer:
             with pytest.raises(BudgetExceeded):
                 evaluate_program(_tc(), _db(), guard=guard)
-        assert not tracer.ledger.is_empty()
-        text = render_profile(tracer, guard)
-        assert "cost ledger" in text
+        rows = _operator_rows(render_profile(tracer, guard))
+        assert "join" in rows and "absorb" in rows
+        assert tracer.metrics.histogram("relation.join.out_tuples").count

@@ -167,7 +167,6 @@ class TestRetry:
         assert report.as_dict() == {
             "retries": 0, "deadline_exceeded": 0, "quarantined": 0,
             "dropped": 0, "pool_restarts": 0,
-            "worker_cache_hits": 0, "worker_cache_misses": 0,
         }
 
 

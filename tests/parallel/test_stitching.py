@@ -100,11 +100,9 @@ class TestCapturedDispatch:
         pids = {s.attrs["pid"] for s in workers}
         assert os.getpid() not in pids
         validate_trace(trace_document(tracer))
-        # cross-process kernel deltas were attributed to the ledger
-        assert any(
-            r.parallel and (r.cache_hits or r.cache_misses)
-            for r in tracer.ledger
-        )
+        # the kernels sharded on the process pool
+        assert tracer.metrics.counter("parallel.join.calls") > 0
+        assert tracer.metrics.counter("parallel.project.calls") > 0
 
     def test_capture_off_switch_suppresses_worker_telemetry(self):
         tracer = Tracer()
@@ -117,8 +115,8 @@ class TestCapturedDispatch:
             ctx.close()
         assert not _worker_spans(tracer)
         assert tracer.metrics.counter("parallel.stitched_shards") == 0
-        # the ledger still records the dispatch shape, just no worker view
-        assert any(r.parallel for r in tracer.ledger)
+        # the dispatches are still counted, just with no worker view
+        assert tracer.metrics.counter("parallel.join.calls") > 0
 
     def test_untraced_run_never_captures(self):
         ctx = ExecutionContext(workers=2, pool="thread")
@@ -129,7 +127,6 @@ class TestCapturedDispatch:
             ctx.close()
         assert len(out.tuples) == 40
         assert ctx.last_report is not None
-        assert ctx.last_report.worker_cache_hits == 0
 
 
 # ------------------------------------------------ kernel-counter parity (bug)
@@ -269,16 +266,13 @@ class TestStitchMechanics:
         return snapshot
 
     def test_none_tracer_is_a_noop(self):
-        assert stitch_telemetry(None, self._snapshot(), shard=0, attempt=1) == {}
+        assert stitch_telemetry(None, self._snapshot(), shard=0, attempt=1) is None
 
     def test_malformed_snapshot_counts_error_never_raises(self):
         tracer = Tracer()
         with tracer:
             with tracer.span("query"):
-                delta = stitch_telemetry(
-                    tracer, {"spans": 13}, shard=0, attempt=1
-                )
-        assert delta == {}
+                stitch_telemetry(tracer, {"spans": 13}, shard=0, attempt=1)
         assert tracer.metrics.counter("parallel.stitch_errors") == 1
 
     def test_same_process_kernel_counters_not_double_counted(self):
@@ -288,8 +282,7 @@ class TestStitchMechanics:
         tracer = Tracer()
         with tracer:
             with tracer.span("query"):
-                delta = stitch_telemetry(tracer, snapshot, shard=0, attempt=1)
-        assert delta == {}  # same pid: already in the parent's baseline
+                stitch_telemetry(tracer, snapshot, shard=0, attempt=1)
         assert tracer.metrics.counter("custom.work") == 2
         # the parent's own window saw no entailment work, so if the 9
         # had been merged (double-counted) it would show up here
@@ -303,9 +296,10 @@ class TestStitchMechanics:
         tracer = Tracer()
         with tracer:
             with tracer.span("query"):
-                delta = stitch_telemetry(tracer, snapshot, shard=2, attempt=1)
-        assert delta == {"cache.hits": 9, "cache.misses": 4}
+                stitch_telemetry(tracer, snapshot, shard=2, attempt=1)
+        # another process's counters are its own traffic: both merge
         assert tracer.metrics.counter("kernel.cache.hits") >= 9
+        assert tracer.metrics.counter("kernel.cache.misses") >= 4
 
     def test_log_records_replay_through_parent_sinks(self):
         snapshot = self._snapshot(pid=os.getpid() + 1)

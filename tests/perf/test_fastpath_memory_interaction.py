@@ -4,18 +4,19 @@
 against the verbatim seed algorithms, but always ran them *untraced* —
 nothing ever exercised the fast paths while the tracer carried a
 :class:`~repro.obs.memory.MemoryProfiler`, the configuration where the
-operator preambles open memory frames (``_mem_mark``) around the very
-loops the fast paths replace.  This suite closes that gap across the
-interaction matrix: memory attribution × kernel cache on/off.
+enclosing span holds an open memory frame around the very loops the
+fast paths replace.  This suite closes that gap across the interaction
+matrix: memory attribution × kernel cache on/off.
 
 The contracts:
 
 * the fast paths still produce byte-identical output to the reference
   algorithms while a memory frame is open;
-* the join/absorb ledger records carry populated memory fields with
-  the cache on or off (and zeros without ``--memory``);
+* the join/absorb operators keep recording their per-operator metrics
+  (calls and output sizes) with the cache on or off, and the enclosing
+  span closes with memory attrs (none without ``--memory``);
 * turning both features on at once (cache + memory attribution)
-  changes no result and loses no ledger column.
+  changes no result and loses no metric.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ def _run_traced(work, *, memory=True):
     return result, tracer
 
 
+def _query_attrs(tracer) -> dict:
+    (query,) = [s for s in tracer.spans if s.name == "query"]
+    return query.attrs
+
+
+def _out_tuples(tracer, op: str) -> int:
+    return int(tracer.metrics.histogram(f"relation.{op}.out_tuples").total)
+
+
 class TestFastPathsUnderMemoryProfiler:
     @settings(max_examples=25, deadline=None)
     @given(tuples=st.lists(gtuples(), max_size=6))
@@ -58,9 +68,10 @@ class TestFastPathsUnderMemoryProfiler:
         reset_kernel_cache()
         got, tracer = _run_traced(lambda: _absorb(list(tuples)))
         assert got == expected
-        records = [r for r in tracer.ledger.records if r.op == "absorb"]
-        assert records, "absorb never reached the ledger"
-        assert all(r.alloc_blocks >= 0 and r.peak_bytes >= 0 for r in records)
+        assert tracer.metrics.counter("relation.absorb.calls") == 1
+        assert _out_tuples(tracer, "absorb") == len(got)
+        attrs = _query_attrs(tracer)
+        assert attrs["mem_alloc_blocks"] >= 0 and attrs["mem_peak_bytes"] >= 0
 
     @settings(max_examples=20, deadline=None)
     @given(left=point_relations(("x", "y")), right=point_relations(("y", "z")))
@@ -69,9 +80,10 @@ class TestFastPathsUnderMemoryProfiler:
         reset_kernel_cache()
         got, tracer = _run_traced(lambda: left.join(right))
         assert got.tuples == expected
-        records = [r for r in tracer.ledger.records if r.op == "join"]
-        assert records, "join never reached the ledger"
-        assert all(r.alloc_blocks >= 0 and r.peak_bytes >= 0 for r in records)
+        assert tracer.metrics.counter("relation.join.calls") == 1
+        assert _out_tuples(tracer, "join") == len(got.tuples)
+        attrs = _query_attrs(tracer)
+        assert attrs["mem_alloc_blocks"] >= 0 and attrs["mem_peak_bytes"] >= 0
 
     @settings(max_examples=15, deadline=None)
     @given(tuples=st.lists(gtuples(), max_size=5))
@@ -80,10 +92,10 @@ class TestFastPathsUnderMemoryProfiler:
         with kernel_cache_disabled():
             got, tracer = _run_traced(lambda: _absorb(list(tuples)))
         assert got == expected
-        records = [r for r in tracer.ledger.records if r.op == "absorb"]
-        assert records
-        # with the cache off the operator must charge zero cache traffic
-        assert all(r.cache_hits == 0 and r.cache_misses == 0 for r in records)
+        assert tracer.metrics.counter("relation.absorb.calls") == 1
+        # with the cache off the run must charge zero cache traffic
+        assert tracer.metrics.counter("kernel.cache.hits") == 0
+        assert tracer.metrics.counter("kernel.cache.misses") == 0
 
     @settings(max_examples=15, deadline=None)
     @given(left=point_relations(("x", "y")), right=point_relations(("y", "z")))
@@ -99,25 +111,26 @@ class TestLedgerMemoryColumns:
         left = Relation.from_points(("x", "y"), [(i, i + 1) for i in range(6)])
         right = Relation.from_points(("y", "z"), [(i, i + 2) for i in range(6)])
         reset_kernel_cache()
-        _, tracer = _run_traced(lambda: left.join(right), memory=False)
-        records = [r for r in tracer.ledger.records if r.op == "join"]
-        assert records
-        assert all(
-            r.alloc_blocks == 0 and r.alloc_bytes == 0 and r.peak_bytes == 0
-            for r in records
+        result, tracer = _run_traced(lambda: left.join(right), memory=False)
+        assert tracer.metrics.counter("relation.join.calls") == 1
+        assert _out_tuples(tracer, "join") == len(result.tuples)
+        assert not any(
+            name.startswith("mem_") for s in tracer.spans for name in s.attrs
         )
 
     def test_columnar_join_records_cache_and_memory_together(self):
         # both features at once: memo cache + memory attribution.  The
         # join's merges must keep paying their cache traffic into the
-        # ledger while the memory frame is open.
+        # run's kernel counters while the memory frame is open.
         left = Relation.from_points(("x", "y"), [(i, i + 1) for i in range(8)])
         right = Relation.from_points(("y", "z"), [(i, i + 2) for i in range(8)])
         reset_kernel_cache()
         result, tracer = _run_traced(lambda: left.join(right))
-        records = [r for r in tracer.ledger.records if r.op == "join"]
-        assert records
-        record = records[0]
-        assert record.cache_hits + record.cache_misses > 0
-        assert record.alloc_blocks >= 0 and record.peak_bytes >= 0
-        assert record.out_tuples == len(result.tuples)
+        metrics = tracer.metrics
+        assert (
+            metrics.counter("kernel.cache.hits")
+            + metrics.counter("kernel.cache.misses")
+        ) > 0
+        attrs = _query_attrs(tracer)
+        assert attrs["mem_alloc_blocks"] >= 0 and attrs["mem_peak_bytes"] >= 0
+        assert _out_tuples(tracer, "join") == len(result.tuples)
