@@ -1,18 +1,22 @@
 # Convenience targets (mirror the commands in README / CONTRIBUTING)
 
+# bash, so that `set -o pipefail` makes a failing pytest fail the
+# targets that pipe it through tee
+SHELL := /bin/bash
+
 .PHONY: install test test-quick bench bench-watch results examples explain-demo ci chaos perfbench-check clean
 
 install:
 	python setup.py develop
 
 test:
-	pytest tests/ 2>&1 | tee test_output.txt
+	set -o pipefail; pytest tests/ 2>&1 | tee test_output.txt
 
 test-quick:
 	HYPOTHESIS_PROFILE=quick pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	set -o pipefail; pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 # append one timing record to benchmarks/BENCH_HISTORY.jsonl and fail
 # (exit 4) when the latest run regressed against the trailing median
@@ -23,10 +27,13 @@ bench-watch:
 results:
 	python benchmarks/collect_results.py
 
-# what .github/workflows/ci.yml runs; tier-1 runs in dev mode (-X dev)
-# with unclosed files and exceptions in __del__ as errors; the per-test
-# timeout needs the pytest-timeout plugin, which local environments may
-# not have
+# most of what .github/workflows/ci.yml runs; tier-1 runs in dev mode
+# (-X dev) with unclosed files and exceptions in __del__ as errors; the
+# per-test timeout needs the pytest-timeout plugin, which local
+# environments may not have.  Left out: the E17 (parallel speedup) and
+# E19 (stitching) gates, `make examples`, the trace and telemetry
+# export steps, and the parallel-differential and chaos jobs (`make
+# chaos` runs the latter)
 DEV_PYTEST = python -X dev -m pytest tests/ \
 	-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 

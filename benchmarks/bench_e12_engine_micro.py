@@ -6,8 +6,10 @@ series E2-E10 can be interpreted:
 
 * quantifier elimination per variable (bound-pair composition);
 * natural join fan-out (tuples x tuples satisfiability checks);
-* complement blowup in the number of representation tuples -- the one
-  genuinely exponential primitive (and why `difference` prunes early);
+* complement cost in the number of representation tuples -- polynomial
+  for a fixed arity and exponential only in the arity: one complement
+  of n disjoint intervals makes about n^2 entailment checks (2,980 at
+  n = 30, 51,612 at n = 120), and `difference` still prunes early;
 * canonicalization (bounds-matrix closure) per conjunction size.
 """
 

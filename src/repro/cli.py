@@ -142,6 +142,7 @@ from repro.obs import (
     write_prometheus,
     write_trace,
 )
+from repro.obs.profile import render_latency_quantiles
 from repro.perf import kernel_cache_disabled, kernel_stats
 from repro.runtime.budget import Budget, BudgetExceeded
 from repro.runtime.guard import EvaluationGuard
@@ -473,22 +474,11 @@ def _report_observation(args: argparse.Namespace,
             if run_counters:
                 merged = run_counters
         print(kernel_stats_table(stats, merged), file=sys.stderr)
-    if args.stats and tracer is not None:
-        quantile_rows = [
-            (name, tracer.metrics.histograms[name])
-            for name in sorted(tracer.metrics.histograms)
-            if name.endswith(".seconds") and tracer.metrics.histograms[name].count
-        ]
-        if quantile_rows:
-            print("latency quantiles:", file=sys.stderr)
-            width = max(len(name) for name, _ in quantile_rows)
-            for name, h in quantile_rows:
-                print(
-                    f"  {name.ljust(width)}  p50={h.quantile(0.5):.6f} "
-                    f"p95={h.quantile(0.95):.6f} p99={h.quantile(0.99):.6f} "
-                    f"(n={h.count})",
-                    file=sys.stderr,
-                )
+    if args.stats and tracer is not None and not args.profile:
+        # under --profile the quantiles are part of the profile
+        quantiles = render_latency_quantiles(tracer.metrics)
+        if quantiles:
+            print(quantiles, file=sys.stderr)
     if tracer is None:
         return
     if args.verbose:
@@ -501,7 +491,8 @@ def _report_observation(args: argparse.Namespace,
                 file=sys.stderr,
             )
     if args.profile:
-        print(render_profile(tracer, guard if args.stats else None))
+        # the guard table went to stderr above under --stats
+        print(render_profile(tracer))
     _export_observation(args, tracer, guard)
 
 

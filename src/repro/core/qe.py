@@ -48,7 +48,6 @@ def formula_to_relation(
         return evaluate(formula, Database(theory=theory), theory)
     free = len(formula.free_variables())
     with tracer.span("qe.eliminate", free_vars=free):
-        tracer.metrics.count("qe.calls")
         return evaluate(formula, Database(theory=theory), theory)
 
 

@@ -180,8 +180,11 @@ class Relation:
         """The complement ``Q^k minus R`` in closed form.
 
         Negation of a DNF: conjunction over tuples of the disjunction of
-        the negated atoms.  Worst case exponential in ``len(self)``;
-        unsatisfiable branches are pruned as they are built.  An active
+        the negated atoms, built one stage per tuple.  Worst case
+        exponential in ``len(self)`` (through the arity: for a fixed
+        arity it is polynomial); unsatisfiable branches are pruned as
+        they are built, and parts already disjoint from a tuple skip its
+        stage's split (:meth:`_complement`).  An active
         :class:`~repro.runtime.guard.EvaluationGuard` is consulted per
         distribution stage, so blowups trip the deadline or tuple
         budget mid-operation instead of after it; an active
@@ -201,11 +204,33 @@ class Relation:
         return result
 
     def _complement(self) -> "Relation":
+        """The DNF product, one stage ``partial and not t`` per tuple ``t``.
+
+        The full product splits every parent ``p`` of ``partial`` on
+        every negated atom ``b`` of ``t`` into ``p and b`` and absorbs
+        the stage.  A dense-order parent that entails some ``b`` is
+        disjoint from ``t``, so it is *settled*: it enters the stage
+        whole and its pieces are never built.  That is exact.  For an
+        entailed ``b``, ``p and b`` is ``p`` itself, because dense-order
+        tuples are canonical, and every other piece lies inside ``p``,
+        so absorption drops it.  Settled parents are the previous
+        stage's absorbed output, so they lead the stage as an absorbed
+        prefix and only pairs involving a split piece are tested; the
+        kept tuples are then sorted back into the full product's order.
+        Each stage thus holds the full product's tuples in its order.
+        Other theories split every parent: a linear ``p and b`` can drop
+        an atom of ``p`` that ``b`` makes redundant, so the piece the
+        full product keeps is not ``p``, and finding it costs more than
+        the split.  The guard is charged for the tuples that enter a
+        stage's absorption: one per settled parent, one per satisfiable
+        piece.
+        """
         fault_point("relation.complement")
         guard = active_guard()
         if guard is not None:
             guard.note("relation.complement")
-        partial: List[Optional[GTuple]] = [GTuple.universe(self.theory, self.schema)]
+        dense = isinstance(self.theory, DenseOrderTheory)
+        partial: List[GTuple] = [GTuple.universe(self.theory, self.schema)]
         # canonical iteration order: the conjunction-of-negations product
         # below charges the guard once per input tuple and early-exits
         # when the partial product empties, so its *accounting* (not
@@ -225,21 +250,29 @@ class Relation:
             # and shard merges
             for a in sorted(t.atoms, key=str):
                 negated.extend(self.theory.negate_atom(a))
-            grown: List[GTuple] = []
+            settled: List[GTuple] = []
+            pieces: List[GTuple] = []
+            first: Dict[GTuple, int] = {}  # position in the full product
             for p in partial:
                 if guard is not None:
                     guard.tick("relation.complement")
+                if dense and any(p.entails(neg) for neg in negated):
+                    settled.append(p)
+                    first.setdefault(p, len(first))
+                    continue
                 for neg in negated:
                     ext = p.conjoin([neg])
                     if ext is not None:
-                        grown.append(ext)
+                        pieces.append(ext)
+                        first.setdefault(ext, len(first))
             if guard is not None:
                 # charge before absorption: the quadratic subsumption
                 # pass is itself expensive on a blown-up stage
-                guard.on_tuples(len(grown), "relation.complement")
-            partial = _absorb(grown)
+                guard.on_tuples(len(settled) + len(pieces), "relation.complement")
+            partial = _absorb(settled + pieces, len(settled))
             if not partial:
                 return Relation._trusted(self.theory, self.schema, ())
+            partial.sort(key=first.__getitem__)
         result = Relation._trusted(self.theory, self.schema, partial)
         if guard is not None:
             guard.check_atoms(result, "relation.complement")
@@ -282,6 +315,8 @@ class Relation:
             t0 = tracer.clock()
             metrics = tracer.metrics
             metrics.count("relation.project.calls")
+            # one quantifier elimination per projection, serial or sharded
+            metrics.count("qe.calls")
             metrics.observe("relation.project.in_tuples", len(current))
         ctx = active_execution_context() if victims else None
         if ctx is not None and ctx.eligible(len(current)):

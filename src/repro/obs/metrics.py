@@ -21,7 +21,7 @@ Two instrument kinds:
 Metric-name conventions (all emitted by the instrumented hot paths):
 
 ======================================  =====================================
-``qe.calls``                            quantifier-elimination entry points
+``qe.calls``                            projections that eliminate a column
 ``qe.eliminated_vars``                  variables existentially eliminated
 ``qe.survivors``                        tuples surviving one elimination pass
 ``relation.<op>.calls``                 operator invocations, for <op> in

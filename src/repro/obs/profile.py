@@ -28,7 +28,12 @@ from typing import Dict, List, Optional
 from repro.obs.metrics import Metrics
 from repro.obs.trace import SpanRecord, Tracer
 
-__all__ = ["phase_breakdown", "render_profile", "render_metrics_summary"]
+__all__ = [
+    "phase_breakdown",
+    "render_latency_quantiles",
+    "render_profile",
+    "render_metrics_summary",
+]
 
 #: the relation-algebra operators whose in/out sizes the algebra records
 OPERATORS = ("join", "project", "complement", "absorb")
@@ -230,21 +235,10 @@ def render_profile(tracer: Tracer, guard=None) -> str:
             sizes = deltas.get(engine)
             suffix = f", delta sizes {sizes}" if sizes else ""
             lines.append(f"  {engine}: {round_counters[engine]} round(s){suffix}")
-    quantile_rows = [
-        (name, metrics.histograms[name])
-        for name in sorted(metrics.histograms)
-        if name.endswith(".seconds") and metrics.histograms[name].count
-    ]
-    if quantile_rows:
+    quantiles = render_latency_quantiles(metrics)
+    if quantiles:
         lines.append("")
-        lines.append("latency quantiles")
-        width = max(len(name) for name, _ in quantile_rows)
-        for name, h in quantile_rows:
-            lines.append(
-                f"  {name.ljust(width)}  p50={h.quantile(0.5):.6f} "
-                f"p95={h.quantile(0.95):.6f} p99={h.quantile(0.99):.6f} "
-                f"(n={h.count})"
-            )
+        lines.append(quantiles)
     memory_rows = _memory_rows(tracer)
     if memory_rows:
         lines.append("")
@@ -285,6 +279,27 @@ def render_profile(tracer: Tracer, guard=None) -> str:
 
         lines.append("")
         lines.append(guard_stats_table(guard.stats()))
+    return "\n".join(lines)
+
+
+def render_latency_quantiles(metrics: Metrics) -> str:
+    """The ``latency quantiles`` block: p50/p95/p99 of every recorded
+    ``*.seconds`` histogram, or "" when none has a sample."""
+    rows = [
+        (name, metrics.histograms[name])
+        for name in sorted(metrics.histograms)
+        if name.endswith(".seconds") and metrics.histograms[name].count
+    ]
+    if not rows:
+        return ""
+    width = max(len(name) for name, _ in rows)
+    lines = ["latency quantiles"]
+    for name, h in rows:
+        lines.append(
+            f"  {name.ljust(width)}  p50={h.quantile(0.5):.6f} "
+            f"p95={h.quantile(0.95):.6f} p99={h.quantile(0.99):.6f} "
+            f"(n={h.count})"
+        )
     return "\n".join(lines)
 
 

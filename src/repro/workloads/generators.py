@@ -253,20 +253,25 @@ def staircase_region(steps: int, gap: bool = False, name: str = "R") -> Database
 # -------------------------------------------------- adversarial workloads
 #
 # Inputs built to exhaust resources rather than to model anything: the
-# dense-order complement distributes negation over a DNF (worst-case
-# exponential, Section 3), and naive fixpoints take as many rounds as
-# the data is deep.  These are the test loads for the budget runtime
-# (experiment E13): small enough to start, hopeless enough to trip any
-# finite budget when scaled up.
+# dense-order complement distributes negation over a DNF (Section 3;
+# exponential in the arity in the worst case), and naive fixpoints take
+# as many rounds as the data is deep.  These are the test loads for the
+# budget runtime (experiment E13): small enough to start, hopeless
+# enough to trip any finite budget when scaled up.
 
 
 def fragmented_interval_database(count: int, name: str = "S") -> Database:
     """``count`` pairwise-disjoint open unit intervals ``(3i, 3i + 1)``.
 
-    The complement-blowup adversary: negating the union distributes
-    over ``count`` disjuncts before absorption prunes the cross
-    products, so each :class:`~repro.core.formula.Not` over this
-    relation does work exponential in ``count`` before simplification.
+    The complement adversary: negating the union takes one DNF stage
+    per interval.  After ``k`` stages the product holds the ``k + 1``
+    rays and gaps around the first ``k`` intervals; the next stage
+    splits the gap that holds the next interval and tests the new
+    pieces for subsumption against the rest.  The work is polynomial in
+    ``count``, not exponential (the relation is unary): one complement
+    makes 2,980 entailment checks at 30 intervals and 51,612 at 120,
+    against 13,944 and 876,671 when every parent was split on every
+    negated atom.
     """
     intervals = [Interval.open(3 * i, 3 * i + 1) for i in range(count)]
     db = Database()

@@ -104,6 +104,29 @@ class TestDatalogObservation:
         assert "evaluation profile" in captured.out
         assert "guard stats" in captured.err
 
+    def test_stats_and_profile_print_each_block_once(
+        self, db_file, program_file, capsys
+    ):
+        """The guard table goes to stderr, the quantiles with the
+        profile to stdout, and neither is repeated on the other stream."""
+        assert main(
+            ["datalog", db_file, program_file, "--profile", "--stats"]
+        ) == 0
+        captured = capsys.readouterr()
+        both = captured.out + captured.err
+        assert both.count("guard stats") == 1
+        assert both.count("latency quantiles") == 1
+        assert "guard stats" in captured.err
+        assert "latency quantiles" in captured.out
+
+    def test_stats_alone_prints_the_quantiles_on_stderr(
+        self, db_file, program_file, capsys
+    ):
+        assert main(["datalog", db_file, program_file, "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("latency quantiles") == 1
+        assert "latency quantiles" not in captured.out
+
     def test_trace_written_even_on_budget_trip(
         self, db_file, program_file, tmp_path, capsys
     ):

@@ -5,15 +5,20 @@ happy path."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.database import Database
+from repro.core.evaluator import evaluate
 from repro.core.relation import Relation
 from repro.datalog.engine import evaluate_program
-from repro.lang import parse_program
-from repro.obs import Tracer, render_profile
+from repro.datalog.seminaive import evaluate_seminaive
+from repro.lang import parse_formula, parse_program
+from repro.obs import Tracer, phase_breakdown, render_profile
 from repro.runtime.budget import Budget, BudgetExceeded
 from repro.runtime.guard import EvaluationGuard
+from repro.workloads.generators import path_graph
 
 
 def _db(n=8):
@@ -124,6 +129,36 @@ class TestOperatorTable:
         rows = _operator_rows(render_profile(tracer))
         assert rows["join"][-1] == "3/4"
         assert rows["project"][-1] == "serial"
+
+
+class TestQuantifierEliminationLine:
+    """Every projection that eliminates a column counts one call, so
+    the line never reads 0 calls next to eliminated variables."""
+
+    @staticmethod
+    def _qe_line(text):
+        [line] = [l for l in text.splitlines() if l.startswith("quantifier elimination:")]
+        calls, eliminated = (int(s) for s in re.findall(r"(\d+) (?:call|variable)", line))
+        return calls, eliminated
+
+    @pytest.mark.parametrize("engine", ["naive", "seminaive"])
+    def test_tc_counts_its_projections(self, engine):
+        run = evaluate_program if engine == "naive" else evaluate_seminaive
+        tracer = Tracer()
+        with tracer:
+            run(_tc(), Database({"edge": path_graph(6)["E"]}))
+        calls, eliminated = self._qe_line(render_profile(tracer))
+        assert calls == tracer.metrics.counter("relation.project.calls") > 0
+        assert eliminated >= calls
+        assert phase_breakdown(tracer)["qe"] == {
+            "calls": calls, "eliminated_vars": eliminated,
+        }
+
+    def test_fo_query_counts_its_projection(self):
+        tracer = Tracer()
+        with tracer:
+            evaluate(parse_formula("exists y (edge(x, y) and edge(y, z))"), _db())
+        assert self._qe_line(render_profile(tracer))[0] > 0
 
 
 class TestFoldedSiblings:

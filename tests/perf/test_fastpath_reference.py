@@ -10,7 +10,10 @@ syntactic fixpoint tests see no difference.
 return the very tuple ``GTuple.make`` builds from the renamed atoms,
 and keep the pointset.  ``Relation.rename`` and ``Relation.project``
 served from the operation memo must return the seed path's tuples in
-the seed path's order, cold and warm.
+the seed path's order, cold and warm.  ``Relation.complement``, which
+passes settled parents through a stage unsplit, must return the full
+DNF product's tuples in its order, charge the guard no more than it,
+denote the pointwise complement, and do a fraction of its work.
 """
 
 import itertools
@@ -19,12 +22,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.atoms import eq, lt
+from repro.core.atoms import eq, le, lt
+from repro.core.database import Database
+from repro.core.formula import rel
 from repro.core.gtuple import GTuple, rename_substitution
 from repro.core.relation import Relation, _absorb, _join_partition
-from repro.core.sampling import sample_points
+from repro.core.sampling import eval_at, sample_points
 from repro.core.terms import Var
-from repro.core.theory import DENSE_ORDER
+from repro.core.theory import DENSE_ORDER, DenseOrderTheory
+from repro.linear.latoms import lin_le, lin_lt
 from repro.linear.theory import LINEAR
 from repro.perf import (
     configure_kernel_cache,
@@ -34,6 +40,8 @@ from repro.perf import (
     reset_kernel_cache,
 )
 from repro.perf.cache import DEFAULT_CAPACITY
+from repro.runtime.guard import EvaluationGuard, active_guard
+from repro.workloads.generators import fragmented_interval_database
 from tests.linear.test_theory import linear_conjunctions
 from tests.strategies import conjunctions
 
@@ -91,6 +99,40 @@ def reference_join(left, right):
             if merged is not None:
                 out.append(merged)
     return Relation(left.theory, combined, out)
+
+
+def reference_complement(relation):
+    """The complement before settled parents, verbatim (fault point
+    aside): every parent is split on every negated atom, and each stage
+    is absorbed in full."""
+    theory, schema = relation.theory, relation.schema
+    guard = active_guard()
+    if guard is not None:
+        guard.note("relation.complement")
+    partial = [GTuple.universe(theory, schema)]
+    for t in sorted(relation.tuples, key=lambda t: sorted(str(a) for a in t.atoms)):
+        if not t.atoms:
+            return Relation._trusted(theory, schema, ())
+        negated = []
+        for a in sorted(t.atoms, key=str):
+            negated.extend(theory.negate_atom(a))
+        grown = []
+        for p in partial:
+            if guard is not None:
+                guard.tick("relation.complement")
+            for neg in negated:
+                ext = p.conjoin([neg])
+                if ext is not None:
+                    grown.append(ext)
+        if guard is not None:
+            guard.on_tuples(len(grown), "relation.complement")
+        partial = _absorb(grown)
+        if not partial:
+            return Relation._trusted(theory, schema, ())
+    result = Relation._trusted(theory, schema, partial)
+    if guard is not None:
+        guard.check_atoms(result, "relation.complement")
+    return result
 
 
 class TestAbsorbMatchesReference:
@@ -379,3 +421,157 @@ class TestOperationMemoMatchesReference:
             relation.project(("y",))
         stats = kernel_stats()
         assert (stats["memo.entries"], stats["memo.hits"], stats["memo.misses"]) == (0, 0, 0)
+
+
+#: complement inputs: up to three columns over the constants 0..4
+COMPLEMENT_COLUMNS = ("x", "y", "z")
+
+
+@st.composite
+def complement_atoms(draw, schema):
+    """A bound ``column op c`` or ``c op column``, or, over two or more
+    columns, a ``Var < Var`` or ``Var = Var`` atom."""
+    left = draw(st.sampled_from(schema))
+    if len(schema) > 1 and draw(st.booleans()):
+        right = draw(st.sampled_from([c for c in schema if c != left]))
+        return draw(st.sampled_from([lt, eq]))(left, right)
+    op = draw(st.sampled_from([lt, le, eq]))
+    value = draw(st.integers(0, 4))
+    return op(left, value) if draw(st.booleans()) else op(value, left)
+
+
+@st.composite
+def complement_relations(draw, min_columns=1, points=True):
+    """Dense-order relations of points, intervals and order atoms."""
+    schema = COMPLEMENT_COLUMNS[: draw(st.integers(min_columns, 3))]
+    tuples = []
+    for _ in range(draw(st.integers(0, 5))):
+        if points and draw(st.integers(0, 3)) == 0:
+            values = draw(st.lists(st.integers(0, 4), min_size=len(schema),
+                                   max_size=len(schema)))
+            tuples.append(GTuple.point(DENSE_ORDER, schema, values))
+            continue
+        made = GTuple.make(
+            DENSE_ORDER, schema,
+            draw(st.lists(complement_atoms(schema), min_size=1, max_size=3)),
+        )
+        if made is not None:
+            tuples.append(made)
+    return Relation(DENSE_ORDER, schema, tuples)
+
+
+@st.composite
+def linear_relations(draw):
+    return Relation(LINEAR, ("x", "y"), draw(st.lists(linear_gtuples(), max_size=4)))
+
+
+def _grid(schema, constants):
+    """Points of every order type over ``constants``: each column's
+    values are the sample points of the constants and the columns
+    before it, as the sampling semantics picks them."""
+    points = [()]
+    for _ in schema:
+        points = [
+            point + (value,)
+            for point in points
+            for value in sample_points(set(constants) | set(point))
+        ]
+    return points
+
+
+def _materialized(relation, complement):
+    guard = EvaluationGuard()
+    with guard:
+        complement(relation)
+    return guard.tuples_materialized
+
+
+class TestComplementMatchesReference:
+    """Settled parents pass a stage whole; the output is the full
+    product's, tuple for tuple and in order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(complement_relations())
+    def test_same_tuples_in_same_order(self, relation):
+        expected = reference_complement(relation).tuples
+        assert relation.complement().tuples == expected
+        with kernel_cache_disabled():
+            assert relation.complement().tuples == reference_complement(relation).tuples
+            assert relation.complement().tuples == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(linear_relations())
+    def test_same_linear_tuples_in_same_order(self, relation):
+        assert relation.complement().tuples == reference_complement(relation).tuples
+
+    def test_linear_parents_are_never_settled(self):
+        """Linear tuples are not canonical: the last stage's parent
+        ``x <= 0, x < y, 0 <= x + y`` entails the negated ``0 < y``, but
+        its piece with it drops ``x < y``, and that piece, not the
+        parent, is what the full product keeps."""
+        schema = ("x", "y")
+        relation = Relation(LINEAR, schema, [
+            GTuple.make(LINEAR, schema, [a]) for a in (
+                lin_le("y", "x"), lin_le("y", 0), lin_lt(0, "x"),
+                lin_lt({"x": 1, "y": 1}, 0),
+            )
+        ])
+        expected = reference_complement(relation)
+        assert relation.complement().tuples == expected.tuples
+        [kept] = expected.tuples
+        assert lin_lt(0, "y") in kept.atoms
+        assert lin_lt("x", "y") not in kept.atoms
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(complement_relations(), linear_relations()))
+    def test_guard_charges_no_more_than_the_product(self, relation):
+        charged = _materialized(relation, Relation.complement)
+        product = _materialized(relation, reference_complement)
+        assert charged <= product
+        if relation.arity == 1:
+            # a unary tuple's negated atoms are disjoint rays, so the
+            # product splits a settled parent into exactly one piece
+            assert charged == product
+
+    @settings(max_examples=40, deadline=None)
+    @given(complement_relations(min_columns=2, points=False))
+    def test_complement_is_the_pointwise_negation(self, relation):
+        db = Database()
+        db["R"] = relation
+        db["C"] = relation.complement()
+        schema = relation.schema
+        for point in _grid(schema, relation.constants()):
+            env = dict(zip(map(Var, schema), point))
+            assert eval_at(rel("C", *schema), db, env) != eval_at(rel("R", *schema), db, env)
+
+    def test_settled_parents_cut_the_work(self, monkeypatch):
+        """30 disjoint intervals: each stage splits only the one parent
+        that overlaps the next interval."""
+        counts = {"entails": 0, "canonical": 0}
+        entails = GTuple.entails
+        canonical = DenseOrderTheory.canonicalize_if_satisfiable
+
+        def counted_entails(t, a):
+            counts["entails"] += 1
+            return entails(t, a)
+
+        def counted_canonical(theory, conjunction):
+            counts["canonical"] += 1
+            return canonical(theory, conjunction)
+
+        monkeypatch.setattr(GTuple, "entails", counted_entails)
+        monkeypatch.setattr(
+            DenseOrderTheory, "canonicalize_if_satisfiable", counted_canonical
+        )
+        relation = fragmented_interval_database(30)["S"]
+        work = {}
+        for name, complement in (
+            ("settled", Relation.complement), ("product", reference_complement)
+        ):
+            counts.update(entails=0, canonical=0)
+            work[name] = (complement(relation).tuples, dict(counts))
+        assert work["settled"][0] == work["product"][0]
+        assert len(work["settled"][0]) == 31
+        settled, product = work["settled"][1], work["product"][1]
+        assert 3 * settled["entails"] < product["entails"]
+        assert settled["canonical"] < product["canonical"]
