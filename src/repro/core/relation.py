@@ -213,10 +213,12 @@ class Relation:
         whole and its pieces are never built.  That is exact.  For an
         entailed ``b``, ``p and b`` is ``p`` itself, because dense-order
         tuples are canonical, and every other piece lies inside ``p``,
-        so absorption drops it.  Settled parents are the previous
-        stage's absorbed output, so they lead the stage as an absorbed
-        prefix and only pairs involving a split piece are tested; the
-        kept tuples are then sorted back into the full product's order.
+        so absorption drops it.  The universe, stage one's lone parent,
+        entails no negated atom, so it is split without a probe.
+        Settled parents are the previous stage's absorbed output, so
+        they lead the stage as an absorbed prefix and only pairs
+        involving a split piece are tested; the kept tuples are then
+        sorted back into the full product's order.
         Each stage thus holds the full product's tuples in its order.
         Other theories split every parent: a linear ``p and b`` can drop
         an atom of ``p`` that ``b`` makes redundant, so the piece the
@@ -256,7 +258,7 @@ class Relation:
             for p in partial:
                 if guard is not None:
                     guard.tick("relation.complement")
-                if dense and any(p.entails(neg) for neg in negated):
+                if dense and p.atoms and any(p.entails(neg) for neg in negated):
                     settled.append(p)
                     first.setdefault(p, len(first))
                     continue

@@ -544,6 +544,27 @@ class TestComplementMatchesReference:
             env = dict(zip(map(Var, schema), point))
             assert eval_at(rel("C", *schema), db, env) != eval_at(rel("R", *schema), db, env)
 
+    def test_the_universe_parent_is_never_probed(self, monkeypatch):
+        """Stage one's lone parent is the universe, which entails no
+        negated atom: complementing ``0 < x < 1`` splits it unprobed,
+        and only absorbing the two pieces tests entailment."""
+        tested = []
+        entails = GTuple.entails
+
+        def recorded(t, a):
+            tested.append(t)
+            return entails(t, a)
+
+        schema = ("x",)
+        relation = Relation(
+            DENSE_ORDER, schema, [GTuple.make(DENSE_ORDER, schema, [lt(0, "x"), lt("x", 1)])]
+        )
+        expected = reference_complement(relation).tuples
+        monkeypatch.setattr(GTuple, "entails", recorded)
+        assert relation.complement().tuples == expected
+        assert len(tested) == 2
+        assert all(t.atoms for t in tested)
+
     def test_settled_parents_cut_the_work(self, monkeypatch):
         """30 disjoint intervals: each stage splits only the one parent
         that overlaps the next interval."""
