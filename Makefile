@@ -4,7 +4,7 @@
 # targets that pipe it through tee
 SHELL := /bin/bash
 
-.PHONY: install test test-quick bench bench-watch results examples explain-demo ci chaos perfbench-check clean
+.PHONY: install test test-quick bench results examples explain-demo ci chaos perfbench-check clean
 
 install:
 	python setup.py develop
@@ -18,12 +18,6 @@ test-quick:
 bench:
 	set -o pipefail; pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# append one timing record to benchmarks/BENCH_HISTORY.jsonl and fail
-# (exit 4) when the latest run regressed against the trailing median
-bench-watch:
-	python benchmarks/collect_results.py --history-only
-	python -m repro.cli bench-watch
-
 results:
 	python benchmarks/collect_results.py
 
@@ -31,9 +25,9 @@ results:
 # (-X dev) with unclosed files and exceptions in __del__ as errors; the
 # per-test timeout needs the pytest-timeout plugin, which local
 # environments may not have.  Left out: the E17 (parallel speedup) and
-# E19 (stitching) gates, `make examples`, the trace and telemetry
-# export steps, and the parallel-differential and chaos jobs (`make
-# chaos` runs the latter)
+# E19 (stitching) gates, `make examples`, the sample trace steps, and
+# the parallel-differential and chaos jobs (`make chaos` runs the
+# latter)
 DEV_PYTEST = python -X dev -m pytest tests/ \
 	-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
@@ -47,7 +41,6 @@ ci:
 	pytest benchmarks/bench_e13_budget_overhead.py -s
 	pytest benchmarks/bench_e14_trace_overhead.py -s
 	pytest benchmarks/bench_e15_kernel_cache.py -s
-	pytest benchmarks/bench_e16_telemetry_overhead.py -s
 	pytest benchmarks/bench_e18_resilience.py -s --benchmark-disable
 	pytest benchmarks/bench_e21_analysis.py -s --benchmark-disable
 	$(MAKE) perfbench-check

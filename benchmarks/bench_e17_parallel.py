@@ -13,7 +13,7 @@ on >= 4 cores; < 3% overhead with the backend off.  Speedup is a
 property of the *machine* -- with fewer cores the gate relaxes (the
 differential suite, not this file, carries correctness), and on a
 single core only the overhead gate is enforced.  Hard gates here are
-sized for timing noise, as in E13-E16; the honest numbers come from
+sized for timing noise, as in E13-E15; the honest numbers come from
 ``python benchmarks/collect_results.py`` (BENCH_PARALLEL.json).
 """
 

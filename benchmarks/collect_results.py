@@ -6,12 +6,6 @@ Benchmarks (pytest-benchmark) measure *times*; this script collects the
 paper-vs-measured content of EXPERIMENTS.md.  Run:
 
     python benchmarks/collect_results.py
-
-Every run also appends one provenance-stamped record of quick workload
-timings to ``benchmarks/BENCH_HISTORY.jsonl`` (``repro.bench-history/1``),
-the append-only history that ``repro bench-watch`` compares against.
-``--history-only`` skips the tables and records just the history entry;
-``--history PATH`` redirects the file.
 """
 
 from __future__ import annotations
@@ -643,69 +637,6 @@ def e19_stitching() -> None:
     print(f"(machine-readable numbers written to {out_path})")
 
 
-DEFAULT_HISTORY = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_HISTORY.jsonl"
-)
-
-
-def _parallel_two_hop() -> None:
-    """Quick sharded two-hop join for the history record (thread pool:
-    cheap to spin up, and the shard/merge cost is what is watched)."""
-    from repro.parallel import ExecutionContext
-
-    r = Relation.from_points(("x", "y"), [(i, (i * 7 + 3) % 60) for i in range(60)])
-    ctx = ExecutionContext(workers=2, pool="thread", min_tuples=2)
-    try:
-        with ctx:
-            r.join(r.rename({"x": "y", "y": "z"})).project(("x", "z"))
-    finally:
-        ctx.close()
-
-
-def _resilient_recovery() -> None:
-    """Quick resilient-dispatch batch under a seeded 10% fault rate for
-    the history record: watches the retry/backoff loop's cost, not the
-    kernels (which the other workloads already cover)."""
-    import sys
-
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from bench_e18_resilience import PAYLOADS, _chaos_registry, _resilient_ctx, shard_work
-
-    ctx = _resilient_ctx()
-    try:
-        with _chaos_registry():
-            ctx.run_shards(shard_work, PAYLOADS)
-    finally:
-        ctx.close()
-
-
-def _stitching_overhead_pct() -> float:
-    """Capture-on vs capture-off traced two-hop, as a percentage.
-
-    The true overhead sits in the noise floor around zero, and
-    ``compare_latest`` flags ``latest > threshold * median`` — ratios
-    of near-zero numbers are meaningless — so the recorded value is
-    floored at 5.0.  A healthy run always records the floor; the watch
-    only trips when stitching genuinely blows past it (CI threshold
-    3.0x -> trips above 15%, still far under the E19 hard gate).
-    """
-    import sys
-
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from bench_e19_stitching import _best, _ctx, _traced_two_hop, join_heavy_relation
-
-    r = join_heavy_relation()
-    seconds = {}
-    for capture in (False, True):
-        ctx = _ctx(capture=capture)
-        try:
-            _traced_two_hop(ctx, r)  # warm the pool
-            seconds[capture] = _best(lambda: _traced_two_hop(ctx, r))
-        finally:
-            ctx.close()
-    return max(5.0, 100.0 * (seconds[True] / seconds[False] - 1.0))
-
-
 def e21_analysis() -> None:
     """Time the trace-analysis pipeline on the synthetic 5,000-span
     document and the ``--memory`` backends on the E21 workloads,
@@ -788,102 +719,11 @@ def e21_analysis() -> None:
     print(f"(machine-readable numbers written to {out_path})")
 
 
-def _trace_analysis_seconds() -> float:
-    """The 5k-span analyze+flame+diff pipeline for the history record —
-    the interactivity claim ``repro bench-watch`` keeps honest."""
-    import sys
-
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from bench_e21_analysis import _best, synthetic_trace
-    from repro.obs import analyze_trace, diff_traces, speedscope_document
-
-    before = synthetic_trace()
-    after = synthetic_trace()
-
-    def pipeline():
-        analyze_trace(after)
-        speedscope_document(after)
-        diff_traces(before, after)
-
-    return _best(pipeline, repeat=3)
-
-
-def bench_history(history_path: str) -> None:
-    """Append one provenance-stamped timing record to the bench history.
-
-    The workloads mirror the quick E14 profile set (small enough to run
-    on every CI push); timings are best-of-3 to damp scheduler noise.
-    ``repro bench-watch`` compares the appended record against the
-    median of the trailing window and fails CI on a regression.
-    """
-    header("bench history -- quick workload timings (repro.bench-history/1)")
-    from repro.datalog.seminaive import evaluate_seminaive
-    from repro.obs import append_history
-    from repro.perf import reset_kernel_cache
-
-    f = exists("y", rel("S", "x") & rel("S", "y") & constraint(lt("x", "y")))
-    workloads = {
-        "fo_self_join_seconds": lambda: evaluate(
-            f, random_interval_database(23, count=16)
-        ),
-        "datalog_naive_tc_seconds": lambda: evaluate_program(
-            transitive_closure_program(), path_graph(8)
-        ),
-        "datalog_seminaive_tc_seconds": lambda: evaluate_seminaive(
-            transitive_closure_program(), path_graph(8)
-        ),
-        "parallel_two_hop_seconds": _parallel_two_hop,
-        "parallel_recovery_seconds": _resilient_recovery,
-    }
-    metrics = {}
-    print("| workload | best-of-3 (s) |")
-    print("|---|---|")
-    for name, thunk in workloads.items():
-        reset_kernel_cache()
-        thunk()  # warm-up: steady-state caches, not first-touch cost
-        best = float("inf")
-        for _ in range(3):
-            _, seconds = timed(thunk)
-            best = min(best, seconds)
-        metrics[name] = best
-        print(f"| {name} | {best:.4f} |")
-    reset_kernel_cache()
-    metrics["stitching_overhead_pct"] = _stitching_overhead_pct()
-    print(
-        f"| stitching_overhead_pct | "
-        f"{metrics['stitching_overhead_pct']:.1f} (floored at 5.0) |"
-    )
-    metrics["trace_analysis_seconds"] = _trace_analysis_seconds()
-    print(
-        f"| trace_analysis_seconds | "
-        f"{metrics['trace_analysis_seconds']:.4f} |"
-    )
-    record = append_history(history_path, metrics)
-    print()
-    print(
-        f"(appended record for commit "
-        f"{record['provenance'].get('git', 'unknown')} to {history_path})"
-    )
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
-        description="regenerate EXPERIMENTS.md tables and append bench history"
+        description="regenerate the EXPERIMENTS.md tables"
     )
-    parser.add_argument(
-        "--history",
-        default=DEFAULT_HISTORY,
-        help="bench-history JSONL path (default: benchmarks/BENCH_HISTORY.jsonl)",
-    )
-    parser.add_argument(
-        "--history-only",
-        action="store_true",
-        help="skip the experiment tables; append just the history record",
-    )
-    args = parser.parse_args(argv)
-    if args.history_only:
-        bench_history(args.history)
-        return
+    parser.parse_args(argv)
     print("# Collected experimental results (regenerated)")
     e2_fo_scaling()
     e4_ef_table()
@@ -902,7 +742,6 @@ def main(argv=None) -> None:
     e18_resilience()
     e19_stitching()
     e21_analysis()
-    bench_history(args.history)
     print()
 
 

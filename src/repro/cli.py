@@ -22,7 +22,12 @@ Evaluation is also *observable*: ``--trace FILE`` writes a structured
 JSON trace (schema ``repro.trace/1``), ``--profile`` prints the
 per-phase cost tree after the result, ``--stats`` prints the guard's
 per-site counters plus the kernel cache/interning statistics, and
-``-v``/``-vv`` print metric summaries on stderr.
+``-v``/``-vv`` print metric summaries on stderr.  The trace is the one
+record of a run: it is written when a budget aborts the run too, with
+the aborting span's ``error`` attribute and the guard's partial
+counters.  A trace file that cannot be written adds one ``error:``
+line and leaves the run's own outcome standing: an aborted run still
+exits ``3``, a completed one exits ``1``.
 
 Two subcommands inspect plans and runs.  ``plan`` plans without
 running: one tree per formula or Datalog rule, each node with its
@@ -34,16 +39,6 @@ aborts the run; ``--trace`` writes the same run as a ``repro.trace/1``
 document.  ``--optimize={none,heuristic}`` picks the planning mode on
 ``query``/``datalog``/``explain``: ``none`` (the default) runs the
 direct evaluator, ``heuristic`` the rule-engine rewrites.
-
-Telemetry exports (the sinks of :mod:`repro.obs.sink` and the flight
-recorder of :mod:`repro.obs.flightrec`):
-``--log-jsonl FILE`` streams every structured log record
-(``repro.log/1``) as JSON lines, ``--metrics-out FILE`` writes the
-final metrics snapshot in the Prometheus text format, and
-``--postmortem-dir DIR`` arms the flight recorder — an aborted run
-(budget error, fault, crash inside the guard) leaves a
-``repro.postmortem/1`` document there with the last telemetry events
-and the partial guard counters.
 
 Trace analysis (the :mod:`repro.obs` analysis toolkit): ``repro trace
 analyze TRACE`` prints the critical path and the per-operator /
@@ -64,15 +59,10 @@ stays below 1.25x of the unprofiled traced run; ``--memory-backend
 tracemalloc`` adds exact ``mem_alloc_bytes`` at tracemalloc's
 documented cost.
 
-``repro bench-watch`` compares the newest ``BENCH_HISTORY.jsonl``
-record against the trailing baseline and exits ``4`` on regression;
-with ``--trace-before``/``--trace-after`` a regression report also
-includes the trace diff naming the operators that slowed down.
-
 Exit codes are uniform across subcommands: ``0`` ok, ``1``
 encoding/input error, ``2`` usage error, ``3`` budget exhausted,
-``4`` benchmark regression, ``5`` unrecoverable shard failure (see
-the README table; asserted by ``tests/obs/test_cli_exit_codes.py``).
+``5`` unrecoverable shard failure (see the README table; asserted by
+``tests/obs/test_cli_exit_codes.py``).  ``4`` is not used.
 
 ``--no-cache`` disables the kernel memo cache and its operation memo
 of renames and projections, the tuple intern pool and the
@@ -94,20 +84,18 @@ failing shard is quarantined (re-executed serially in-process), and
 ``5``), or ``partial`` (drop the shard and print the tagged partial
 result).  ``plan`` runs nothing, so it takes none of these flags.
 
-Numeric flags are checked when parsed: ``--workers`` and
-``bench-watch --window`` must be at least 1, ``--timeout`` and
-``--shard-timeout`` positive, ``bench-watch --threshold`` at least 1
-(a smaller ratio would flag improvements), and ``--shard-retries``,
-``--max-tuples``, ``--max-depth``, ``--max-rounds`` and ``trace
-analyze --max-path`` non-negative; anything else is a usage error
-(exit ``2``).
+Numeric flags are checked when parsed: ``--workers`` must be at
+least 1, ``--timeout`` and ``--shard-timeout`` positive, and
+``--shard-retries``, ``--max-tuples``, ``--max-depth``,
+``--max-rounds`` and ``trace analyze --max-path`` non-negative;
+anything else is a usage error (exit ``2``).
 
 When an observation surface is active, ``--parallel`` runs capture
 worker-side telemetry and stitch it into the parent trace (spans with
-``pid``/``shard``/``attempt`` attributes, worker kernel-cache deltas,
-log records), so ``--trace`` / ``--stats`` / ``explain`` see inside
-the pool; ``--no-stitch`` turns the capture off for overhead-sensitive
-runs (untraced runs never pay for it either way).
+``pid``/``shard``/``attempt`` attributes, worker events and
+kernel-cache deltas), so ``--trace`` / ``--stats`` / ``explain`` see
+inside the pool; ``--no-stitch`` turns the capture off for
+overhead-sensitive runs (untraced runs never pay for it either way).
 """
 
 from __future__ import annotations
@@ -128,18 +116,11 @@ from repro.errors import ReproError, ShardFailedError
 from repro.files import read_text
 from repro.lang import parse_formula, parse_program
 from repro.obs import (
-    JsonlSink,
     Tracer,
-    compare_latest,
-    configure_flight_recorder,
-    flight_recorder,
     guard_stats_table,
     kernel_stats_table,
-    load_history,
     render_metrics_summary,
     render_profile,
-    render_watch_report,
-    write_prometheus,
     write_trace,
 )
 from repro.obs.profile import render_latency_quantiles
@@ -153,7 +134,6 @@ __all__ = [
     "EXIT_ERROR",
     "EXIT_USAGE",
     "EXIT_BUDGET",
-    "EXIT_REGRESSION",
     "EXIT_SHARD",
 ]
 
@@ -165,8 +145,6 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 #: a resource budget tripped (deadline, tuples, rounds, depth)
 EXIT_BUDGET = 3
-#: ``bench-watch`` found a benchmark regression beyond the threshold
-EXIT_REGRESSION = 4
 #: a parallel shard failed every recovery path the policy allows
 #: (retries + quarantine) and --on-shard-failure forbids partial results
 EXIT_SHARD = 5
@@ -207,14 +185,12 @@ def _bounded(kind, low, strict: bool = False):
     return parse
 
 
-#: a worker count or a history window
+#: a worker count
 _POSITIVE_INT = _bounded(int, 1)
 #: a cap on tuples, depth, rounds, retries or printed path segments
 _COUNT = _bounded(int, 0)
 #: a deadline
 _SECONDS = _bounded(float, 0, strict=True)
-#: a regression ratio: below 1 it would flag improvements
-_RATIO = _bounded(float, 1.0)
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -229,23 +205,6 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-depth", type=_COUNT, default=None, metavar="N",
         help="cap on formula recursion depth",
-    )
-
-
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    """The export surfaces of the telemetry pipeline (all subcommands
-    that evaluate anything)."""
-    parser.add_argument(
-        "--log-jsonl", default=None, metavar="FILE",
-        help="stream structured log records (repro.log/1) as JSON lines",
-    )
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write the final metrics snapshot in Prometheus text format",
-    )
-    parser.add_argument(
-        "--postmortem-dir", default=None, metavar="DIR",
-        help="on an aborted run, dump a repro.postmortem/1 document here",
     )
 
 
@@ -266,7 +225,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         "-v", "--verbose", action="count", default=0,
         help="-v: metrics summary on stderr; -vv: also list every span",
     )
-    _add_telemetry_flags(parser)
 
 
 def _add_memory_flags(parser: argparse.ArgumentParser) -> None:
@@ -408,8 +366,7 @@ def _planner_of(args: argparse.Namespace):
 def _tracer_of(args: argparse.Namespace,
                always: bool = False) -> Optional[Tracer]:
     """A Tracer when any observation surface was requested (``always``
-    for ``explain``, whose report is one); the JSONL log sink is
-    attached here so engine emission streams live."""
+    for ``explain``, whose report is one)."""
     wanted = (
         always
         or getattr(args, "trace", None)
@@ -419,9 +376,6 @@ def _tracer_of(args: argparse.Namespace,
         # table would report parent-only (near-zero) cache activity
         or getattr(args, "stats", False)
         or getattr(args, "verbose", 0)
-        or getattr(args, "log_jsonl", None)
-        or getattr(args, "metrics_out", None)
-        or getattr(args, "postmortem_dir", None)
         # --memory needs span attribution, which needs a tracer
         or getattr(args, "memory", False)
     )
@@ -432,29 +386,23 @@ def _tracer_of(args: argparse.Namespace,
         from repro.obs.memory import MemoryProfiler
 
         tracer.memory = MemoryProfiler(getattr(args, "memory_backend", "rss"))
-    if getattr(args, "log_jsonl", None):
-        tracer.add_sink(JsonlSink(args.log_jsonl))
     return tracer
 
 
 def _guard_of(args: argparse.Namespace,
               budget: Optional[Budget]) -> Optional[EvaluationGuard]:
-    """A guard when there is a budget to enforce, stats to report, or a
-    post-mortem to arm (the dump hook lives on the guard's exit)."""
-    if (
-        budget is not None
-        or getattr(args, "stats", False)
-        or getattr(args, "postmortem_dir", None)
-    ):
+    """A guard when there is a budget to enforce or stats to report."""
+    if budget is not None or getattr(args, "stats", False):
         return EvaluationGuard(budget)
     return None
 
 
 def _report_observation(args: argparse.Namespace,
                         tracer: Optional[Tracer],
-                        guard: Optional[EvaluationGuard]) -> None:
+                        guard: Optional[EvaluationGuard]) -> bool:
     """Emit the requested observation surfaces (also on a failed run, so
-    a tripped budget still leaves a trace of where the work went)."""
+    a tripped budget still leaves a trace of where the work went).
+    False when the trace file could not be written."""
     if guard is not None and args.stats:
         print(guard_stats_table(guard.stats()), file=sys.stderr)
     if args.stats:
@@ -480,7 +428,7 @@ def _report_observation(args: argparse.Namespace,
         if quantiles:
             print(quantiles, file=sys.stderr)
     if tracer is None:
-        return
+        return True
     if args.verbose:
         print(render_metrics_summary(tracer.metrics), file=sys.stderr)
     if args.verbose >= 2:
@@ -493,18 +441,30 @@ def _report_observation(args: argparse.Namespace,
     if args.profile:
         # the guard table went to stderr above under --stats
         print(render_profile(tracer))
-    _export_observation(args, tracer, guard)
+    return _export_trace(args, tracer, guard)
 
 
-def _export_observation(args: argparse.Namespace, tracer: Tracer,
-                        guard: Optional[EvaluationGuard]) -> None:
-    """Write the requested trace and metrics files; close the sinks."""
-    if args.trace:
+def _export_trace(args: argparse.Namespace, tracer: Tracer,
+                  guard: Optional[EvaluationGuard]) -> bool:
+    """Write the requested trace file; False when it cannot be written.
+
+    Runs in the ``finally:`` that reports a run, so it must not raise:
+    an OSError here would replace a budget error on its way to
+    :func:`main`, and the run would lose its exit code and diagnostics.
+    One ``error:`` line names the file instead.
+    """
+    if not args.trace:
+        return True
+    try:
         write_trace(args.trace, tracer, guard)
-    if getattr(args, "metrics_out", None):
-        write_prometheus(args.metrics_out, tracer.metrics)
-    for sink in tracer.sinks:
-        sink.close()
+    except OSError as error:
+        print(
+            f"error: trace not written to {args.trace}: "
+            f"{error.strerror or error}",
+            file=sys.stderr,
+        )
+        return False
+    return True
 
 
 def _note_partial_shards(ctx) -> None:
@@ -564,8 +524,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     finally:
         if ctx is not None:
             ctx.close()
-        _report_observation(args, tracer, guard)
-    return 0
+        traced = _report_observation(args, tracer, guard)
+    return EXIT_OK if traced else EXIT_ERROR
 
 
 def _cmd_datalog(args: argparse.Namespace) -> int:
@@ -600,8 +560,8 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
     finally:
         if ctx is not None:
             ctx.close()
-        _report_observation(args, tracer, guard)
-    return 0
+        traced = _report_observation(args, tracer, guard)
+    return EXIT_OK if traced else EXIT_ERROR
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -622,14 +582,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     finally:
         # a budget abort must not lose the partial telemetry: the cost
         # tree and operator table accumulated so far, with the guard's
-        # counters, are printed and the requested exports written
-        # either way
+        # counters, are printed and the requested trace written either
+        # way
         print()
         print(render_profile(tracer, guard))
-        _export_observation(args, tracer, guard)
+        traced = _export_trace(args, tracer, guard)
         if ctx is not None:
             ctx.close()
-    return 0
+    return EXIT_OK if traced else EXIT_ERROR
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -768,42 +728,6 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench_watch(args: argparse.Namespace) -> int:
-    """Compare the newest bench-history record against the trailing
-    baseline; exit 4 when any metric regressed past the threshold.
-
-    With ``--trace-before``/``--trace-after`` pointing at saved trace
-    documents of the watched workload, a detected regression also
-    renders the trace diff — the report names the operators that
-    slowed down, not just the fact of the slowdown.
-    """
-    records = load_history(args.history)
-    report = compare_latest(
-        records, threshold=args.threshold, window=args.window
-    )
-    print(render_watch_report(report))
-    if report["status"] != "regression":
-        return EXIT_OK
-    if args.trace_before and args.trace_after:
-        from repro.obs import diff_traces, load_trace, render_trace_diff
-
-        try:
-            document = diff_traces(
-                load_trace(args.trace_before),
-                load_trace(args.trace_after),
-                label_before=os.path.basename(args.trace_before),
-                label_after=os.path.basename(args.trace_after),
-            )
-        except (ReproError, OSError) as error:
-            # the watch verdict stands on the history alone; a missing
-            # or malformed trace only costs the attribution report
-            print(f"note: trace diff unavailable: {error}", file=sys.stderr)
-        else:
-            print()
-            print(render_trace_diff(document))
-    return EXIT_REGRESSION
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="dense-order constraint database CLI"
@@ -878,7 +802,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_cache_flag(explain_cmd)
     _add_parallel_flags(explain_cmd)
     _add_optimize_flags(explain_cmd)
-    _add_telemetry_flags(explain_cmd)
     _add_memory_flags(explain_cmd)
     explain_cmd.set_defaults(fn=_cmd_explain)
 
@@ -961,40 +884,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     tdiff.set_defaults(fn=_cmd_trace_diff)
 
-    watch = sub.add_parser(
-        "bench-watch",
-        help="compare the latest bench-history record against the "
-        "trailing baseline (exit 4 on regression)",
-    )
-    watch.add_argument(
-        "--history", default="benchmarks/BENCH_HISTORY.jsonl", metavar="FILE",
-        help="the repro.bench-history/1 JSONL file to read",
-    )
-    watch.add_argument(
-        "--threshold", type=_RATIO, default=1.5, metavar="RATIO",
-        help="flag a metric slower than RATIO x its baseline (default 1.5)",
-    )
-    watch.add_argument(
-        "--window", type=_POSITIVE_INT, default=5, metavar="N",
-        help="baseline = median of the previous up-to-N records (default 5)",
-    )
-    watch.add_argument(
-        "--trace-before", default=None, dest="trace_before", metavar="FILE",
-        help="baseline repro.trace/1 document of the watched workload; "
-        "with --trace-after, a regression also renders the trace diff",
-    )
-    watch.add_argument(
-        "--trace-after", default=None, dest="trace_after", metavar="FILE",
-        help="candidate repro.trace/1 document (see --trace-before)",
-    )
-    watch.set_defaults(fn=_cmd_bench_watch)
-
     args = parser.parse_args(argv)
-    recorder = flight_recorder()
-    previous_dump_dir = recorder.dump_dir
-    if getattr(args, "postmortem_dir", None):
-        configure_flight_recorder(dump_dir=args.postmortem_dir)
-        recorder.last_path = None
     try:
         return args.fn(args)
     except BudgetExceeded as error:
@@ -1002,13 +892,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         diag = error.diagnostics()
         detail = ", ".join(f"{key}={diag[key]}" for key in sorted(diag))
         print(f"diagnostics: {detail}", file=sys.stderr)
-        if getattr(args, "postmortem_dir", None):
-            # budget errors that never crossed a guard exit (e.g. an
-            # engine-local --max-rounds cut with no guard active) still
-            # deserve a dump; the recorder dedupes the guarded ones
-            recorder.dump(error=error, reason="cli")
-        if recorder.last_path:
-            print(f"post-mortem: {recorder.last_path}", file=sys.stderr)
         return EXIT_BUDGET
     except ShardFailedError as error:
         # must precede ReproError: a shard that failed retries AND
@@ -1018,8 +901,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         diag = error.diagnostics()
         detail = ", ".join(f"{key}={diag[key]}" for key in sorted(diag))
         print(f"diagnostics: {detail}", file=sys.stderr)
-        if recorder.last_path:
-            print(f"post-mortem: {recorder.last_path}", file=sys.stderr)
         return EXIT_SHARD
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1027,8 +908,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
-    finally:
-        recorder.dump_dir = previous_dump_dir
 
 
 if __name__ == "__main__":

@@ -127,9 +127,9 @@ def run_rounds(
     against the guard's round budget at ``site``, fires the ``site``
     fault point, then runs ``step(round, traced)``, which returns
     whether the round changed the state and, when ``traced``, the
-    round's log fields (``delta_tuples`` at least).  A traced round
-    records the ``<name>.rounds`` counter, the ``<name>.delta_tuples``
-    histogram and a ``<name>.round`` log event.  A step must commit its
+    attributes of the round's span (``delta_tuples`` at least).  A
+    traced round also records the ``<name>.rounds`` counter and the
+    ``<name>.delta_tuples`` histogram.  A step must commit its
     new state only once nothing of the round can raise, so that a cut
     leaves the state of the last completed round.
 
@@ -155,9 +155,6 @@ def run_rounds(
                 tracer = active_tracer()
                 tracer.metrics.count(f"{name}.rounds")
                 tracer.metrics.observe(f"{name}.delta_tuples", fields["delta_tuples"])
-                tracer.log(
-                    f"{name}.round", round=rounds + 1, **attrs, **fields, changed=changed
-                )
         rounds += 1
         if not changed:
             return rounds, None

@@ -251,12 +251,6 @@ def evaluate_finite(
                     tracer = active_tracer()
                     tracer.metrics.count("datalog.finite.rounds")
                     tracer.metrics.observe("datalog.finite.delta_tuples", delta)
-                    tracer.log(
-                        "datalog.finite.round",
-                        round=rounds,
-                        delta_tuples=delta,
-                        changed=changed,
-                    )
             if not changed:
                 return FiniteFixpointResult(state, rounds, True)
             if max_rounds is not None and rounds >= max_rounds:

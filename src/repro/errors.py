@@ -31,9 +31,9 @@ class ShardFailedError(EvaluationError):
     (:mod:`repro.parallel.resilience`) when a shard failed all retries
     and — unless the policy said ``on_failure="fail"`` — its serial
     in-process quarantine re-execution failed too.  Carries enough
-    structure for the CLI's exit-code contract (exit ``5``) and for
-    post-mortems: the operation, the shard index, how many attempts
-    were made, and the underlying cause.
+    structure for the CLI's exit-code contract (exit ``5``) and its
+    ``diagnostics:`` line: the operation, the shard index, how many
+    attempts were made, and the underlying cause.
     """
 
     def __init__(self, message: str, *, op: str = "", shard: int = -1,

@@ -4,7 +4,10 @@ The complexity results this repo reproduces (AC⁰/NC data complexity,
 Datalog¬ = PTIME) are claims about *where the work goes* — QE step
 counts, relation representation sizes, rounds to fixpoint.  This
 package makes those quantities visible on every evaluation path
-without changing any engine signature:
+without changing any engine signature.  A run has one record, the
+``repro.trace/1`` document: spans, events, metrics and the guard's
+counters, written by ``--trace`` also when a budget aborts the run.
+The modules:
 
 * :mod:`repro.obs.trace` — :class:`Tracer` and the ambient
   :func:`span` API (ContextVar collection mirroring
@@ -21,8 +24,8 @@ without changing any engine signature:
   ingestion in ``benchmarks/collect_results.py``;
 * :mod:`repro.obs.stitch` — cross-process trace stitching: worker-side
   telemetry snapshots (``repro.worker-telemetry/1``) grafted into the
-  parent tracer at shard-harvest time, so traces, stats, and the
-  flight recorder see inside the worker pool;
+  parent tracer at shard-harvest time, so traces and stats see inside
+  the worker pool;
 * :mod:`repro.obs.analyze` — critical-path extraction and per-operator
   / per-phase bottleneck aggregation over exported trace documents
   (the ``repro trace analyze`` subcommand);
@@ -30,7 +33,7 @@ without changing any engine signature:
   export (``repro trace flame``);
 * :mod:`repro.obs.diff` — structural trace diffing attributing a
   latency delta to named operators (``repro.trace-diff/1``; the
-  ``repro trace diff`` subcommand and bench-watch regression reports);
+  ``repro trace diff`` subcommand);
 * :mod:`repro.obs.memory` — opt-in per-span memory attribution
   (``--memory``): cheap RSS-based by default, exact tracemalloc on
   request, flowing into span attrs.
@@ -82,36 +85,9 @@ from repro.obs.flame import (
     validate_speedscope,
     write_flame,
 )
-from repro.obs.flightrec import (
-    POSTMORTEM_SCHEMA,
-    FlightRecorder,
-    configure_flight_recorder,
-    flight_recorder,
-    last_postmortem,
-    load_postmortem,
-    validate_postmortem,
-)
-from repro.obs.history import (
-    HISTORY_SCHEMA,
-    append_history,
-    compare_latest,
-    load_history,
-    render_watch_report,
-    validate_history_record,
-)
-from repro.obs.log import LOG_SCHEMA, log_event
 from repro.obs.memory import MemoryProfiler, memory_summary
 from repro.obs.metrics import Histogram, Metrics
 from repro.obs.profile import phase_breakdown, render_metrics_summary, render_profile
-from repro.obs.sink import (
-    LEVELS,
-    CollectingSink,
-    JsonlSink,
-    RingBufferSink,
-    Sink,
-    prometheus_text,
-    write_prometheus,
-)
 from repro.obs.stitch import (
     WORKER_TELEMETRY_SCHEMA,
     snapshot_telemetry,
@@ -120,64 +96,42 @@ from repro.obs.stitch import (
 from repro.obs.trace import SpanRecord, Tracer, active_tracer, event, span
 
 __all__ = [
-    "HISTORY_SCHEMA",
-    "LEVELS",
-    "LOG_SCHEMA",
-    "POSTMORTEM_SCHEMA",
     "SPEEDSCOPE_SCHEMA",
     "TRACE_DIFF_SCHEMA",
     "TRACE_SCHEMA",
     "WORKER_TELEMETRY_SCHEMA",
-    "CollectingSink",
-    "FlightRecorder",
     "Histogram",
-    "JsonlSink",
     "MemoryProfiler",
     "Metrics",
-    "RingBufferSink",
-    "Sink",
     "SpanRecord",
     "Tracer",
     "active_tracer",
     "analyze_trace",
-    "append_history",
     "collapsed_stacks",
-    "compare_latest",
-    "configure_flight_recorder",
     "critical_path",
     "diff_traces",
     "event",
-    "flight_recorder",
     "guard_stats_table",
     "kernel_stats_table",
-    "last_postmortem",
-    "load_history",
-    "load_postmortem",
     "load_trace",
     "load_trace_diff",
-    "log_event",
     "memory_summary",
     "operator_hotspots",
     "phase_breakdown",
     "phase_totals",
-    "prometheus_text",
     "render_analysis",
     "render_metrics_summary",
     "render_profile",
     "render_trace_diff",
-    "render_watch_report",
     "snapshot_telemetry",
     "span",
     "span_self_seconds",
     "speedscope_document",
     "stitch_telemetry",
     "trace_document",
-    "validate_history_record",
-    "validate_postmortem",
     "validate_speedscope",
     "validate_trace",
     "validate_trace_diff",
     "write_flame",
-    "write_prometheus",
     "write_trace",
 ]

@@ -1,6 +1,6 @@
 """Trace diffing: attribute a latency delta to named operators.
 
-``repro bench-watch`` can tell you *that* a run regressed;
+Two runs of the same workload took different times;
 :func:`diff_traces` tells you *where*.  It compares two
 ``repro.trace/1`` documents of the same (or comparable) workload by
 joining their per-span-name aggregates — calls, total seconds, *self*
@@ -20,7 +20,7 @@ The document shape follows the repo's export conventions
 a ``validate_trace_diff`` structural checker that raises
 :class:`~repro.errors.EncodingError`, and a writer/loader pair.
 :func:`render_trace_diff` is the aligned-text table the ``repro trace
-diff`` CLI prints and bench-watch appends to a regression report.
+diff`` CLI prints.
 """
 
 from __future__ import annotations

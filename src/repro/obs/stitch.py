@@ -7,11 +7,11 @@ must not recurse into the parallel path; see
 had a blind spot exactly where the time went.  The seam has two halves:
 
 * **worker side** — :func:`snapshot_telemetry` flattens one in-worker
-  :class:`~repro.obs.trace.Tracer` (spans, events, metric deltas
-  including the ``kernel.*`` cache counters, and the ``repro.log/1``
-  records a :class:`~repro.obs.sink.CollectingSink` captured) into a
-  picklable ``repro.worker-telemetry/1`` dict that rides back in the
-  shard's :class:`~repro.parallel.worker.ShardEnvelope`;
+  :class:`~repro.obs.trace.Tracer` (spans, events, and metric deltas
+  including the ``kernel.*`` cache counters) into a picklable
+  ``repro.worker-telemetry/1`` dict that rides back in the shard's
+  :class:`~repro.parallel.worker.ShardEnvelope`.  The snapshot never
+  leaves the process pair, so it is not a file format;
 
 * **parent side** — :func:`stitch_telemetry` grafts the snapshot into
   the parent tracer at harvest time: span ids are remapped onto the
@@ -20,9 +20,8 @@ had a blind spot exactly where the time went.  The seam has two halves:
   ``parallel.<op>.dispatch`` span open across the dispatch) and
   stamped with ``pid`` / ``shard`` / ``attempt`` (plus
   ``quarantined`` when the resilience layer re-ran the shard
-  in-process), worker metric deltas merge into the parent registry,
-  and worker log records replay through the parent's sinks and the
-  flight recorder with the parent's trace id.
+  in-process), worker events follow their spans, and worker metric
+  deltas merge into the parent registry.
 
 Two clocks, one timeline: worker span times are seconds on the
 *worker's* monotonic clock relative to the worker tracer's epoch.
@@ -36,19 +35,16 @@ Double-count avoidance: ``kernel.*`` counters are process-wide, so a
 *thread*-pool worker's (or a quarantined re-run's) cache traffic is
 already inside the parent tracer's own baseline delta.  Snapshots
 whose ``pid`` matches the stitching process therefore contribute
-spans, events, and log-sink replay, but **not** ``kernel.*`` counter
-merges or flight-recorder re-records (the worker tracer already hit
-the process-global ring).
+spans, events and every other counter, but **not** ``kernel.*``
+counter merges.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.obs.flightrec import record as _flight_record
 from repro.obs.metrics import histogram_from_snapshot
-from repro.obs.sink import level_number
 from repro.obs.trace import SpanRecord, Tracer
 
 __all__ = [
@@ -64,18 +60,15 @@ WORKER_TELEMETRY_SCHEMA = "repro.worker-telemetry/1"
 _KERNEL_PREFIX = "kernel."
 
 
-def snapshot_telemetry(tracer: Tracer, logs: List[dict]) -> dict:
+def snapshot_telemetry(tracer: Tracer) -> dict:
     """Flatten a (deactivated) in-worker tracer into a picklable dict.
 
-    ``logs`` is the record list of the :class:`CollectingSink` that was
-    attached for the shard (the tracer itself holds live sink objects
-    and is not picklable).  Span attributes must already be picklable —
-    the worker span layer only attaches scalars.
+    Span attributes must already be picklable — the worker span layer
+    only attaches scalars.
     """
     return {
         "schema": WORKER_TELEMETRY_SCHEMA,
         "pid": os.getpid(),
-        "trace": tracer.trace_id,
         "spans": [
             (s.span_id, s.parent_id, s.name, s.start, s.end, dict(s.attrs))
             for s in tracer.spans
@@ -85,7 +78,6 @@ def snapshot_telemetry(tracer: Tracer, logs: List[dict]) -> dict:
         "histograms": {
             name: h.snapshot() for name, h in tracer.metrics.histograms.items()
         },
-        "logs": list(logs),
         "dropped_spans": tracer.dropped_spans,
     }
 
@@ -182,24 +174,6 @@ def _stitch(
         tracer.metrics.count(name, value)
     for name, aggregate in (snapshot.get("histograms") or {}).items():
         _merge_histogram(tracer.metrics, name, aggregate)
-
-    for record in snapshot.get("logs") or ():
-        rewritten = dict(record)
-        rewritten["trace"] = tracer.trace_id
-        rewritten["span"] = id_map.get(rewritten.get("span"), graft_parent)
-        rewritten["ts"] = max(float(rewritten.get("ts", 0.0)) + shift, floor)
-        attrs = dict(rewritten.get("attrs") or {})
-        attrs.setdefault("worker_pid", worker_pid)
-        attrs.setdefault("shard", shard)
-        rewritten["attrs"] = attrs
-        if not same_process:
-            # a same-process worker tracer already hit the ring live
-            _flight_record(rewritten)
-        if tracer.sinks:
-            severity = level_number(rewritten.get("level", "debug"))
-            for sink in tracer.sinks:
-                if severity >= level_number(sink.min_level):
-                    sink.emit(rewritten)
 
     tracer.dropped_spans += int(snapshot.get("dropped_spans") or 0)
     tracer.metrics.count("parallel.stitched_shards")

@@ -22,6 +22,12 @@ Kernel-cache integration works the same way: the outermost activation
 snapshots the process-wide counters from :mod:`repro.perf` and the
 outermost exit merges their growth under the ``kernel.`` prefix.
 
+One record per run: the tracer writes nothing on its own, and
+:func:`repro.obs.export.write_trace` serializes it as the run's
+``repro.trace/1`` document.  A span that an exception unwinds through
+closes with the exception's class name as its ``error`` attribute, so
+the trace of an aborted run says what ended it.
+
 Usage::
 
     tracer = Tracer()
@@ -40,27 +46,19 @@ Inside instrumented code::
 from __future__ import annotations
 
 import time
-import uuid
 from contextvars import ContextVar
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.flightrec import record as _flight_record
 from repro.obs.metrics import Metrics
-from repro.obs.sink import Sink, level_number
 from repro.perf.cache import kernel_counters
 
 __all__ = [
-    "LOG_SCHEMA",
     "SpanRecord",
     "Tracer",
     "active_tracer",
     "span",
     "event",
 ]
-
-#: schema identifier stamped on every structured log record the tracer
-#: emits (the canonical definition; :mod:`repro.obs.log` re-exports it)
-LOG_SCHEMA = "repro.log/1"
 
 _ACTIVE: ContextVar[Optional["Tracer"]] = ContextVar(
     "repro_active_tracer", default=None
@@ -157,8 +155,6 @@ class Tracer:
         "events",
         "max_spans",
         "dropped_spans",
-        "trace_id",
-        "sinks",
         "memory",
         "_stack",
         "_next_id",
@@ -172,7 +168,6 @@ class Tracer:
         *,
         clock: Callable[[], float] = time.perf_counter,
         max_spans: int = 100_000,
-        trace_id: Optional[str] = None,
     ) -> None:
         self.clock = clock
         self.epoch = clock()
@@ -181,8 +176,6 @@ class Tracer:
         self.events: List[dict] = []
         self.max_spans = max_spans
         self.dropped_spans = 0
-        self.trace_id = trace_id if trace_id is not None else uuid.uuid4().hex[:12]
-        self.sinks: List[Sink] = []
         self.memory = None  # a MemoryProfiler when --memory is on
         self._stack: List[SpanRecord] = []
         self._next_id = 0
@@ -211,12 +204,9 @@ class Tracer:
                 grew = value - baseline.get(name, 0)
                 if grew:
                     self.metrics.count(f"kernel.{name}", grew)
-        if outermost:
-            if self.memory is not None:
-                self.memory.stop()
-                self._mem_frames.clear()
-            for sink in self.sinks:
-                sink.flush()
+        if outermost and self.memory is not None:
+            self.memory.stop()
+            self._mem_frames.clear()
 
     # -------------------------------------------------------------- recording
 
@@ -249,9 +239,6 @@ class Tracer:
             top = self._stack.pop()
             if top is record:
                 break
-        attrs = dict(record.attrs)
-        attrs["duration"] = record.duration
-        self._emit("span", "debug", record.name, record.span_id, attrs)
 
     def event(self, name: str, **attrs: Any) -> None:
         """Record one instant event under the currently open span."""
@@ -262,46 +249,6 @@ class Tracer:
         self.events.append(
             {"name": name, "time": self.now(), "parent": parent, "attrs": attrs}
         )
-        self._emit("event", "debug", name, parent, attrs)
-
-    # --------------------------------------------------------- structured log
-
-    def add_sink(self, sink: Sink) -> Sink:
-        """Attach a :class:`~repro.obs.sink.Sink`; returns it (chains)."""
-        self.sinks.append(sink)
-        return sink
-
-    def log(self, name: str, level: str = "info", **attrs: Any) -> None:
-        """Emit one structured log record (``repro.log/1``) to the
-        attached sinks and the flight-recorder ring, correlated with
-        this tracer's id and the innermost open span."""
-        parent = self._stack[-1].span_id if self._stack else None
-        self._emit("log", level, name, parent, attrs)
-
-    def _emit(
-        self,
-        kind: str,
-        level: str,
-        name: str,
-        span_id: Optional[int],
-        attrs: Dict[str, Any],
-    ) -> None:
-        record = {
-            "schema": LOG_SCHEMA,
-            "ts": self.now(),
-            "level": level,
-            "kind": kind,
-            "name": name,
-            "trace": self.trace_id,
-            "span": span_id,
-            "attrs": attrs,
-        }
-        _flight_record(record)
-        if self.sinks:
-            severity = level_number(level)
-            for sink in self.sinks:
-                if severity >= level_number(sink.min_level):
-                    sink.emit(record)
 
     # ------------------------------------------------------------- inspection
 

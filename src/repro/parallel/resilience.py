@@ -51,9 +51,8 @@ shard returns the same value as a first-try shard, the merge is
 byte-identical to serial, and guard-counter parity survives any
 injected failure the loop recovers from.  Every recovery decision is
 counted on the context (``retries`` / ``deadline_exceeded`` /
-``quarantined`` / ``dropped_shards`` / ``pool_restarts``), emitted as
-``parallel.*`` metrics by the backend drivers, and logged as
-warning-level ``repro.log/1`` records.
+``quarantined`` / ``dropped_shards`` / ``pool_restarts``) and emitted
+as ``parallel.*`` metrics by the backend drivers.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.errors import ShardFailedError
-from repro.obs.log import log_event
 from repro.obs.stitch import stitch_telemetry
 from repro.obs.trace import active_tracer
 from repro.runtime.faults import active_fault_registry
@@ -314,11 +312,6 @@ def dispatch_shards(
                 future.cancel()
                 report.deadline_exceeded += 1
                 ctx.deadline_exceeded += 1
-                log_event(
-                    "parallel.shard_deadline_exceeded", level="warning",
-                    op=fn.__name__, shard=i, attempt=attempts[i] + 1,
-                    timeout=timeout,
-                )
                 failure: Optional[BaseException] = None
             except _POOL_ERRORS as error:
                 if not is_process:
@@ -337,12 +330,6 @@ def dispatch_shards(
             except Exception as error:  # shard-level failure
                 failure = error
             attempts[i] += 1
-            if failure is not None:
-                log_event(
-                    "parallel.shard_error", level="warning",
-                    op=fn.__name__, shard=i, attempt=attempts[i],
-                    error=type(failure).__name__,
-                )
             if attempts[i] <= policy.max_retries:
                 retry.append(i)
             elif policy.on_failure == "fail":
@@ -361,31 +348,14 @@ def dispatch_shards(
                 report.pool_restarts += 1
                 ctx.pool_restarts += 1
                 ctx._restart_pool()
-                log_event(
-                    "parallel.pool_restart", level="warning",
-                    op=fn.__name__, shards=len(infra),
-                    restarts=report.pool_restarts,
-                )
             else:
                 ctx._degrade_to_threads()
-                log_event(
-                    "parallel.pool_fallback", level="warning",
-                    op=fn.__name__, shards=len(infra),
-                )
         elif pickle_broken:
             ctx._degrade_to_threads()
-            log_event(
-                "parallel.pool_fallback", level="warning",
-                op=fn.__name__, shards=len(infra), reason="unpicklable",
-            )
 
         for i in quarantine:
             report.quarantined += 1
             ctx.quarantined += 1
-            log_event(
-                "parallel.shard_quarantined", level="warning",
-                op=fn.__name__, shard=i, attempts=attempts[i],
-            )
             try:
                 raw = run_quarantined(
                     fn, payloads[i], capture=capture, memory=memory
@@ -413,12 +383,6 @@ def dispatch_shards(
                 if degraded is None:
                     report.dropped += 1
                     ctx.dropped_shards += 1
-                log_event(
-                    "parallel.shard_dropped", level="warning",
-                    op=fn.__name__, shard=i, attempts=attempts[i],
-                    error=type(error).__name__,
-                    degraded=degraded is not None,
-                )
 
         if retry:
             report.retries += len(retry)

@@ -18,15 +18,14 @@ Worker-side telemetry capture: when the dispatching process has a
 tracer active, the resilient dispatch loop asks :func:`run_shard` for
 *capture* mode — the shard runs under a lightweight in-worker
 :class:`~repro.obs.trace.Tracer` (its own object, never the parent's
-inherited one) whose spans, metric deltas (including the ``kernel.*``
-cache counters), and ``repro.log/1`` records ride back to the parent
-inside a :class:`ShardEnvelope` as a picklable
-``repro.worker-telemetry/1`` snapshot.  The parent grafts the snapshot
-into its own tracer at harvest time (:mod:`repro.obs.stitch`), so
-``--trace`` / ``--stats`` / ``explain`` / the flight recorder finally
-see inside the pool.  Guard and execution-context variables stay
-untouched in workers: budgets and charge parity remain the parent's
-job, exactly as before.
+inherited one) whose spans, events and metric deltas (including the
+``kernel.*`` cache counters) ride back to the parent inside a
+:class:`ShardEnvelope` as a picklable ``repro.worker-telemetry/1``
+snapshot.  The parent grafts the snapshot into its own tracer at
+harvest time (:mod:`repro.obs.stitch`), so ``--trace`` / ``--stats``
+/ ``explain`` see inside the pool.  Guard and execution-context
+variables stay untouched in workers: budgets and charge parity remain
+the parent's job, exactly as before.
 
 Cross-process chaos: when a :class:`~repro.runtime.faults.FaultRegistry`
 with faults armed at the ``worker.*`` sites is active in the parent,
@@ -123,7 +122,6 @@ def _captured(kernel, kernel_payload, memory=None) -> "ShardEnvelope":
     Imported lazily so capture-free dispatches never pay the obs
     imports in a cold worker.
     """
-    from repro.obs.sink import CollectingSink
     from repro.obs.stitch import snapshot_telemetry
     from repro.obs.trace import Tracer
 
@@ -132,11 +130,10 @@ def _captured(kernel, kernel_payload, memory=None) -> "ShardEnvelope":
         from repro.obs.memory import MemoryProfiler
 
         tracer.memory = MemoryProfiler(memory)
-    logs = tracer.add_sink(CollectingSink())
     with tracer:
         with tracer.span(shard_site(kernel), pid=os.getpid()):
             result = kernel(kernel_payload)
-    return ShardEnvelope(result, snapshot_telemetry(tracer, logs.records))
+    return ShardEnvelope(result, snapshot_telemetry(tracer))
 
 
 def run_shard(payload) -> object:

@@ -23,11 +23,9 @@ Datalog¬ engines (naive, semi-naive, stratified), which share one
 signature.  Every engine absorbs each round's derived tuples, so a
 representation blowup has no cheaper retry.
 
-Every degradation decision (transient retry, partial fallback) is
-emitted as a ``warning``-level structured log event through the
-ambient tracer (:mod:`repro.obs.log`), so a production run's retries
-are visible in the log stream and the flight-recorder ring — and cost
-nothing when nobody is observing.
+A traced run records each attempt as its own engine span: an aborted
+attempt's span carries the ``error`` attribute naming the exception
+that ended it, and the partial rerun follows as a second span.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ShardFailedError
-from repro.obs.log import log_event
 from repro.runtime.budget import Budget, BudgetExceeded
 from repro.runtime.faults import TransientEvaluationError
 
@@ -88,23 +85,14 @@ def run_with_policy(
     while True:
         try:
             return attempt("raise", max_rounds)
-        except (TransientEvaluationError, ShardFailedError) as error:
+        except (TransientEvaluationError, ShardFailedError):
             if transient_left <= 0:
                 raise
             transient_left -= 1
-            log_event(
-                "degrade.retry_transient", level="warning",
-                error=type(error).__name__, retries_left=transient_left,
-            )
         except BudgetExceeded as error:
             fallback = policy.fallback_max_rounds
             if fallback is None and error.rounds > 0:
                 fallback = error.rounds
             if not policy.partial_on_budget or not fallback:
                 raise
-            log_event(
-                "degrade.partial_fallback", level="warning",
-                error=type(error).__name__, site=error.site,
-                fallback_max_rounds=fallback,
-            )
             return attempt("partial", fallback)

@@ -290,18 +290,4 @@ class FaultRegistry:
             if fault.error is not None:
                 error = fault.error() if isinstance(fault.error, type) else fault.error
                 self.log.append((site, hit, f"raise:{type(error).__name__}"))
-                if os.getpid() == self.owner_pid:
-                    # a tripping fault is a post-mortem trigger: record
-                    # it in the flight ring (and dump, when a dir is
-                    # configured) before the raise unwinds the
-                    # evaluation.  Only in the arming process: the
-                    # flight recorder is parent-side state — in a forked
-                    # worker the capture would build a document against
-                    # inherited copies of the parent's ring, tracer, and
-                    # executor internals (and the allocation burst can
-                    # GC inherited executor weakrefs whose callbacks
-                    # take locks the fork may have copied *held*)
-                    from repro.obs.flightrec import flight_recorder
-
-                    flight_recorder().on_fault(site, error)
                 raise error

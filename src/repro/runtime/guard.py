@@ -39,12 +39,13 @@ tracer's metrics under the ``guard.`` prefix — guard checkpoints and
 trace metrics share one collection surface without a second code path
 through the algebra.
 
-Post-mortems: when the outermost ``__exit__`` sees an exception — a
-budget error, an injected fault, anything — the per-site counters and
-totals accumulated so far are captured into a ``repro.postmortem/1``
-document by the process-wide flight recorder
-(:mod:`repro.obs.flightrec`), so a budget abort keeps its partial
-telemetry instead of losing it with the stack unwind.
+An aborted evaluation keeps its account: the merge above also runs
+when the outermost ``__exit__`` unwinds an exception, the spans it
+unwinds through carry the exception's name as their ``error``
+attribute, and :func:`repro.obs.export.trace_document` embeds
+:meth:`EvaluationGuard.stats` as the document's ``guard`` section.
+The guard keeps no reference to the exception, so an aborted run
+holds nothing alive once its caller drops the error.
 """
 
 from __future__ import annotations
@@ -165,13 +166,6 @@ class EvaluationGuard:
             tracer = active_tracer()
             if tracer is not None:
                 self._merge_into(tracer)
-            if exc is not None:
-                # the evaluation died inside this guard (budget error,
-                # injected fault, or any uncaught exception): capture a
-                # post-mortem so the abort is diagnosable after the fact
-                from repro.obs.flightrec import flight_recorder
-
-                flight_recorder().on_guard_exception(self, exc, tracer)
 
     def _merge_into(self, tracer) -> None:
         """Merge this activation's deltas into the tracer (``guard.*``)."""

@@ -136,13 +136,10 @@ class TestQueryPlanner:
         assert not [name for name in counters if name.startswith("parallel.")]
 
     def test_planner_metrics_and_plan_span(self):
-        from repro.obs.sink import CollectingSink
-
         db = _db()
         f = exists("y", rel("E", "x", "y") & rel("E", "y", "z"))
         planner = QueryPlanner()
         tracer = Tracer()
-        sink = tracer.add_sink(CollectingSink())
         with tracer:
             with tracer.span("query"):
                 planner.run(f, db, db.theory)
@@ -150,8 +147,7 @@ class TestQueryPlanner:
         counters = tracer.metrics.counters
         assert counters.get("planner.plans") == 1
         assert counters.get("planner.cache.hits") == 1
-        spans = [r for r in sink.records
-                 if r["kind"] == "span" and r["name"] == "planner.plan"]
+        spans = [r for r in tracer.spans if r.name == "planner.plan"]
         assert len(spans) == 2  # plan provenance rides the trace
 
     def test_guard_counters_attributed(self):

@@ -1,8 +1,7 @@
 """The CLI exit-code contract: 0 ok, 1 input error, 2 usage, 3 budget,
-4 bench regression — one code per failure class, documented in README."""
+5 shard failure — one code per failure class, documented in README."""
 
 import json
-import time
 
 import pytest
 
@@ -10,14 +9,13 @@ from repro.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
     EXIT_OK,
-    EXIT_REGRESSION,
+    EXIT_SHARD,
     EXIT_USAGE,
     main,
 )
 from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.encoding.standard import encode_database
-from repro.obs import HISTORY_SCHEMA
 
 TC_PROGRAM = "tc(x, y) :- e(x, y).\ntc(x, z) :- tc(x, y), e(y, z).\n"
 
@@ -38,23 +36,10 @@ def program_file(tmp_path):
     return str(path)
 
 
-def write_history(path, *runs):
-    with open(path, "w", encoding="utf-8") as handle:
-        for metrics in runs:
-            handle.write(json.dumps({
-                "schema": HISTORY_SCHEMA,
-                "created_unix": time.time(),
-                "provenance": {"git": None, "python": "x", "platform": "y",
-                               "argv": "synthetic"},
-                "metrics": metrics,
-            }))
-            handle.write("\n")
-
-
 class TestDistinctCodes:
     def test_the_five_codes_are_distinct_and_documented(self):
-        codes = [EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_BUDGET, EXIT_REGRESSION]
-        assert codes == [0, 1, 2, 3, 4]
+        codes = [EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_BUDGET, EXIT_SHARD]
+        assert codes == [0, 1, 2, 3, 5]
 
 
 class TestExitOk:
@@ -107,7 +92,6 @@ class TestExitError:
         pytest.param(["trace", "analyze", "BAD"], id="trace-analyze"),
         pytest.param(["trace", "flame", "BAD"], id="trace-flame"),
         pytest.param(["trace", "diff", "BAD", "BAD"], id="trace-diff"),
-        pytest.param(["bench-watch", "--history", "BAD"], id="bench-watch"),
     ])
     def test_non_utf8_input_file(self, argv, db_file, program_file, tmp_path, capsys):
         """A UTF-16 file (byte-order mark ``ff fe``) is an input error
@@ -156,18 +140,12 @@ class TestExitUsage:
         pytest.param(["explain", "DB", "e(x, y)", "--max-depth", "-1"], id="max-depth"),
         pytest.param(["datalog", "DB", "PROGRAM", "--max-rounds", "-1"], id="max-rounds"),
         pytest.param(["trace", "analyze", "TRACE", "--max-path", "-1"], id="max-path"),
-        pytest.param(["bench-watch", "--history", "HISTORY", "--window", "0"],
-                     id="window"),
-        pytest.param(["bench-watch", "--history", "HISTORY", "--threshold", "0.5"],
-                     id="threshold"),
     ])
     def test_out_of_range_numeric_flag(self, argv, db_file, program_file, capsys):
         """Rejected when parsed: no ValueError traceback from the pool,
-        no budget that trips at once, no truncation count past the
-        path, and no regression verdict from an empty window or from a
-        ratio that flags improvements."""
-        paths = {"DB": db_file, "PROGRAM": program_file,
-                 "TRACE": "trace.json", "HISTORY": "history.jsonl"}
+        no budget that trips at once, and no truncation count past the
+        path."""
+        paths = {"DB": db_file, "PROGRAM": program_file, "TRACE": "trace.json"}
         with pytest.raises(SystemExit) as err:
             main([paths.get(a, a) for a in argv])
         assert err.value.code == EXIT_USAGE
@@ -194,34 +172,45 @@ class TestExitBudget:
         assert "guard stats" in captured.out
         assert "budget exceeded" in captured.err
 
+    @staticmethod
+    def assert_budget_outcome_kept(err, trace):
+        """The run's own budget lines survive, plus one error line that
+        names the trace file that could not be written."""
+        lines = err.strip().splitlines()
+        assert any(line.startswith("budget exceeded:") for line in lines), err
+        assert any(line.startswith("diagnostics:") for line in lines), err
+        errors = [line for line in lines if line.startswith("error:")]
+        assert len(errors) == 1 and trace in errors[0], err
+        assert "Traceback" not in err
 
-class TestExitRegression:
-    def test_injected_2x_slowdown_detected(self, tmp_path, capsys):
-        history = str(tmp_path / "history.jsonl")
-        write_history(
-            history,
-            {"tc_seconds": 1.00},
-            {"tc_seconds": 0.98},
-            {"tc_seconds": 1.02},
-            {"tc_seconds": 2.04},  # the injected 2x slowdown
-        )
-        code = main(["bench-watch", "--history", history])
-        assert code == EXIT_REGRESSION
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "status: regression" in out
+    def test_datalog_unwritable_trace_keeps_the_budget_outcome(
+        self, db_file, program_file, tmp_path, capsys
+    ):
+        trace = str(tmp_path / "missing-dir" / "t.json")
+        code = main(["datalog", db_file, program_file, "--max-rounds", "1",
+                     "--trace", trace])
+        assert code == EXIT_BUDGET
+        self.assert_budget_outcome_kept(capsys.readouterr().err, trace)
 
-    def test_flat_history_passes(self, tmp_path, capsys):
-        history = str(tmp_path / "history.jsonl")
-        write_history(
-            history,
-            {"tc_seconds": 1.00},
-            {"tc_seconds": 0.98},
-            {"tc_seconds": 1.02},
-        )
-        assert main(["bench-watch", "--history", history]) == EXIT_OK
-        assert "status: ok" in capsys.readouterr().out
+    def test_explain_unwritable_trace_keeps_the_budget_outcome(
+        self, db_file, program_file, tmp_path, capsys
+    ):
+        trace = str(tmp_path / "missing-dir" / "t.json")
+        code = main(["explain", db_file, program_file, "--max-rounds", "1",
+                     "--trace", trace])
+        assert code == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert "guard stats" in captured.out
+        self.assert_budget_outcome_kept(captured.err, trace)
 
-    def test_missing_history_is_an_input_error(self, tmp_path, capsys):
-        missing = str(tmp_path / "none.jsonl")
-        assert main(["bench-watch", "--history", missing]) == EXIT_ERROR
-        capsys.readouterr()
+    def test_completed_run_with_unwritable_trace_is_an_error(
+        self, db_file, program_file, tmp_path, capsys
+    ):
+        trace = str(tmp_path / "missing-dir" / "t.json")
+        code = main(["datalog", db_file, program_file, "--trace", trace])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "fixpoint after" in captured.out
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and trace in errors[0], captured.err

@@ -139,6 +139,24 @@ class TestDatalogObservation:
         document = json.loads(trace.read_text(encoding="utf-8"))
         assert document["schema"] == TRACE_SCHEMA
 
+        # a round-budget kill: the trace alone says what aborted the
+        # run, how far it got, and which rounds completed
+        aborted = tmp_path / "aborted.json"
+        code = main(
+            ["datalog", db_file, program_file, "--max-rounds", "1",
+             "--stats", "--trace", str(aborted)]
+        )
+        assert code == 3
+        document = load_trace(str(aborted))
+        engine = [s for s in document["spans"] if s["name"] == "datalog.naive"]
+        assert len(engine) == 1
+        assert engine[0]["attrs"]["error"] == "RoundLimitExceeded"
+        assert document["guard"]["rounds_completed"] >= 1
+        assert any(
+            s["name"] == "datalog.naive.round" for s in document["spans"]
+        )
+        capsys.readouterr()
+
 
 class TestInfoHardening:
     def test_per_relation_table(self, db_file, capsys):

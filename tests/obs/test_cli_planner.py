@@ -107,7 +107,7 @@ class TestOptimizeFlag:
         listed = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
         assert listed.split(",") == [
             "info", "query", "datalog", "explain", "plan", "reencode",
-            "trace", "bench-watch",
+            "trace",
         ]
         for command in ("query", "datalog", "explain", "plan"):
             with pytest.raises(SystemExit):

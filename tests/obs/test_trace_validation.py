@@ -110,8 +110,8 @@ class TestSpanNesting:
             validate_trace(doc)
 
     def test_colliding_span_ids_rejected(self):
-        # span ids are the join key for events, log records, and
-        # stitched worker subtrees — a collision silently reparents
+        # span ids are the join key for events and stitched worker
+        # subtrees — a collision silently reparents
         # all of them, so the validator must refuse the document
         doc = base_document()
         doc["spans"] = [

@@ -4,7 +4,7 @@ The tentpole contract: a ``--parallel`` run under a tracer produces one
 valid ``repro.trace/1`` document containing worker-side spans (with
 ``pid``/``shard``/``attempt`` attributes) for every dispatched shard —
 including retried and quarantined ones — plus merged worker metrics and
-replayed worker log records.  These tests pin the stitching mechanics
+worker events.  These tests pin the stitching mechanics
 (:mod:`repro.obs.stitch`), the capture plumbing through the resilient
 dispatch loop, and the satellite bugfix that ``--stats`` after
 ``--parallel`` no longer reports parent-only kernel activity.
@@ -19,14 +19,12 @@ import pytest
 
 from repro.core.relation import Relation
 from repro.obs import (
-    CollectingSink,
     Tracer,
     snapshot_telemetry,
     stitch_telemetry,
     trace_document,
     validate_trace,
 )
-from repro.obs.log import log_event
 from repro.parallel import ExecutionContext, ResiliencePolicy
 from repro.runtime.faults import FaultRegistry, TransientEvaluationError
 
@@ -257,11 +255,10 @@ class TestResilientStitching:
 class TestStitchMechanics:
     def _snapshot(self, **overrides):
         worker = Tracer()
-        sink = worker.add_sink(CollectingSink())
         with worker:
             with worker.span("worker.unit", pid=os.getpid()):
-                log_event("unit.note", level="info", detail=7)
-        snapshot = snapshot_telemetry(worker, sink.records)
+                worker.event("unit.note", detail=7)
+        snapshot = snapshot_telemetry(worker)
         snapshot.update(overrides)
         return snapshot
 
@@ -300,21 +297,6 @@ class TestStitchMechanics:
         # another process's counters are its own traffic: both merge
         assert tracer.metrics.counter("kernel.cache.hits") >= 9
         assert tracer.metrics.counter("kernel.cache.misses") >= 4
-
-    def test_log_records_replay_through_parent_sinks(self):
-        snapshot = self._snapshot(pid=os.getpid() + 1)
-        tracer = Tracer()
-        sink = tracer.add_sink(CollectingSink())
-        with tracer:
-            with tracer.span("query"):
-                stitch_telemetry(tracer, snapshot, shard=3, attempt=1)
-        replayed = [r for r in sink.records if r["name"] == "unit.note"]
-        assert len(replayed) == 1
-        record = replayed[0]
-        assert record["trace"] == tracer.trace_id
-        assert record["attrs"]["worker_pid"] == os.getpid() + 1
-        assert record["attrs"]["shard"] == 3
-        assert record["attrs"]["detail"] == 7
 
     def test_clock_shift_clamps_into_dispatch_span(self):
         # worker clocks are arbitrary offsets; the graft must land the

@@ -1,13 +1,20 @@
 """Unit tests for EvaluationGuard: checkpoints, clock, activation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.atoms import lt
 from repro.core.relation import Relation
 from repro.core.theory import DENSE_ORDER
+from repro.datalog.engine import evaluate_program
+from repro.perf import reset_kernel_cache
+from repro.queries.library import transitive_closure_program
 from repro.runtime.budget import (
     AtomLimitExceeded,
     Budget,
+    BudgetExceeded,
     DeadlineExceeded,
     DepthLimitExceeded,
     EvaluationCancelled,
@@ -15,6 +22,7 @@ from repro.runtime.budget import (
     TupleLimitExceeded,
 )
 from repro.runtime.guard import EvaluationGuard, active_guard
+from repro.workloads.generators import path_graph
 
 
 class FakeClock:
@@ -161,3 +169,29 @@ class TestStats:
         assert snapshot["tuples_materialized"] == 3
         assert snapshot["rounds_completed"] == 1
         assert snapshot["ticks"] >= 1
+
+
+def _aborted_transitive_closure():
+    """Abort TC over a 40-vertex path on its round budget, drop the
+    error, and return only a weak reference to one input tuple."""
+    database = path_graph(40)
+    probe = weakref.ref(database["E"].tuples[0])
+    try:
+        with EvaluationGuard(Budget(max_rounds=30)) as guard:
+            evaluate_program(
+                transitive_closure_program(), database, guard=guard
+            )
+    except BudgetExceeded:
+        pass
+    else:  # pragma: no cover - the budget is sized to trip
+        raise AssertionError("the round budget did not trip")
+    return probe
+
+
+class TestAbortKeepsNothingAlive:
+    def test_aborted_evaluation_releases_its_input(self):
+        probe = _aborted_transitive_closure()
+        # the operation memo holds interned tuples strongly
+        reset_kernel_cache()
+        gc.collect()
+        assert probe() is None
