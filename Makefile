@@ -68,8 +68,8 @@ chaos:
 	REPRO_CHAOS=1 python tests/parallel/oracle.py
 	REPRO_CHAOS=1 REPRO_DIFF_POOL=process python tests/parallel/oracle.py
 
-# the observability walkthrough: profile a transitive-closure run and
-# export the JSON trace (TRACE_OUT overrides the export path)
+# the observability walkthrough: trace a transitive-closure run, write
+# its JSON trace (TRACE_OUT overrides the path) and print its report
 explain-demo:
 	python examples/observability_profile.py
 

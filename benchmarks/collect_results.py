@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import time
 from fractions import Fraction
@@ -24,7 +23,7 @@ from repro.cobjects.calculus import CAnd, CExists, COr, CRelation
 from repro.cobjects.types import Q, SetType
 from repro.core.atoms import lt
 from repro.core.database import Database
-from repro.core.evaluator import evaluate, evaluate_boolean
+from repro.core.evaluator import evaluate
 from repro.core.formula import constraint, exists, rel
 from repro.core.relation import Relation
 from repro.core.terms import as_term
@@ -39,7 +38,7 @@ from repro.genericity.automorphisms import moving
 from repro.genericity.checks import check_boolean_generic, check_generic
 from repro.genericity.ef_games import linear_order, min_distinguishing_rank
 from repro.genericity.formula_search import search_sentence
-from repro.linear.region import count_components, is_connected
+from repro.linear.region import count_components
 from repro.queries.library import (
     graph_connectivity_procedural,
     parity_ccalc,
@@ -278,12 +277,19 @@ def e11_genericity() -> None:
 
 def e14_profiles() -> None:
     """Run representative workloads under a tracer and fold the
-    per-phase breakdowns into ``BENCH_PROFILES.json`` next to this
-    script, so benchmark entries carry phase costs, not just
-    wall-clock."""
+    operator, QE and fixpoint figures of each run's trace document into
+    ``BENCH_PROFILES.json`` next to this script, so benchmark entries
+    carry phase costs, not just wall-clock."""
     header("E14 -- per-phase evaluation profiles (repro.obs)")
     from repro.datalog.seminaive import evaluate_seminaive
-    from repro.obs import Tracer, phase_breakdown
+    from repro.obs import (
+        Tracer,
+        analyze_trace,
+        fixpoint_rounds,
+        qe_totals,
+        relation_algebra,
+        trace_document,
+    )
 
     f = exists("y", rel("S", "x") & rel("S", "y") & constraint(lt("x", "y")))
     workloads = {
@@ -302,7 +308,14 @@ def e14_profiles() -> None:
         tracer = Tracer()
         with tracer:
             thunk()
-        breakdown = phase_breakdown(tracer)
+        document = trace_document(tracer)
+        breakdown = {
+            "total_seconds": analyze_trace(document)["total_seconds"],
+            "operators": relation_algebra(document),
+            "qe": qe_totals(document),
+            "fixpoint": fixpoint_rounds(document),
+            "counters": document["metrics"]["counters"],
+        }
         entries[name] = breakdown
         ops = {row["operator"]: row["calls"] for row in breakdown["operators"]}
         rounds = sum(breakdown["fixpoint"]["rounds"].values())
@@ -329,7 +342,6 @@ def e15_kernel_cache() -> None:
     header("E15 -- kernel memo cache and interning payoff (repro.perf)")
     from repro.datalog.seminaive import evaluate_seminaive
     from repro.perf import kernel_cache_disabled, kernel_stats, reset_kernel_cache
-    from repro.queries.library import transitive_closure_program as tc_program
     from repro.workloads.generators import slow_tc_workload
 
     def best(thunk, repeat=5):

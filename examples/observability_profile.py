@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Observability: trace, profile, and explain an evaluation.
+"""Observability: trace an evaluation and print its report.
 
 Closed-form evaluation hides a lot of work -- quantifier eliminations,
 complements that explode then re-simplify, fixpoint rounds whose deltas
@@ -8,10 +8,11 @@ that work visible without touching any engine code path when disabled:
 
 1. run a transitive-closure program under a :class:`Tracer` and an
    :class:`EvaluationGuard`, collecting spans + metrics + guard stats;
-2. print the EXPLAIN-style per-phase cost tree (what the ``explain``
-   CLI subcommand shows);
-3. export the structured JSON trace (schema ``repro.trace/1``) for
-   downstream tooling.
+2. build the run's one record, the ``repro.trace/1`` document, and
+   write it for downstream tooling;
+3. print the report of that document -- what the ``explain`` CLI
+   subcommand prints after its result line, and ``repro trace
+   analyze`` prints of the written file.
 
 Set ``TRACE_OUT=/path/to/trace.json`` to choose the export path.
 
@@ -25,7 +26,7 @@ from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.datalog.seminaive import evaluate_seminaive
 from repro.lang import parse_program
-from repro.obs import Tracer, render_profile, write_trace
+from repro.obs import Tracer, render_report, trace_document, write_trace
 from repro.runtime.guard import EvaluationGuard
 
 PROGRAM = """
@@ -54,16 +55,15 @@ def main() -> None:
 
     print(f"fixpoint after {result.rounds} round(s), "
           f"{len(result['tc'])} tc tuple(s)")
-    print()
-    print(render_profile(tracer, guard))
 
     out = os.environ.get("TRACE_OUT")
     if not out:
         out = os.path.join(tempfile.gettempdir(), "repro_trace.json")
-    document = write_trace(out, tracer, guard)
-    print()
+    document = write_trace(out, trace_document(tracer, guard))
     print(f"trace written to {out}: {len(document['spans'])} span(s), "
           f"{len(document['metrics']['counters'])} counter(s)")
+    print()
+    print(render_report(document))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Subpackages
 ``repro.queries``     canned queries (parity, connectivity, topology, ...)
 ``repro.workloads``   seeded workload generators for tests and benchmarks
 ``repro.runtime``     resource budgets, guards, degradation, fault injection
-``repro.obs``         evaluation tracing, metrics, EXPLAIN profiling
+``repro.obs``         evaluation tracing, metrics, the run report
 ``repro.perf``        kernel memo cache and generalized-tuple interning
 ``repro.parallel``    opt-in sharded parallel evaluation backend
 """
@@ -47,7 +47,6 @@ from repro.core import (  # noqa: F401  (re-exported convenience surface)
 )
 from repro.obs import (  # noqa: F401
     Tracer,
-    render_profile,
     span,
 )
 from repro.parallel import (  # noqa: F401
@@ -71,7 +70,6 @@ __all__ = [
     "Tracer",
     "kernel_cache_disabled",
     "kernel_stats",
-    "render_profile",
     "span",
     "Database",
     "GTuple",

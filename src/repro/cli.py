@@ -19,31 +19,30 @@ makes ``datalog`` print the sound partial result instead, tagged with
 what was cut.
 
 Evaluation is also *observable*: ``--trace FILE`` writes a structured
-JSON trace (schema ``repro.trace/1``), ``--profile`` prints the
-per-phase cost tree after the result, ``--stats`` prints the guard's
-per-site counters plus the kernel cache/interning statistics, and
-``-v``/``-vv`` print metric summaries on stderr.  The trace is the one
-record of a run: it is written when a budget aborts the run too, with
-the aborting span's ``error`` attribute and the guard's partial
-counters.  A trace file that cannot be written adds one ``error:``
-line and leaves the run's own outcome standing: an aborted run still
-exits ``3``, a completed one exits ``1``.
+JSON trace (schema ``repro.trace/1``), the one record of a run.  It is
+written when a budget aborts the run too, with the aborting span's
+``error`` attribute and the guard's partial counters.  A trace file
+that cannot be written adds one ``error:`` line and leaves the run's
+own outcome standing: an aborted run still exits ``3``, a completed
+one exits ``1``.
 
 Two subcommands inspect plans and runs.  ``plan`` plans without
 running: one tree per formula or Datalog rule, each node with its
 estimated rows (generalized tuples).  ``explain`` runs a query or
-program and reports where the work went: the per-phase cost tree, one
+program and prints the report of its trace, also when a budget aborts
+the run: the critical path, the self-time hotspots and phases, one
 per-operator table (calls, tuples in and out, seconds, and how many
-calls sharded on a pool) and the guard's counters, also when a budget
-aborts the run; ``--trace`` writes the same run as a ``repro.trace/1``
-document.  ``--optimize={none,heuristic}`` picks the planning mode on
+calls sharded on a pool), the QE line, fixpoint rounds with their
+delta sizes, latency quantiles, the kernel cache line and the guard's
+counters; ``--trace`` writes the document the report was read from.
+``--optimize={none,heuristic}`` picks the planning mode on
 ``query``/``datalog``/``explain``: ``none`` (the default) runs the
 direct evaluator, ``heuristic`` the rule-engine rewrites.
 
 Trace analysis (the :mod:`repro.obs` analysis toolkit): ``repro trace
-analyze TRACE`` prints the critical path and the per-operator /
-per-phase bottleneck tables of a saved ``repro.trace/1`` document;
-``repro trace flame TRACE`` exports it as a speedscope JSON profile
+analyze TRACE`` prints the same report of a saved ``repro.trace/1``
+document, byte for byte what ``explain`` printed after its result
+line; ``repro trace flame TRACE`` exports it as a speedscope JSON profile
 (or ``--format collapsed`` stack lines); ``repro trace diff BEFORE
 AFTER`` structurally diffs two traces of the same workload and
 attributes the latency delta to named operators, optionally writing a
@@ -51,7 +50,7 @@ attributes the latency delta to named operators, optionally writing a
 
 ``--memory`` (on ``query``/``datalog``/``explain``) turns
 on per-span memory attribution: every traced span gains
-``mem_alloc_blocks``/``mem_peak_bytes`` attrs, ``explain`` prints a
+``mem_alloc_blocks``/``mem_peak_bytes`` attrs, the report prints a
 per-span ``memory attribution`` table, and ``--parallel`` runs capture
 the same attrs inside pool workers.  The default ``rss`` backend is
 cheap: E21 prints a 5% target and asserts that its worst workload
@@ -90,11 +89,11 @@ least 1, ``--timeout`` and ``--shard-timeout`` positive, and
 ``--max-rounds`` and ``trace analyze --max-path`` non-negative;
 anything else is a usage error (exit ``2``).
 
-When an observation surface is active, ``--parallel`` runs capture
-worker-side telemetry and stitch it into the parent trace (spans with
-``pid``/``shard``/``attempt`` attributes, worker events and
-kernel-cache deltas), so ``--trace`` / ``--stats`` / ``explain`` see
-inside the pool; ``--no-stitch`` turns the capture off for
+When a run is traced (``--trace``, ``--memory`` or ``explain``),
+``--parallel`` runs capture worker-side telemetry and stitch it into
+the parent trace (spans with ``pid``/``shard``/``attempt`` attributes,
+worker events and kernel-cache deltas), so the trace and its report
+see inside the pool; ``--no-stitch`` turns the capture off for
 overhead-sensitive runs (untraced runs never pay for it either way).
 """
 
@@ -115,16 +114,8 @@ from repro.encoding.standard import decode_database, encode_database, encoding_s
 from repro.errors import ReproError, ShardFailedError
 from repro.files import read_text
 from repro.lang import parse_formula, parse_program
-from repro.obs import (
-    Tracer,
-    guard_stats_table,
-    kernel_stats_table,
-    render_metrics_summary,
-    render_profile,
-    write_trace,
-)
-from repro.obs.profile import render_latency_quantiles
-from repro.perf import kernel_cache_disabled, kernel_stats
+from repro.obs import Tracer, render_report, trace_document, write_trace
+from repro.perf import kernel_cache_disabled
 from repro.runtime.budget import Budget, BudgetExceeded
 from repro.runtime.guard import EvaluationGuard
 
@@ -208,22 +199,11 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
+def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="write a structured JSON trace of the evaluation (repro.trace/1)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="print the per-phase cost tree after the result",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print the guard's per-site counter summary (stderr)",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="count", default=0,
-        help="-v: metrics summary on stderr; -vv: also list every span",
+        help="write a structured JSON trace of the evaluation "
+        "(repro.trace/1; written even when a budget aborts the run)",
     )
 
 
@@ -231,7 +211,7 @@ def _add_memory_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--memory", action="store_true",
         help="attribute memory per span (span attrs, worker spans on "
-        "--parallel runs, explain's memory attribution table)",
+        "--parallel runs, the report's memory attribution table)",
     )
     parser.add_argument(
         "--memory-backend", choices=("rss", "tracemalloc"), default="rss",
@@ -295,8 +275,8 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-stitch", action="store_true", dest="no_stitch",
         help="disable worker-side telemetry capture and trace stitching "
-        "for --parallel runs (only relevant when an observation surface "
-        "is active; untraced runs never capture)",
+        "for --parallel runs (only relevant to traced runs: --trace, "
+        "--memory or explain; untraced runs never capture)",
     )
 
 
@@ -365,102 +345,41 @@ def _planner_of(args: argparse.Namespace):
 
 def _tracer_of(args: argparse.Namespace,
                always: bool = False) -> Optional[Tracer]:
-    """A Tracer when any observation surface was requested (``always``
-    for ``explain``, whose report is one)."""
-    wanted = (
-        always
-        or getattr(args, "trace", None)
-        or getattr(args, "profile", False)
-        # --stats needs a tracer too: without one a --parallel run has
-        # nothing to stitch worker kernel counters into, and the kernel
-        # table would report parent-only (near-zero) cache activity
-        or getattr(args, "stats", False)
-        or getattr(args, "verbose", 0)
-        # --memory needs span attribution, which needs a tracer
-        or getattr(args, "memory", False)
-    )
-    if not wanted:
+    """A Tracer under ``--trace`` or ``--memory`` (span attribution
+    needs one), or ``always`` for ``explain``, whose report reads one."""
+    if not (always or args.trace or args.memory):
         return None
     tracer = Tracer()
-    if getattr(args, "memory", False):
+    if args.memory:
         from repro.obs.memory import MemoryProfiler
 
-        tracer.memory = MemoryProfiler(getattr(args, "memory_backend", "rss"))
+        tracer.memory = MemoryProfiler(args.memory_backend)
     return tracer
 
 
 def _guard_of(args: argparse.Namespace,
               budget: Optional[Budget]) -> Optional[EvaluationGuard]:
-    """A guard when there is a budget to enforce or stats to report."""
-    if budget is not None or getattr(args, "stats", False):
+    """A guard when there is a budget to enforce, ``--max-rounds``
+    included: its diagnostics read the guard's elapsed time and tuple
+    count, which are zero without one."""
+    if budget is not None or getattr(args, "max_rounds", None) is not None:
         return EvaluationGuard(budget)
     return None
 
 
-def _report_observation(args: argparse.Namespace,
-                        tracer: Optional[Tracer],
-                        guard: Optional[EvaluationGuard]) -> bool:
-    """Emit the requested observation surfaces (also on a failed run, so
-    a tripped budget still leaves a trace of where the work went).
-    False when the trace file could not be written."""
-    if guard is not None and args.stats:
-        print(guard_stats_table(guard.stats()), file=sys.stderr)
-    if args.stats:
-        stats = kernel_stats()
-        if getattr(args, "no_cache", False):
-            # the run itself bypassed the kernel cache; report it that way
-            # even though the process-wide cache is re-enabled by now
-            stats["cache.enabled"] = False
-            stats["intern.enabled"] = False
-        merged = None
-        if tracer is not None:
-            run_counters = {
-                name: value
-                for name, value in tracer.metrics.counters.items()
-                if name.startswith("kernel.")
-            }
-            if run_counters:
-                merged = run_counters
-        print(kernel_stats_table(stats, merged), file=sys.stderr)
-    if args.stats and tracer is not None and not args.profile:
-        # under --profile the quantiles are part of the profile
-        quantiles = render_latency_quantiles(tracer.metrics)
-        if quantiles:
-            print(quantiles, file=sys.stderr)
-    if tracer is None:
-        return True
-    if args.verbose:
-        print(render_metrics_summary(tracer.metrics), file=sys.stderr)
-    if args.verbose >= 2:
-        for record in tracer.spans:
-            print(
-                f"  span {record.name} {record.duration * 1000:.3f}ms "
-                f"attrs={record.attrs}",
-                file=sys.stderr,
-            )
-    if args.profile:
-        # the guard table went to stderr above under --stats
-        print(render_profile(tracer))
-    return _export_trace(args, tracer, guard)
-
-
-def _export_trace(args: argparse.Namespace, tracer: Tracer,
-                  guard: Optional[EvaluationGuard]) -> bool:
-    """Write the requested trace file; False when it cannot be written.
+def _export_trace(path: str, document: dict) -> bool:
+    """Write the trace file; False when it cannot be written.
 
     Runs in the ``finally:`` that reports a run, so it must not raise:
     an OSError here would replace a budget error on its way to
     :func:`main`, and the run would lose its exit code and diagnostics.
     One ``error:`` line names the file instead.
     """
-    if not args.trace:
-        return True
     try:
-        write_trace(args.trace, tracer, guard)
+        write_trace(path, document)
     except OSError as error:
         print(
-            f"error: trace not written to {args.trace}: "
-            f"{error.strerror or error}",
+            f"error: trace not written to {path}: {error.strerror or error}",
             file=sys.stderr,
         )
         return False
@@ -524,7 +443,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     finally:
         if ctx is not None:
             ctx.close()
-        traced = _report_observation(args, tracer, guard)
+        traced = not args.trace or _export_trace(
+            args.trace, trace_document(tracer, guard)
+        )
     return EXIT_OK if traced else EXIT_ERROR
 
 
@@ -560,14 +481,16 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
     finally:
         if ctx is not None:
             ctx.close()
-        traced = _report_observation(args, tracer, guard)
+        traced = not args.trace or _export_trace(
+            args.trace, trace_document(tracer, guard)
+        )
     return EXIT_OK if traced else EXIT_ERROR
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    """Run a query or program and report where the work went: the
-    per-phase cost tree, the per-operator table and the guard's
-    counters."""
+    """Run a query or program and print the report of its trace: the
+    result line, then what ``repro trace analyze`` prints of the
+    document ``--trace`` writes."""
     db = _load(args.database)
     guard = EvaluationGuard(_budget_of(args))  # guard stats are part of the report
     tracer = _tracer_of(args, always=True)
@@ -580,13 +503,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             summary = _run_explain(args, db, guard, planner)
         print(summary)
     finally:
-        # a budget abort must not lose the partial telemetry: the cost
-        # tree and operator table accumulated so far, with the guard's
-        # counters, are printed and the requested trace written either
-        # way
-        print()
-        print(render_profile(tracer, guard))
-        traced = _export_trace(args, tracer, guard)
+        # a budget abort must not lose the partial account: the report
+        # of what ran so far is printed and the trace written either
+        # way, both from one document, so they cannot disagree
+        document = trace_document(tracer, guard)
+        print(render_report(document))
+        traced = not args.trace or _export_trace(args.trace, document)
         if ctx is not None:
             ctx.close()
     return EXIT_OK if traced else EXIT_ERROR
@@ -666,11 +588,11 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_analyze(args: argparse.Namespace) -> int:
-    """Critical path + bottleneck aggregation of one trace document."""
-    from repro.obs import analyze_trace, load_trace, render_analysis
+    """The report of one saved trace document (what ``explain``
+    printed of it)."""
+    from repro.obs import load_trace
 
-    document = load_trace(args.trace)
-    print(render_analysis(analyze_trace(document), max_path=args.max_path))
+    print(render_report(load_trace(args.trace), max_path=args.max_path))
     return EXIT_OK
 
 
@@ -743,7 +665,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     query.add_argument("formula")
     query.add_argument("--raw", action="store_true", help="print constraint tuples")
     _add_budget_flags(query)
-    _add_obs_flags(query)
+    _add_trace_flag(query)
     _add_cache_flag(query)
     _add_parallel_flags(query)
     _add_optimize_flags(query)
@@ -765,7 +687,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     datalog.add_argument("--raw", action="store_true")
     _add_budget_flags(datalog)
-    _add_obs_flags(datalog)
+    _add_trace_flag(datalog)
     _add_cache_flag(datalog)
     _add_parallel_flags(datalog)
     _add_optimize_flags(datalog)
@@ -774,9 +696,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     explain_cmd = sub.add_parser(
         "explain",
-        help="run a query or .dl program and print the per-phase cost "
-        "tree with one per-operator table (calls, tuples in and out, "
-        "seconds, sharded calls)",
+        help="run a query or .dl program and print the report of its "
+        "trace (what 'trace analyze' prints of the saved file)",
     )
     explain_cmd.add_argument("database")
     explain_cmd.add_argument(
@@ -794,10 +715,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     explain_cmd.add_argument(
         "--on-budget", choices=("raise", "partial"), default="raise",
     )
-    explain_cmd.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="also write the structured JSON trace",
-    )
+    _add_trace_flag(explain_cmd)
     _add_budget_flags(explain_cmd)
     _add_cache_flag(explain_cmd)
     _add_parallel_flags(explain_cmd)
@@ -831,8 +749,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     analyze = trace_sub.add_parser(
         "analyze",
-        help="critical path, per-operator hotspots, and per-phase "
-        "totals of one trace",
+        help="the report of one trace: critical path, hotspots, phases, "
+        "operator table, QE, fixpoint rounds, quantiles, memory, kernel "
+        "cache and guard counters (what explain prints)",
     )
     analyze.add_argument("trace", help="a repro.trace/1 JSON document")
     analyze.add_argument(

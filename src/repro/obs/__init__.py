@@ -1,4 +1,4 @@
-"""Observability: evaluation tracing, metrics, and EXPLAIN profiling.
+"""Observability: evaluation tracing, metrics, and the run report.
 
 The complexity results this repo reproduces (AC⁰/NC data complexity,
 Datalog¬ = PTIME) are claims about *where the work goes* — QE step
@@ -18,17 +18,16 @@ The modules:
   and delta sizes, cell-decomposition counts;
 * :mod:`repro.obs.export` — structured JSON trace documents
   (``repro.trace/1``), validation, and round-trip loading;
-* :mod:`repro.obs.profile` — the per-phase cost tree and the
-  per-operator table (calls, tuples in and out, seconds, sharded
-  calls) behind ``python -m repro.cli explain``, and the profile
-  ingestion in ``benchmarks/collect_results.py``;
 * :mod:`repro.obs.stitch` — cross-process trace stitching: worker-side
   telemetry snapshots (``repro.worker-telemetry/1``) grafted into the
-  parent tracer at shard-harvest time, so traces and stats see inside
-  the worker pool;
-* :mod:`repro.obs.analyze` — critical-path extraction and per-operator
-  / per-phase bottleneck aggregation over exported trace documents
-  (the ``repro trace analyze`` subcommand);
+  parent tracer at shard-harvest time, so the trace sees inside the
+  worker pool;
+* :mod:`repro.obs.analyze` — the run report of one trace document
+  (:func:`render_report`: critical path, self-time hotspots and
+  phases, the per-operator table, QE, fixpoint rounds, latency
+  quantiles, memory attribution, the kernel cache line and the guard
+  table), which ``repro explain`` prints of its own trace and ``repro
+  trace analyze`` of a saved one;
 * :mod:`repro.obs.flame` — collapsed-stack and speedscope flame-graph
   export (``repro trace flame``);
 * :mod:`repro.obs.diff` — structural trace diffing attributing a
@@ -40,12 +39,12 @@ The modules:
 
 Typical use::
 
-    from repro.obs import Tracer, render_profile
+    from repro.obs import Tracer, render_report, trace_document
 
     tracer = Tracer()
     with tracer:
         result = evaluate(formula, db)
-    print(render_profile(tracer))
+    print(render_report(trace_document(tracer)))
 
 The disabled-path overhead (instrumentation present, no tracer active)
 is measured by ``benchmarks/bench_e14_trace_overhead.py``, next to
@@ -56,9 +55,12 @@ worst operator stays below 1.5x of its uninstrumented baseline.
 from repro.obs.analyze import (
     analyze_trace,
     critical_path,
+    fixpoint_rounds,
     operator_hotspots,
     phase_totals,
-    render_analysis,
+    qe_totals,
+    relation_algebra,
+    render_report,
     span_self_seconds,
 )
 from repro.obs.diff import (
@@ -71,8 +73,6 @@ from repro.obs.diff import (
 )
 from repro.obs.export import (
     TRACE_SCHEMA,
-    guard_stats_table,
-    kernel_stats_table,
     load_trace,
     trace_document,
     validate_trace,
@@ -87,7 +87,6 @@ from repro.obs.flame import (
 )
 from repro.obs.memory import MemoryProfiler, memory_summary
 from repro.obs.metrics import Histogram, Metrics
-from repro.obs.profile import phase_breakdown, render_metrics_summary, render_profile
 from repro.obs.stitch import (
     WORKER_TELEMETRY_SCHEMA,
     snapshot_telemetry,
@@ -111,17 +110,15 @@ __all__ = [
     "critical_path",
     "diff_traces",
     "event",
-    "guard_stats_table",
-    "kernel_stats_table",
+    "fixpoint_rounds",
     "load_trace",
     "load_trace_diff",
     "memory_summary",
     "operator_hotspots",
-    "phase_breakdown",
     "phase_totals",
-    "render_analysis",
-    "render_metrics_summary",
-    "render_profile",
+    "qe_totals",
+    "relation_algebra",
+    "render_report",
     "render_trace_diff",
     "snapshot_telemetry",
     "span",
@@ -134,4 +131,5 @@ __all__ = [
     "validate_trace_diff",
     "write_flame",
     "write_trace",
+    "write_trace_diff",
 ]

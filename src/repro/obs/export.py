@@ -28,7 +28,7 @@ can be consumed by downstream tooling
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import EncodingError
 from repro.files import read_json
@@ -40,8 +40,6 @@ __all__ = [
     "write_trace",
     "load_trace",
     "validate_trace",
-    "guard_stats_table",
-    "kernel_stats_table",
 ]
 
 #: schema identifier stamped on every exported document
@@ -93,9 +91,10 @@ def trace_document(tracer: Tracer, guard=None) -> dict:
     }
 
 
-def write_trace(path: str, tracer: Tracer, guard=None) -> dict:
-    """Serialize the tracer to ``path`` (validated first); returns the doc."""
-    document = validate_trace(trace_document(tracer, guard))
+def write_trace(path: str, document: dict) -> dict:
+    """Write a trace document to ``path`` (validated first, keys
+    sorted); returns the document."""
+    validate_trace(document)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -203,82 +202,11 @@ def validate_trace(document: Any) -> dict:
     for name, value in metrics["histograms"].items():
         if not isinstance(value, dict) or "count" not in value:
             _fail(f"histogram {name!r} lacks aggregates")
+    guard = document.get("guard")
+    if guard is not None and not (
+        isinstance(guard, dict)
+        and _is_number(guard.get("elapsed"))
+        and isinstance(guard.get("sites", {}), dict)
+    ):
+        _fail("guard must be null or an object with numeric elapsed and sites")
     return document
-
-
-def guard_stats_table(stats: dict) -> str:
-    """The ``EvaluationGuard.stats()`` payload as an aligned text table
-    (the ``--stats`` CLI surface; also useful interactively)."""
-    lines = [
-        "guard stats: "
-        f"elapsed {stats['elapsed']:.4f}s, ticks {stats['ticks']}, "
-        f"tuples {stats['tuples_materialized']}, "
-        f"rounds {stats['rounds_completed']}, "
-        f"max depth {stats['max_depth_seen']}"
-    ]
-    sites = stats.get("sites") or {}
-    if sites:
-        width = max(len(name) for name in sites)
-        lines.append(f"  {'site'.ljust(width)}  count")
-        for name in sorted(sites):
-            lines.append(f"  {name.ljust(width)}  {sites[name]}")
-    else:
-        lines.append("  (no per-site counters recorded)")
-    return "\n".join(lines)
-
-
-def kernel_stats_table(stats: dict, merged: Optional[dict] = None) -> str:
-    """The :func:`repro.perf.kernel_stats` payload as aligned text
-    (printed by ``--stats`` next to the guard table): the kernel cache,
-    its operation memo (on exactly when the cache is) and the interning
-    pool, one line each.
-
-    ``stats`` is process-wide (this process, since startup).  ``merged``
-    is an optional dict of this run's ``kernel.*`` tracer counters —
-    the parent's delta *plus stitched worker deltas* — appended as an
-    extra line so a ``--parallel --stats`` run shows the kernel
-    activity that actually happened inside the pool, which the
-    parent-process counters alone cannot see.
-    """
-    lookups = stats["cache.hits"] + stats["cache.misses"]
-    rate = (100.0 * stats["cache.hits"] / lookups) if lookups else 0.0
-    lines = [
-        "kernel cache:%s "
-        "hits %d, misses %d, hit rate %.1f%%, "
-        "entries %d/%d, evictions %d"
-        % (
-            "" if stats["cache.enabled"] else " (disabled)",
-            stats["cache.hits"],
-            stats["cache.misses"],
-            rate,
-            stats["cache.entries"],
-            stats["cache.capacity"],
-            stats["cache.evictions"],
-        ),
-        "  memo:%s hits %d, misses %d, entries %d/%d"
-        % (
-            "" if stats["cache.enabled"] else " (disabled)",
-            stats["memo.hits"],
-            stats["memo.misses"],
-            stats["memo.entries"],
-            stats["cache.capacity"],
-        ),
-        "  interning:%s reused %d, interned %d, live %d"
-        % (
-            "" if stats["intern.enabled"] else " (disabled)",
-            stats["intern.reused"],
-            stats["intern.interned"],
-            stats["intern.live"],
-        ),
-    ]
-    if merged is not None:
-        hits = merged.get("kernel.cache.hits", 0)
-        misses = merged.get("kernel.cache.misses", 0)
-        run_lookups = hits + misses
-        run_rate = (100.0 * hits / run_lookups) if run_lookups else 0.0
-        lines.append(
-            "  this run (incl. workers): hits %d, misses %d, "
-            "hit rate %.1f%%, interned reused %d"
-            % (hits, misses, run_rate, merged.get("kernel.intern.reused", 0))
-        )
-    return "\n".join(lines)

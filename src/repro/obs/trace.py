@@ -22,9 +22,10 @@ Kernel-cache integration works the same way: the outermost activation
 snapshots the process-wide counters from :mod:`repro.perf` and the
 outermost exit merges their growth under the ``kernel.`` prefix.
 
-One record per run: the tracer writes nothing on its own, and
-:func:`repro.obs.export.write_trace` serializes it as the run's
-``repro.trace/1`` document.  A span that an exception unwinds through
+One record per run: the tracer writes nothing on its own;
+:func:`repro.obs.export.trace_document` serializes it as the run's
+``repro.trace/1`` document, which ``--trace`` writes and
+:func:`repro.obs.analyze.render_report` renders.  A span that an exception unwinds through
 closes with the exception's class name as its ``error`` attribute, so
 the trace of an aborted run says what ended it.
 
@@ -249,18 +250,6 @@ class Tracer:
         self.events.append(
             {"name": name, "time": self.now(), "parent": parent, "attrs": attrs}
         )
-
-    # ------------------------------------------------------------- inspection
-
-    def root_spans(self) -> List[SpanRecord]:
-        return [s for s in self.spans if s.parent_id is None]
-
-    def children(self, record: SpanRecord) -> List[SpanRecord]:
-        return [s for s in self.spans if s.parent_id == record.span_id]
-
-    def total_seconds(self) -> float:
-        """Wall time covered by the root spans (sum of their durations)."""
-        return sum(s.duration for s in self.root_spans())
 
     def __repr__(self) -> str:
         return (

@@ -74,7 +74,6 @@ from repro.parallel.worker import (
     ShardEnvelope,
     run_quarantined,
     run_shard,
-    shard_site,
 )
 
 __all__ = ["ResiliencePolicy", "BatchReport", "dispatch_shards", "DEFAULT_POLICY"]

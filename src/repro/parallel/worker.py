@@ -22,8 +22,8 @@ inherited one) whose spans, events and metric deltas (including the
 ``kernel.*`` cache counters) ride back to the parent inside a
 :class:`ShardEnvelope` as a picklable ``repro.worker-telemetry/1``
 snapshot.  The parent grafts the snapshot into its own tracer at
-harvest time (:mod:`repro.obs.stitch`), so ``--trace`` / ``--stats``
-/ ``explain`` see inside the pool.  Guard and execution-context
+harvest time (:mod:`repro.obs.stitch`), so ``--trace`` and the
+``explain`` report see inside the pool.  Guard and execution-context
 variables stay untouched in workers: budgets and charge parity remain
 the parent's job, exactly as before.
 

@@ -59,7 +59,6 @@ from repro.runtime.budget import (
     UNLIMITED,
     AtomLimitExceeded,
     Budget,
-    BudgetExceeded,
     DeadlineExceeded,
     DepthLimitExceeded,
     EvaluationCancelled,

@@ -18,7 +18,7 @@ from repro.obs import (
     critical_path,
     operator_hotspots,
     phase_totals,
-    render_analysis,
+    render_report,
     span_self_seconds,
     trace_document,
     validate_trace,
@@ -159,7 +159,7 @@ class TestAnalyzeTrace:
         assert analyze_trace(NESTED)["worker_seconds"] == 0.0
 
     def test_render_mentions_path_and_hotspots(self):
-        text = render_analysis(analyze_trace(NESTED))
+        text = render_report(NESTED)
         assert "critical path" in text
         assert "hotspots" in text
         assert "relation.join" in text
@@ -168,7 +168,7 @@ class TestAnalyzeTrace:
         spans = [(1, None, "root", 0.0, 100.0)]
         for i in range(2, 60):
             spans.append((i, 1, f"step.{i}", float(i), float(i) + 0.5))
-        text = render_analysis(analyze_trace(_doc(spans)), max_path=5)
+        text = render_report(_doc(spans), max_path=5)
         assert "more segment(s)" in text
 
 

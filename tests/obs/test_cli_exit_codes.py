@@ -166,9 +166,9 @@ class TestExitBudget:
         code = main(["explain", db_file, program_file, "--max-rounds", "1"])
         assert code == EXIT_BUDGET
         captured = capsys.readouterr()
-        # satellite: the partial profile and guard counters must still
-        # surface when the guard trips mid-run
-        assert "evaluation profile" in captured.out
+        # the report of the partial run and the guard counters must
+        # still surface when the guard trips mid-run
+        assert "datalog.naive [error=RoundLimitExceeded]" in captured.out
         assert "guard stats" in captured.out
         assert "budget exceeded" in captured.err
 

@@ -1,7 +1,10 @@
-"""The CLI observation surfaces: explain, --trace, --profile, --stats,
-and the hardened ``info`` subcommand."""
+"""The CLI observation surfaces: ``explain`` and its report, which
+``trace analyze`` prints byte for byte from the saved trace,
+``--trace``, the ``--max-rounds`` diagnostics, and the hardened
+``info`` subcommand."""
 
 import json
+import re
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.encoding.standard import encode_database
 from repro.obs import TRACE_SCHEMA, load_trace
+from repro.workloads.generators import path_graph
 
 TC_PROGRAM = "tc(x, y) :- e(x, y).\ntc(x, z) :- tc(x, y), e(y, z).\n"
 
@@ -30,12 +34,25 @@ def program_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def path_files(tmp_path):
+    """The 6-edge path 0 - 1 - ... - 6 and its transitive closure."""
+    db = tmp_path / "path.cdb"
+    db.write_text(encode_database(path_graph(7)), encoding="utf-8")
+    program = tmp_path / "path-tc.dl"
+    program.write_text(
+        "tc(x, y) :- E(x, y).\ntc(x, z) :- tc(x, y), E(y, z).\n",
+        encoding="utf-8",
+    )
+    return str(db), str(program)
+
+
 class TestExplainCommand:
     def test_program_profile(self, db_file, program_file, capsys):
         assert main(["explain", db_file, program_file]) == 0
         out = capsys.readouterr().out
         assert "fixpoint after" in out
-        assert "evaluation profile" in out
+        assert "critical path" in out
         assert "datalog.naive" in out
         assert "guard stats" in out
 
@@ -71,62 +88,14 @@ class TestQueryObservation:
         assert document["schema"] == TRACE_SCHEMA
         assert any(s["name"] == "fo.evaluate" for s in document["spans"])
 
-    def test_profile_flag_prints_tree(self, db_file, capsys):
-        assert main(["query", db_file, "exists y e(x, y)", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "evaluation profile" in out
-        assert "quantifier elimination" in out
-
-    def test_stats_flag_prints_guard_table(self, db_file, capsys):
-        assert main(["query", db_file, "exists y e(x, y)", "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert "guard stats" in captured.err
-        assert "guard stats" not in captured.out  # result stream stays clean
-
-    def test_verbose_metrics_on_stderr(self, db_file, capsys):
-        assert main(["query", db_file, "exists y e(x, y)", "-v"]) == 0
-        assert "qe.eliminated_vars" in capsys.readouterr().err
-
     def test_no_flags_no_observation_output(self, db_file, capsys):
         assert main(["query", db_file, "exists y e(x, y)"]) == 0
         captured = capsys.readouterr()
-        assert "metrics" not in captured.err
-        assert "profile" not in captured.out
+        assert captured.err == ""
+        assert "trace analysis" not in captured.out
 
 
 class TestDatalogObservation:
-    def test_stats_and_profile_together(self, db_file, program_file, capsys):
-        assert main(
-            ["datalog", db_file, program_file, "--profile", "--stats"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "fixpoint after" in captured.out
-        assert "evaluation profile" in captured.out
-        assert "guard stats" in captured.err
-
-    def test_stats_and_profile_print_each_block_once(
-        self, db_file, program_file, capsys
-    ):
-        """The guard table goes to stderr, the quantiles with the
-        profile to stdout, and neither is repeated on the other stream."""
-        assert main(
-            ["datalog", db_file, program_file, "--profile", "--stats"]
-        ) == 0
-        captured = capsys.readouterr()
-        both = captured.out + captured.err
-        assert both.count("guard stats") == 1
-        assert both.count("latency quantiles") == 1
-        assert "guard stats" in captured.err
-        assert "latency quantiles" in captured.out
-
-    def test_stats_alone_prints_the_quantiles_on_stderr(
-        self, db_file, program_file, capsys
-    ):
-        assert main(["datalog", db_file, program_file, "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err.count("latency quantiles") == 1
-        assert "latency quantiles" not in captured.out
-
     def test_trace_written_even_on_budget_trip(
         self, db_file, program_file, tmp_path, capsys
     ):
@@ -144,7 +113,7 @@ class TestDatalogObservation:
         aborted = tmp_path / "aborted.json"
         code = main(
             ["datalog", db_file, program_file, "--max-rounds", "1",
-             "--stats", "--trace", str(aborted)]
+             "--trace", str(aborted)]
         )
         assert code == 3
         document = load_trace(str(aborted))
@@ -156,6 +125,69 @@ class TestDatalogObservation:
             s["name"] == "datalog.naive.round" for s in document["spans"]
         )
         capsys.readouterr()
+
+    def test_max_rounds_diagnostics_report_measured_values(
+        self, path_files, capsys
+    ):
+        """``--max-rounds`` alone builds the guard its diagnostics read:
+        the 6-edge path materializes 10 tuples in two rounds."""
+        assert main(["datalog", *path_files, "--max-rounds", "2"]) == 3
+        [line] = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("diagnostics:")
+        ]
+        fields = dict(
+            item.split("=") for item in line[len("diagnostics: "):].split(", ")
+        )
+        assert fields["error"] == "RoundLimitExceeded"
+        assert float(fields["elapsed"]) > 0.0
+        assert fields["tuples"] == "10"
+
+
+def _report_after_result(out: str) -> str:
+    """What ``explain`` printed after its result line (all of it when a
+    budget aborted the run before there was a result)."""
+    if out.startswith("result: "):
+        return out.split("\n", 1)[1]
+    return out
+
+
+class TestOneReport:
+    """``explain`` prints the report of the document ``--trace``
+    writes, and ``trace analyze`` prints the same bytes from the file."""
+
+    @pytest.mark.parametrize(
+        "query, flags, code",
+        [
+            ("exists y (E(x, y) and E(y, z))", [], 0),
+            (None, ["--engine", "seminaive"], 0),
+            (None, ["--max-rounds", "1"], 3),
+            (None, ["--parallel", "--workers", "2"], 0),
+        ],
+        ids=["fo", "seminaive-tc", "max-rounds-abort", "process-pool"],
+    )
+    def test_explain_prints_what_trace_analyze_prints(
+        self, tmp_path, path_files, capsys, query, flags, code
+    ):
+        db, program = path_files
+        trace = str(tmp_path / "trace.json")
+        assert main(
+            ["explain", db, query or program, "--trace", trace, *flags]
+        ) == code
+        explained = capsys.readouterr().out
+        assert main(["trace", "analyze", trace]) == 0
+        analyzed = capsys.readouterr().out
+        assert _report_after_result(explained) == analyzed
+        assert explained.startswith("result: ") == (code == 0)
+
+        document = load_trace(trace)
+        [elapsed] = re.findall(r"guard stats: elapsed (\S+)s,", analyzed)
+        assert elapsed == f"{document['guard']['elapsed']:.4f}"
+        if "--parallel" in flags:
+            assert any(
+                s["name"].startswith("worker.") for s in document["spans"]
+            )
+            assert re.search(r"^  join +\d+ .* \d+/\d+$", analyzed, re.M)
 
 
 class TestInfoHardening:

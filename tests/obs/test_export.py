@@ -12,9 +12,10 @@ from repro.lang import parse_program
 from repro.obs import (
     TRACE_SCHEMA,
     Tracer,
+    fixpoint_rounds,
     load_trace,
-    phase_breakdown,
-    render_profile,
+    relation_algebra,
+    render_report,
     trace_document,
     validate_trace,
     write_trace,
@@ -66,7 +67,7 @@ class TestRoundTrip:
     def test_write_then_load(self, traced_run, tmp_path):
         tracer, guard = traced_run
         path = tmp_path / "trace.json"
-        written = write_trace(str(path), tracer, guard)
+        written = write_trace(str(path), trace_document(tracer, guard))
         loaded = load_trace(str(path))
         assert loaded == written
         assert loaded["schema"] == TRACE_SCHEMA
@@ -135,18 +136,18 @@ class TestValidation:
 
 
 class TestProfileRendering:
-    def test_render_profile_mentions_rounds_and_operators(self, traced_run):
+    def test_report_mentions_rounds_and_operators(self, traced_run):
         tracer, guard = traced_run
-        text = render_profile(tracer, guard)
+        text = render_report(trace_document(tracer, guard))
         assert "datalog.naive" in text
         assert "relation algebra" in text
         assert "guard stats" in text
 
-    def test_phase_breakdown_machine_readable(self, traced_run):
+    def test_report_helpers_machine_readable(self, traced_run):
         tracer, _ = traced_run
-        breakdown = phase_breakdown(tracer)
-        assert breakdown["total_seconds"] > 0
-        assert breakdown["fixpoint"]["rounds"]["datalog.naive"] >= 1
-        assert breakdown["fixpoint"]["deltas"]["datalog.naive"][-1] == 0
-        operators = {row["operator"] for row in breakdown["operators"]}
+        document = trace_document(tracer)
+        fixpoint = fixpoint_rounds(document)
+        assert fixpoint["rounds"]["datalog.naive"] >= 1
+        assert fixpoint["deltas"]["datalog.naive"][-1] == 0
+        operators = {row["operator"] for row in relation_algebra(document)}
         assert "project" in operators

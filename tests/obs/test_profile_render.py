@@ -1,10 +1,12 @@
-"""``render_profile`` edge cases: empty tracers, metrics-only runs,
-the per-operator table, folded sibling spans, and budget-aborted runs
-with partial guard counters.  ``tests/obs/test_export.py`` covers the
-happy path."""
+"""The run report's sections, rendered from a trace document: empty
+tracers, metrics-only runs, the per-operator table, the QE and
+fixpoint lines, latency quantiles, memory attribution, repeated
+sibling spans, and budget-aborted runs with partial guard counters.
+``tests/obs/test_export.py`` covers the happy path."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -15,7 +17,7 @@ from repro.core.relation import Relation
 from repro.datalog.engine import evaluate_program
 from repro.datalog.seminaive import evaluate_seminaive
 from repro.lang import parse_formula, parse_program
-from repro.obs import Tracer, phase_breakdown, render_profile
+from repro.obs import MemoryProfiler, Tracer, qe_totals, render_report, trace_document
 from repro.runtime.budget import Budget, BudgetExceeded
 from repro.runtime.guard import EvaluationGuard
 from repro.workloads.generators import path_graph
@@ -32,27 +34,40 @@ def _tc():
     )
 
 
+def _report(tracer, guard=None):
+    return render_report(trace_document(tracer, guard))
+
+
 class TestEmptyTracer:
     def test_never_activated_tracer_renders(self):
-        text = render_profile(Tracer())
-        assert "evaluation profile" in text
+        text = _report(Tracer())
+        assert text.startswith("trace analysis: 0 span(s)")
         assert "total 0.0" in text
 
     def test_activated_but_idle_tracer_renders(self):
         tracer = Tracer()
         with tracer:
             pass
-        text = render_profile(tracer)
-        assert "evaluation profile" in text
+        text = _report(tracer)
+        assert text.startswith("trace analysis: 0 span(s)")
         # no operators ran: no operator table
         assert "relation algebra" not in text
+
+    def test_dropped_spans_are_counted_in_the_header(self):
+        tracer = Tracer(max_spans=1)
+        with tracer:
+            for _ in range(3):
+                with tracer.span("s"):
+                    pass
+        header = _report(tracer).splitlines()[0]
+        assert header.endswith(", 2 span(s) dropped (max_spans cap)")
 
 
 class TestMetricsOnly:
     def test_counters_without_spans_render(self):
         # engines can record metrics through an active tracer without
-        # opening any span (e.g. a future sampling profiler); the span
-        # tree is empty but the tables must still appear
+        # opening any span; the critical path is empty but the tables
+        # must still appear
         tracer = Tracer()
         with tracer:
             tracer.metrics.count("relation.join.calls", 2)
@@ -60,7 +75,7 @@ class TestMetricsOnly:
             tracer.metrics.observe("relation.join.out_tuples", 4)
             tracer.metrics.observe("relation.join.seconds", 0.25)
             tracer.metrics.count("qe.eliminated_vars", 3)
-        text = render_profile(tracer)
+        text = _report(tracer)
         assert "relation algebra" in text
         assert "join" in text
         assert "3 variable(s) eliminated" in text
@@ -68,7 +83,7 @@ class TestMetricsOnly:
 
     def test_memo_served_run_keeps_its_kernel_line(self):
         """A rename the operation memo serves entirely makes no kernel
-        cache lookup; the profile still reports the kernel line."""
+        cache lookup; the report still shows the kernel line."""
         relation = _db()["edge"]
         relation.rename({"x": "a", "y": "b"})  # fills the memo
         tracer = Tracer()
@@ -77,7 +92,7 @@ class TestMetricsOnly:
         assert tracer.metrics.counter("kernel.cache.hits") == 0
         assert tracer.metrics.counter("kernel.cache.misses") == 0
         assert tracer.metrics.counter("kernel.memo.hits") == len(relation)
-        text = render_profile(tracer)
+        text = _report(tracer)
         assert "kernel cache: 0 hit(s), 0 miss(es)" in text
         assert f"memo {len(relation)} hit(s) / 0 miss(es)" in text
 
@@ -87,7 +102,7 @@ class TestMetricsOnly:
         with tracer:
             _db()["edge"].simplify()
         assert not tracer.spans
-        rows = _operator_rows(render_profile(tracer))
+        rows = _operator_rows(_report(tracer))
         assert rows["absorb"][:3] == ["1", "8", "8"]
 
 
@@ -113,7 +128,7 @@ class TestOperatorTable:
         tracer = Tracer()
         with tracer:
             evaluate_program(_tc(), _db())
-        rows = _operator_rows(render_profile(tracer))
+        rows = _operator_rows(_report(tracer))
         assert list(rows) == ["join", "project", "absorb"]
         calls = tracer.metrics.counter("relation.absorb.calls")
         assert calls and rows["absorb"][0] == str(calls)
@@ -126,7 +141,7 @@ class TestOperatorTable:
             tracer.metrics.count("relation.join.calls", 4)
             tracer.metrics.count("parallel.join.calls", 3)
             tracer.metrics.count("relation.project.calls", 2)
-        rows = _operator_rows(render_profile(tracer))
+        rows = _operator_rows(_report(tracer))
         assert rows["join"][-1] == "3/4"
         assert rows["project"][-1] == "serial"
 
@@ -147,10 +162,10 @@ class TestQuantifierEliminationLine:
         tracer = Tracer()
         with tracer:
             run(_tc(), Database({"edge": path_graph(6)["E"]}))
-        calls, eliminated = self._qe_line(render_profile(tracer))
+        calls, eliminated = self._qe_line(_report(tracer))
         assert calls == tracer.metrics.counter("relation.project.calls") > 0
         assert eliminated >= calls
-        assert phase_breakdown(tracer)["qe"] == {
+        assert qe_totals(trace_document(tracer)) == {
             "calls": calls, "eliminated_vars": eliminated,
         }
 
@@ -158,10 +173,26 @@ class TestQuantifierEliminationLine:
         tracer = Tracer()
         with tracer:
             evaluate(parse_formula("exists y (edge(x, y) and edge(y, z))"), _db())
-        assert self._qe_line(render_profile(tracer))[0] > 0
+        assert self._qe_line(_report(tracer))[0] > 0
+
+
+def _hotspot_calls(text):
+    """The hotspot table as ``{span name: calls}``."""
+    lines = text.splitlines()
+    start = lines.index("hotspots (self time):")
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("  "):
+            break
+        name, calls, *_ = line.split()
+        rows[name] = int(calls)
+    return rows
 
 
 class TestFoldedSiblings:
+    """Repeated same-name spans fold into one hotspot row; the
+    critical path keeps each span that determined the wall time."""
+
     def test_repeated_childless_leaves_fold_into_one_line(self):
         tracer = Tracer()
         with tracer:
@@ -169,10 +200,7 @@ class TestFoldedSiblings:
                 for _ in range(7):
                     with tracer.span("fo.evaluate"):
                         pass
-        text = render_profile(tracer)
-        assert "fo.evaluate ×7" in text
-        # folded means the individual lines are gone
-        assert text.count("fo.evaluate") == 1
+        assert _hotspot_calls(_report(tracer)) == {"engine": 1, "fo.evaluate": 7}
 
     def test_single_leaf_is_not_folded(self):
         tracer = Tracer()
@@ -180,22 +208,20 @@ class TestFoldedSiblings:
             with tracer.span("engine"):
                 with tracer.span("fo.evaluate"):
                     pass
-        text = render_profile(tracer)
-        assert "fo.evaluate" in text
-        assert "×" not in text
+        assert _hotspot_calls(_report(tracer)) == {"engine": 1, "fo.evaluate": 1}
 
     def test_round_spans_never_fold(self):
         # round spans carry per-round attrs (delta sizes) — folding
-        # them would erase exactly what the profile exists to show
+        # them would erase exactly what the report exists to show
         tracer = Tracer()
         with tracer:
             with tracer.span("engine"):
                 for i in range(3):
                     with tracer.span("naive.round", round=i, delta_tuples=i):
                         pass
-        text = render_profile(tracer)
-        assert "naive.round #0" in text
-        assert "naive.round #2" in text
+            tracer.metrics.count("naive.rounds", 3)
+        text = _report(tracer)
+        assert "  naive: 3 round(s), delta sizes [0, 1, 2]" in text.splitlines()
 
 
 class TestBudgetAborted:
@@ -205,14 +231,18 @@ class TestBudgetAborted:
         with tracer:
             with pytest.raises(BudgetExceeded):
                 evaluate_program(_tc(), _db(), guard=guard)
-        text = render_profile(tracer, guard)
-        # the work done before the trip is all present
-        assert "evaluation profile" in text
-        assert "guard stats" in text
-        assert "tuples 5" in text or "tuples" in text
-        stats = guard.stats()
+        document = trace_document(tracer, guard)
+        text = render_report(document)
+        # the work done before the trip is all present, and the guard
+        # table prints the document's own counters
+        stats = document["guard"]
         assert stats["tuples_materialized"] >= 5
-        assert "relation.join" in text or "relation algebra" in text
+        assert (
+            f"guard stats: elapsed {stats['elapsed']:.4f}s, "
+            f"ticks {stats['ticks']}, tuples {stats['tuples_materialized']}, "
+        ) in text
+        assert "datalog.naive [error=TupleLimitExceeded]" in text
+        assert "relation algebra" in text
 
     def test_aborted_run_keeps_partial_ledger(self):
         # the guard trips at the charge *inside* an operator — before
@@ -223,6 +253,80 @@ class TestBudgetAborted:
         with tracer:
             with pytest.raises(BudgetExceeded):
                 evaluate_program(_tc(), _db(), guard=guard)
-        rows = _operator_rows(render_profile(tracer, guard))
+        rows = _operator_rows(_report(tracer, guard))
         assert "join" in rows and "absorb" in rows
         assert tracer.metrics.histogram("relation.join.out_tuples").count
+
+
+def _block(text, heading):
+    """The lines of one report section after its heading."""
+    lines = text.splitlines()
+    start = lines.index(heading)
+    end = lines.index("", start) if "" in lines[start:] else len(lines)
+    return lines[start + 1:end]
+
+
+class TestLatencyQuantiles:
+    def test_quantiles_come_from_the_histogram_snapshots(self):
+        tracer = Tracer()
+        with tracer:
+            for seconds in (0.001, 0.002, 0.004, 0.5):
+                tracer.metrics.observe("relation.join.seconds", seconds)
+            tracer.metrics.observe("relation.join.in_tuples", 3)  # a size
+        document = trace_document(tracer)
+        h = document["metrics"]["histograms"]["relation.join.seconds"]
+        assert _block(render_report(document), "latency quantiles") == [
+            f"  relation.join.seconds  p50={h['p50']:.6f} "
+            f"p95={h['p95']:.6f} p99={h['p99']:.6f} (n=4)"
+        ]
+
+
+class TestMemoryAttribution:
+    def test_memory_table_reads_the_span_attrs(self):
+        tracer = Tracer()
+        tracer.memory = MemoryProfiler()
+        with tracer:
+            evaluate_program(_tc(), _db())
+        rows = _block(_report(tracer), "memory attribution")
+        assert rows[0].split() == [
+            "span", "calls", "alloc", "blocks", "alloc", "bytes", "peak", "bytes",
+        ]
+        calls = {line.split()[0]: int(line.split()[1]) for line in rows[1:]}
+        assert calls["datalog.naive"] == 1
+        assert calls["datalog.naive.round"] == sum(
+            s.name == "datalog.naive.round" for s in tracer.spans
+        )
+
+    def test_no_table_without_memory_attrs(self):
+        tracer = Tracer()
+        with tracer:
+            evaluate_program(_tc(), _db())
+        assert "memory attribution" not in _report(tracer)
+
+
+def _reversed_keys(node):
+    """``node`` with every dict rebuilt in reverse key order."""
+    if isinstance(node, dict):
+        return {key: _reversed_keys(node[key]) for key in reversed(list(node))}
+    if isinstance(node, list):
+        return [_reversed_keys(item) for item in node]
+    return node
+
+
+class TestOneDocumentOneReport:
+    def test_report_ignores_dict_insertion_order(self):
+        """``write_trace`` sorts keys, so the report of a saved trace
+        must not depend on the order the live document built them in."""
+        tracer = Tracer()
+        tracer.memory = MemoryProfiler()
+        guard = EvaluationGuard()
+        with tracer:
+            evaluate_seminaive(_tc(), _db(), guard=guard)
+        document = trace_document(tracer, guard)
+        text = render_report(document)
+        assert render_report(json.loads(json.dumps(document, sort_keys=True))) == text
+        assert render_report(_reversed_keys(document)) == text
+        for heading in ("relation algebra", "fixpoint", "latency quantiles",
+                        "memory attribution"):
+            assert heading in text.splitlines()
+        assert "guard stats:" in text and "kernel cache:" in text

@@ -21,6 +21,7 @@ from repro.obs import (
     Tracer,
     analyze_trace,
     collapsed_stacks,
+    render_report,
     trace_document,
     validate_trace,
 )
@@ -191,6 +192,20 @@ class TestStructure:
         with pytest.raises(EncodingError):
             validate_trace(doc)
 
+    @pytest.mark.parametrize(
+        "guard",
+        [[], "stats", {"ticks": 1}, {"elapsed": "0.1"},
+         {"elapsed": True}, {"elapsed": 0.1, "sites": []}],
+        ids=["list", "string", "no-elapsed", "elapsed-string",
+             "elapsed-bool", "sites-list"],
+    )
+    def test_malformed_guard_rejected(self, guard):
+        # the report prints the guard table from this section
+        doc = base_document()
+        doc["guard"] = guard
+        with pytest.raises(EncodingError, match="guard"):
+            validate_trace(doc)
+
 
 def real_document():
     db = Database()
@@ -255,4 +270,5 @@ class TestCorruptedRealDocument:
             return
         # a document that validates is safe for the trace commands
         analyze_trace(doc)
+        render_report(doc)
         collapsed_stacks(doc)

@@ -6,16 +6,14 @@ valid ``repro.trace/1`` document containing worker-side spans (with
 including retried and quarantined ones — plus merged worker metrics and
 worker events.  These tests pin the stitching mechanics
 (:mod:`repro.obs.stitch`), the capture plumbing through the resilient
-dispatch loop, and the satellite bugfix that ``--stats`` after
-``--parallel`` no longer reports parent-only kernel activity.
+dispatch loop, and that the kernel counters of a ``--parallel`` run
+include the workers' kernel activity, not only the parent's.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-
-import pytest
 
 from repro.core.relation import Relation
 from repro.obs import (

@@ -52,31 +52,39 @@ class TestNoCacheFlag:
 
 
 class TestKernelStats:
-    def test_stats_include_kernel_tables(self, db_file, program_file, capsys):
+    """The report's kernel cache line: what ``explain`` prints and
+    ``trace analyze`` reads back from the trace."""
+
+    def test_stats_include_kernel_tables(
+        self, db_file, program_file, tmp_path, capsys
+    ):
         reset_kernel_cache()
-        assert main(["datalog", db_file, program_file, "--stats"]) == 0
-        captured = capsys.readouterr()
-        assert "kernel cache:" in captured.err
-        assert "interning:" in captured.err
-        assert "kernel cache:" not in captured.out
+        trace = str(tmp_path / "trace.json")
+        assert main(["datalog", db_file, program_file, "--trace", trace]) == 0
+        assert "kernel cache:" not in capsys.readouterr().out
+        assert main(["trace", "analyze", trace]) == 0
+        line = _kernel_line(capsys.readouterr().out)
+        assert re.search(r"\d+ interned tuple reuse\(s\)", line)
 
     def test_stats_mark_disabled_cache(self, db_file, capsys):
-        assert main(["query", db_file, "e(x, y)", "--stats", "--no-cache"]) == 0
-        assert "(disabled)" in capsys.readouterr().err
+        """A run that bypassed the cache made no lookup: no kernel line."""
+        assert main(["explain", db_file, "e(x, y)", "--no-cache"]) == 0
+        assert "kernel cache:" not in capsys.readouterr().out
 
     def test_stats_print_the_operation_memo(self, db_file, program_file, capsys):
         """A naive TC run renames the stored edges again every round, so
-        the memo line reports hits."""
+        the memo counts report hits."""
         reset_kernel_cache()
-        assert main(["datalog", db_file, program_file, "--stats"]) == 0
-        memo = _memo_line(capsys.readouterr().err)
-        assert "(disabled)" not in memo
-        hits, misses = map(int, re.search(r"hits (\d+), misses (\d+)", memo).groups())
+        assert main(["explain", db_file, program_file]) == 0
+        memo = _kernel_line(capsys.readouterr().out)
+        hits, misses = map(
+            int, re.search(r"memo (\d+) hit\(s\) / (\d+) miss", memo).groups()
+        )
         assert hits > 0 and misses > 0
 
     def test_memo_line_marks_disabled_cache(self, db_file, program_file, capsys):
-        assert main(["datalog", db_file, program_file, "--stats", "--no-cache"]) == 0
-        assert "(disabled)" in _memo_line(capsys.readouterr().err)
+        assert main(["explain", db_file, program_file, "--no-cache"]) == 0
+        assert "memo" not in capsys.readouterr().out
 
     def test_explain_reports_hit_rate(self, db_file, program_file, capsys):
         reset_kernel_cache()
@@ -86,8 +94,8 @@ class TestKernelStats:
         assert "hit rate" in out
 
 
-def _memo_line(err: str) -> str:
-    """The one operation-memo line of a ``--stats`` kernel table."""
-    lines = [line for line in err.splitlines() if line.strip().startswith("memo:")]
-    assert len(lines) == 1, err
+def _kernel_line(out: str) -> str:
+    """The one kernel cache line of a report."""
+    lines = [line for line in out.splitlines() if line.startswith("kernel cache:")]
+    assert len(lines) == 1, out
     return lines[0]
