@@ -4,7 +4,7 @@
 # targets that pipe it through tee
 SHELL := /bin/bash
 
-.PHONY: install test test-quick bench results examples explain-demo ci chaos perfbench-check clean
+.PHONY: install test test-quick bench results examples explain-demo ci perfbench-check clean
 
 install:
 	python setup.py develop
@@ -26,8 +26,7 @@ results:
 # per-test timeout needs the pytest-timeout plugin, which local
 # environments may not have.  Left out: the E17 (parallel speedup) and
 # E19 (stitching) gates, `make examples`, the sample trace steps, and
-# the parallel-differential and chaos jobs (`make chaos` runs the
-# latter)
+# the parallel-differential job
 DEV_PYTEST = python -X dev -m pytest tests/ \
 	-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 
@@ -41,7 +40,6 @@ ci:
 	pytest benchmarks/bench_e13_budget_overhead.py -s
 	pytest benchmarks/bench_e14_trace_overhead.py -s
 	pytest benchmarks/bench_e15_kernel_cache.py -s
-	pytest benchmarks/bench_e18_resilience.py -s --benchmark-disable
 	pytest benchmarks/bench_e21_analysis.py -s --benchmark-disable
 	$(MAKE) perfbench-check
 
@@ -60,13 +58,6 @@ perfbench-check:
 		python -c 'import json, sys; r = json.loads(sys.stdin.readlines()[-1]); sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
 			< .perfbench/check.log || { echo "$$workload (--trace $$trace): incorrect answer or failed operations"; exit 1; }; \
 	done; done
-
-# the cross-process chaos matrix: deterministic faults and worker
-# crashes injected inside pool workers; the oracle must still match
-# the serial reference byte for byte with guard parity
-chaos:
-	REPRO_CHAOS=1 python tests/parallel/oracle.py
-	REPRO_CHAOS=1 REPRO_DIFF_POOL=process python tests/parallel/oracle.py
 
 # the observability walkthrough: trace a transitive-closure run, write
 # its JSON trace (TRACE_OUT overrides the path) and print its report

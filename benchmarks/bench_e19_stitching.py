@@ -7,13 +7,13 @@ when a tracer asks for it and free when it does not:
   with capture on (in-worker tracers, envelope pickling, parent-side
   grafting) versus the same traced run with ``capture=False``.
   Target (EXPERIMENTS.md E19): < 3%.  The hard gate is sized for CI
-  timing noise, as in E13-E18; the honest numbers come from
+  timing noise, as in E13-E17; the honest numbers come from
   ``python benchmarks/collect_results.py`` (BENCH_STITCHING.json).
-* **off-switch overhead** — the resilient dispatch loop with the
-  capture plumbing present but no tracer active (the PR-default
-  untraced path) versus the same loop under an active tracer with
-  ``capture=False``.  Both dispatch bare kernels; the difference is
-  the capture decision itself.  Target: < 1%.
+* **off-switch overhead** — a batch of shard-sized pure compute
+  dispatched through ``ExecutionContext.run_shards`` with no tracer
+  active (the default untraced path) versus the same batch under an
+  active tracer with ``capture=False``.  Both dispatch bare kernels;
+  the difference is the capture decision itself.  Target: < 1%.
 
 Behavioral gates ride along: a captured run must stitch a worker span
 for *every* dispatched shard and the merged document must validate.
@@ -31,10 +31,23 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_e17_parallel import join_heavy_relation, two_hop  # noqa: E402
-from bench_e18_resilience import PAYLOADS, shard_work  # noqa: E402
 
 CORES = os.cpu_count() or 1
 WORKERS = 2
+SHARDS = 16
+
+
+def shard_work(payload):
+    """A shard-sized unit of pure compute (~a small join shard)."""
+    start, n = payload
+    acc = 0
+    for i in range(start, start + n):
+        acc = (acc * 31 + i * i) % 1_000_003
+    return acc
+
+
+PAYLOADS = [(i * 1000, 20_000) for i in range(SHARDS)]
+EXPECTED = [shard_work(p) for p in PAYLOADS]
 
 
 def _best(thunk, repeat=3):
@@ -80,7 +93,7 @@ def test_report_stitching(capsys):
     """Print capture overhead and off-switch overhead, gate both.
 
     The < 3% / < 1% numbers are the *targets*; the hard gates leave
-    headroom for shared-runner scheduling noise, as in E13-E18.
+    headroom for shared-runner scheduling noise, as in E13-E17.
     """
     r = join_heavy_relation()
 
@@ -104,7 +117,6 @@ def test_report_stitching(capsys):
     workers = [s for s in tracer.spans if s.name.startswith("worker.")]
     shards = {(s.name, s.attrs.get("shard")) for s in workers}
     assert len(workers) >= 2 * 2  # join + project, 2 shards each
-    assert all(s.attrs.get("attempt") == 1 for s in workers)
     validate_trace(trace_document(tracer))
     assert (
         tracer.metrics.counter("parallel.stitched_shards") == len(workers)
@@ -113,7 +125,7 @@ def test_report_stitching(capsys):
     # off-switch: bare-kernel dispatch, no tracer vs tracer+capture=False
     plain_ctx = _ctx()
     try:
-        plain_ctx.run_shards(shard_work, PAYLOADS)  # warm the pool
+        assert plain_ctx.run_shards(shard_work, PAYLOADS) == EXPECTED  # warm
         untraced = _best(lambda: plain_ctx.run_shards(shard_work, PAYLOADS),
                          repeat=5)
         disabled_tracer = Tracer()

@@ -50,7 +50,7 @@ ANALYSIS_BUDGET_SECONDS = 1.0
 def synthetic_trace(n_spans: int = SPAN_COUNT) -> dict:
     """A trace document shaped like a stitched fixpoint run: rounds
     under a root, operators under rounds, worker shards (with pid/
-    shard/attempt attrs) under every fourth operator."""
+    shard attrs) under every fourth operator."""
     spans = [
         {"id": 1, "parent": None, "name": "datalog.seminaive",
          "start": 0.0, "end": float(n_spans), "attrs": {}}
@@ -81,8 +81,7 @@ def synthetic_trace(n_spans: int = SPAN_COUNT) -> dict:
                 spans.append({"id": next_id, "parent": op_id,
                               "name": "worker.join_shard",
                               "start": cursor + 0.1, "end": cursor + 0.9,
-                              "attrs": {"pid": 1234, "shard": k // 4,
-                                        "attempt": 1}})
+                              "attrs": {"pid": 1234, "shard": k // 4}})
                 next_id += 1
             cursor += 1.0
         round_span["end"] = cursor

@@ -472,111 +472,24 @@ def e17_parallel() -> None:
     print(f"(machine-readable ratios written to {out_path})")
 
 
-def e18_resilience() -> None:
-    """Measure the resilient dispatch loop's zero-fault overhead and
-    its recovery latency under a seeded 10% transient-fault rate, and
-    fold the numbers into ``BENCH_RESILIENCE.json`` next to this
-    script so the CI gate and EXPERIMENTS.md read the same numbers.
-    """
-    header("E18 -- resilient shard dispatch (repro.parallel.resilience)")
-    import sys
-
-    sys.path.insert(0, "benchmarks")
-    from concurrent.futures import ThreadPoolExecutor
-
-    from bench_e18_resilience import (
-        EXPECTED,
-        FAULT_RATE,
-        PAYLOADS,
-        WORKERS,
-        _chaos_registry,
-        _resilient_ctx,
-        shard_work,
-    )
-
-    def best(thunk, repeat=5):
-        out = float("inf")
-        for _ in range(repeat):
-            _, seconds = timed(thunk)
-            out = min(out, seconds)
-        return out
-
-    pool = ThreadPoolExecutor(max_workers=WORKERS)
-    try:
-        baseline = best(lambda: list(pool.map(shard_work, PAYLOADS)))
-    finally:
-        pool.shutdown()
-    ctx = _resilient_ctx()
-    try:
-        ctx.run_shards(shard_work, PAYLOADS)  # warm the pool
-        resilient = best(lambda: ctx.run_shards(shard_work, PAYLOADS))
-    finally:
-        ctx.close()
-    overhead = resilient / baseline - 1.0
-
-    ctx = _resilient_ctx()
-    try:
-        with _chaos_registry():
-            _, chaos_seconds = timed(
-                lambda: ctx.run_shards(shard_work, PAYLOADS)
-            )
-        recovered = ctx.retries + ctx.quarantined
-        with _chaos_registry():
-            assert ctx.run_shards(shard_work, PAYLOADS) == EXPECTED
-    finally:
-        ctx.close()
-    per_recovery = (chaos_seconds - resilient) / recovered if recovered else 0.0
-
-    print("| measurement | value |")
-    print("|---|---|")
-    print(f"| bare executor.map (s) | {baseline:.4f} |")
-    print(f"| resilient dispatch (s) | {resilient:.4f} |")
-    print(f"| zero-fault overhead | {overhead:+.2%} (target < 3%) |")
-    print(f"| {FAULT_RATE:.0%}-fault batch (s) | {chaos_seconds:.4f} |")
-    print(f"| recoveries absorbed | {recovered} |")
-    print(f"| latency per recovery (s) | {per_recovery:.4f} |")
-
-    out_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "BENCH_RESILIENCE.json")
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "schema": "repro.bench-resilience/1",
-                "cores": os.cpu_count() or 1,
-                "workers": WORKERS,
-                "shards": len(PAYLOADS),
-                "baseline_map_seconds": baseline,
-                "resilient_seconds": resilient,
-                "zero_fault_overhead": overhead,
-                "fault_rate": FAULT_RATE,
-                "chaos_seconds": chaos_seconds,
-                "recoveries": recovered,
-                "per_recovery_seconds": per_recovery,
-            },
-            handle, indent=2, sort_keys=True,
-        )
-        handle.write("\n")
-    print()
-    print(f"(machine-readable numbers written to {out_path})")
-
-
 def e19_stitching() -> None:
     """Measure worker-telemetry capture + stitching overhead on the
     traced E17 two-hop workload, and the cost of the capture off-switch
-    on the bare resilient dispatch loop, writing the numbers to
+    on a bare-kernel dispatch batch, writing the numbers to
     ``BENCH_STITCHING.json`` so the CI gate and EXPERIMENTS.md agree.
     """
     header("E19 -- cross-process trace stitching (repro.obs.stitch)")
     import sys
 
     sys.path.insert(0, "benchmarks")
-    from bench_e18_resilience import PAYLOADS, shard_work
     from bench_e19_stitching import (
+        PAYLOADS,
         WORKERS,
         _best,
         _ctx,
         _traced_two_hop,
         join_heavy_relation,
+        shard_work,
     )
     from repro.obs import Tracer
 
@@ -751,7 +664,6 @@ def main(argv=None) -> None:
     e14_profiles()
     e15_kernel_cache()
     e17_parallel()
-    e18_resilience()
     e19_stitching()
     e21_analysis()
     print()

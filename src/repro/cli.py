@@ -48,8 +48,9 @@ AFTER`` structurally diffs two traces of the same workload and
 attributes the latency delta to named operators, optionally writing a
 ``repro.trace-diff/1`` document with ``-o``.
 
-``--memory`` (on ``query``/``datalog``/``explain``) turns
-on per-span memory attribution: every traced span gains
+``--memory`` turns on per-span memory attribution for a traced run
+(``explain``, or ``query``/``datalog`` with ``--trace``; without it,
+``--memory`` is a usage error): every traced span gains
 ``mem_alloc_blocks``/``mem_peak_bytes`` attrs, the report prints a
 per-span ``memory attribution`` table, and ``--parallel`` runs capture
 the same attrs inside pool workers.  The default ``rss`` backend is
@@ -60,7 +61,7 @@ documented cost.
 
 Exit codes are uniform across subcommands: ``0`` ok, ``1``
 encoding/input error, ``2`` usage error, ``3`` budget exhausted,
-``5`` unrecoverable shard failure (see the README table; asserted by
+``5`` shard failure (see the README table; asserted by
 ``tests/obs/test_cli_exit_codes.py``).  ``4`` is not used.
 
 ``--no-cache`` disables the kernel memo cache and its operation memo
@@ -70,31 +71,26 @@ conjunction goes through the kernel as in the seed — the escape hatch
 for timing comparisons and for ruling the fast path out when
 debugging.
 
-``--parallel`` (with ``--workers`` and ``--shard-strategy``) activates
-a worker pool around the whole run, planned or not: every relation
-kernel (join, projection, absorption) whose input reaches the pool's
-size floor shards on it (:mod:`repro.parallel`).  Serial evaluation
-remains the default and the reference, and results are set-equivalent
-either way.  Shard dispatch is fault-tolerant: ``--shard-timeout``
-bounds each shard, ``--shard-retries`` caps pool re-dispatches before a
-failing shard is quarantined (re-executed serially in-process), and
-``--on-shard-failure`` picks the terminal behavior — ``fail`` (exit
-``5``, no quarantine), ``serial`` (the default: quarantine, then exit
-``5``), or ``partial`` (drop the shard and print the tagged partial
-result).  ``plan`` runs nothing, so it takes none of these flags.
+``--parallel`` (with ``--workers``) activates a worker pool around the
+whole run, planned or not: every relation kernel (join, projection,
+absorption) whose input reaches the pool's size floor shards on it
+(:mod:`repro.parallel`).  Serial evaluation remains the default and
+the reference, and results are set-equivalent either way.  A shard
+runs once: one that raises, or whose worker dies, ends the run with
+exit ``5``, and ``--timeout`` binds while the pool works (exit ``3``).
+``plan`` runs nothing, so it takes none of these flags.
 
 Numeric flags are checked when parsed: ``--workers`` must be at
-least 1, ``--timeout`` and ``--shard-timeout`` positive, and
-``--shard-retries``, ``--max-tuples``, ``--max-depth``,
-``--max-rounds`` and ``trace analyze --max-path`` non-negative;
-anything else is a usage error (exit ``2``).
+least 1, ``--timeout`` positive, and ``--max-tuples``,
+``--max-depth``, ``--max-rounds`` and ``trace analyze --max-path``
+non-negative; anything else is a usage error (exit ``2``).
 
-When a run is traced (``--trace``, ``--memory`` or ``explain``),
-``--parallel`` runs capture worker-side telemetry and stitch it into
-the parent trace (spans with ``pid``/``shard``/``attempt`` attributes,
-worker events and kernel-cache deltas), so the trace and its report
-see inside the pool; ``--no-stitch`` turns the capture off for
-overhead-sensitive runs (untraced runs never pay for it either way).
+When a run is traced (``--trace`` or ``explain``), ``--parallel`` runs
+capture worker-side telemetry and stitch it into the parent trace
+(spans with ``pid``/``shard`` attributes, worker events and
+kernel-cache deltas), so the trace and its report see inside the pool;
+``--no-stitch`` turns the capture off for overhead-sensitive runs
+(untraced runs never pay for it either way).
 """
 
 from __future__ import annotations
@@ -136,8 +132,7 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 #: a resource budget tripped (deadline, tuples, rounds, depth)
 EXIT_BUDGET = 3
-#: a parallel shard failed every recovery path the policy allows
-#: (retries + quarantine) and --on-shard-failure forbids partial results
+#: a parallel shard raised, or its worker died (a shard runs once)
 EXIT_SHARD = 5
 
 
@@ -178,7 +173,7 @@ def _bounded(kind, low, strict: bool = False):
 
 #: a worker count
 _POSITIVE_INT = _bounded(int, 1)
-#: a cap on tuples, depth, rounds, retries or printed path segments
+#: a cap on tuples, depth, rounds or printed path segments
 _COUNT = _bounded(int, 0)
 #: a deadline
 _SECONDS = _bounded(float, 0, strict=True)
@@ -211,7 +206,8 @@ def _add_memory_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--memory", action="store_true",
         help="attribute memory per span (span attrs, worker spans on "
-        "--parallel runs, the report's memory attribution table)",
+        "--parallel runs, the report's memory attribution table); "
+        "query and datalog need --trace for it",
     )
     parser.add_argument(
         "--memory-backend", choices=("rss", "tracemalloc"), default="rss",
@@ -239,8 +235,8 @@ def _cache_context(args: argparse.Namespace):
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
-    """The pool flags, shard fault tolerance and stitching (every
-    subcommand that runs something)."""
+    """The pool flags and stitching (every subcommand that runs
+    something)."""
     parser.add_argument(
         "--parallel", action="store_true",
         help="activate a worker pool around the run and shard the "
@@ -252,48 +248,10 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         help="worker pool size for --parallel (default: CPU count)",
     )
     parser.add_argument(
-        "--shard-strategy", choices=("hash", "cell"), default="hash",
-        help="tuple partitioner for --parallel: stable-hash or "
-        "cell-aligned (default: hash)",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=_SECONDS, default=None, metavar="SECONDS",
-        help="per-shard deadline; a shard past it is retried, then "
-        "quarantined (default: none)",
-    )
-    parser.add_argument(
-        "--shard-retries", type=_COUNT, default=None, metavar="N",
-        help="pool re-dispatches per shard before quarantine (default: 2)",
-    )
-    parser.add_argument(
-        "--on-shard-failure", choices=("fail", "serial", "partial"),
-        default=None, dest="on_shard_failure",
-        help="after a shard exhausts its retries: fail (exit 5, no "
-        "quarantine), serial (quarantine, then exit 5; the default), or "
-        "partial (drop the shard, print the tagged partial result)",
-    )
-    parser.add_argument(
         "--no-stitch", action="store_true", dest="no_stitch",
         help="disable worker-side telemetry capture and trace stitching "
-        "for --parallel runs (only relevant to traced runs: --trace, "
-        "--memory or explain; untraced runs never capture)",
-    )
-
-
-def _resilience_of(args: argparse.Namespace):
-    """A ResiliencePolicy when any resilience flag departs from the
-    defaults, else None (the context falls back to DEFAULT_POLICY)."""
-    timeout = getattr(args, "shard_timeout", None)
-    retries = getattr(args, "shard_retries", None)
-    on_failure = getattr(args, "on_shard_failure", None)
-    if timeout is None and retries is None and on_failure is None:
-        return None
-    from repro.parallel import ResiliencePolicy
-
-    return ResiliencePolicy(
-        shard_timeout=timeout,
-        max_retries=retries if retries is not None else 2,
-        on_failure=on_failure if on_failure is not None else "serial",
+        "for --parallel runs (only relevant to traced runs: --trace or "
+        "explain; untraced runs never capture)",
     )
 
 
@@ -316,8 +274,6 @@ def _context_of(args: argparse.Namespace):
 
     return ExecutionContext(
         workers=workers,
-        shard_strategy=getattr(args, "shard_strategy", "hash"),
-        resilience=_resilience_of(args),
         capture=not getattr(args, "no_stitch", False),
         memory=(
             getattr(args, "memory_backend", "rss")
@@ -345,9 +301,9 @@ def _planner_of(args: argparse.Namespace):
 
 def _tracer_of(args: argparse.Namespace,
                always: bool = False) -> Optional[Tracer]:
-    """A Tracer under ``--trace`` or ``--memory`` (span attribution
-    needs one), or ``always`` for ``explain``, whose report reads one."""
-    if not (always or args.trace or args.memory):
+    """A Tracer under ``--trace``, or ``always`` for ``explain``, whose
+    report reads one."""
+    if not (always or args.trace):
         return None
     tracer = Tracer()
     if args.memory:
@@ -384,17 +340,6 @@ def _export_trace(path: str, document: dict) -> bool:
         )
         return False
     return True
-
-
-def _note_partial_shards(ctx) -> None:
-    """Tag a run that dropped shards (--on-shard-failure=partial): the
-    printed result is a sound subset, and the user must know."""
-    if ctx is not None and ctx.is_partial:
-        print(
-            f"note: partial result — {ctx.dropped_shards} shard(s) "
-            f"dropped after exhausting retries and quarantine",
-            file=sys.stderr,
-        )
 
 
 def _print_relation(relation, as_intervals: bool) -> None:
@@ -435,7 +380,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             tracer if tracer is not None else contextlib.nullcontext()
         ), ctx if ctx is not None else contextlib.nullcontext():
             result = _run_formula(formula, db, guard, planner)
-        _note_partial_shards(ctx)
         if not result.schema:
             print("true" if not result.is_empty() else "false")
         else:
@@ -469,7 +413,6 @@ def _cmd_datalog(args: argparse.Namespace) -> int:
                 on_budget=args.on_budget,
                 planner=planner,
             )
-        _note_partial_shards(ctx)
         if result.reached_fixpoint:
             print(f"fixpoint after {result.rounds} round(s)")
         else:
@@ -804,6 +747,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     tdiff.set_defaults(fn=_cmd_trace_diff)
 
     args = parser.parse_args(argv)
+    if args.command in ("query", "datalog") and args.memory and not args.trace:
+        sub.choices[args.command].error(
+            "--memory needs --trace FILE (the document records the "
+            "attribution; explain prints it without one)"
+        )
     try:
         return args.fn(args)
     except BudgetExceeded as error:
@@ -813,9 +761,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"diagnostics: {detail}", file=sys.stderr)
         return EXIT_BUDGET
     except ShardFailedError as error:
-        # must precede ReproError: a shard that failed retries AND
-        # quarantine is an infrastructure verdict, not an input error,
-        # and scripts retry exit 5 differently than they fix exit 1
+        # must precede ReproError: a failed shard is an execution
+        # verdict, not an input error, and scripts treat exit 5
+        # differently than they fix exit 1
         print(f"shard failure: {error}", file=sys.stderr)
         diag = error.diagnostics()
         detail = ", ".join(f"{key}={diag[key]}" for key in sorted(diag))

@@ -25,23 +25,21 @@ class EvaluationError(ReproError):
 
 
 class ShardFailedError(EvaluationError):
-    """A parallel shard exhausted every recovery path.
+    """A parallel shard raised, or the worker pool lost it.
 
-    Raised by the resilient dispatch loop
-    (:mod:`repro.parallel.resilience`) when a shard failed all retries
-    and — unless the policy said ``on_failure="fail"`` — its serial
-    in-process quarantine re-execution failed too.  Carries enough
-    structure for the CLI's exit-code contract (exit ``5``) and its
-    ``diagnostics:`` line: the operation, the shard index, how many
-    attempts were made, and the underlying cause.
+    Raised by :meth:`~repro.parallel.context.ExecutionContext.run_shards`
+    on the first failure of a batch.  A shard runs once: its kernel is
+    a pure function of its payload, so it would fail again.  Carries
+    what the CLI's exit code ``5`` and its ``diagnostics:`` line print:
+    the kernel (``op``), the shard index and the underlying cause.
     """
 
-    def __init__(self, message: str, *, op: str = "", shard: int = -1,
-                 attempts: int = 0, cause: BaseException = None) -> None:
-        super().__init__(message)
+    def __init__(self, op: str, shard: int, cause: BaseException) -> None:
+        super().__init__(
+            f"shard {shard} of {op} failed: {type(cause).__name__}: {cause}"
+        )
         self.op = op
         self.shard = shard
-        self.attempts = attempts
         self.cause = cause
 
     def diagnostics(self) -> dict:
@@ -49,8 +47,7 @@ class ShardFailedError(EvaluationError):
         return {
             "op": self.op,
             "shard": self.shard,
-            "attempts": self.attempts,
-            "cause": type(self.cause).__name__ if self.cause else None,
+            "cause": type(self.cause).__name__,
         }
 
 

@@ -67,7 +67,7 @@ __all__ = [
 OPERATORS = ("join", "project", "complement", "absorb")
 
 #: the span attrs a critical-path segment shows next to its name
-_MARKS = ("pid", "shard", "attempt", "quarantined", "error")
+_MARKS = ("pid", "shard", "error")
 
 
 def _closed_spans(document: dict) -> List[dict]:

@@ -13,7 +13,7 @@ first line of the report.
 Phase rows (the leading dotted component of the span name) ride along
 for the coarse view, and counter deltas for the ``kernel.*`` /
 ``parallel.*`` metrics both traces snapshot explain *why* an operator
-moved (cache hit-rate collapse, shard retries, ...).
+moved (cache hit-rate collapse, shard skew, ...).
 
 The document shape follows the repo's export conventions
 (:mod:`repro.obs.export`): a ``schema`` stamp, plain JSON-safe values,
@@ -26,7 +26,7 @@ diff`` CLI prints.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import EncodingError
 from repro.files import read_json

@@ -30,7 +30,7 @@ loadable without shipping a JSON-schema engine.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import EncodingError
 from repro.obs.analyze import span_self_seconds

@@ -42,7 +42,7 @@ from __future__ import annotations
 import sys
 import tracemalloc
 from resource import RUSAGE_SELF, getrusage
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["BACKENDS", "DEFAULT_BACKEND", "MemoryProfiler", "memory_summary"]
 

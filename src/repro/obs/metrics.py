@@ -52,24 +52,14 @@ Metric-name conventions (all emitted by the instrumented hot paths):
 ``parallel.worker_seconds``             summed in-worker kernel seconds
 ``parallel.merge_seconds``              parent-side merge wall time
 ``parallel.utilization``                worker seconds / (wall × workers)
-``parallel.pool_fallbacks``             process→thread pool degradations
+``parallel.pool_fallbacks``             process pools that could not start
                                         (emitted every dispatch, 0 included)
-``parallel.retries``                    shard re-dispatches after failures
-``parallel.shard_deadline_exceeded``    shards past the per-shard deadline
-``parallel.quarantined``                shards re-executed serially in-process
-``parallel.dropped_shards``             shards abandoned (on_failure=partial)
-``parallel.pool_restarts``              fresh pools after worker crashes
 ``parallel.stitched_shards``            worker telemetry snapshots grafted
                                         into the parent tracer
 ``parallel.stitched_spans``             worker spans added by stitching
 ``parallel.stitch_errors``              snapshots that failed to stitch
                                         (counted, never raised)
 ======================================  =====================================
-
-The six resilience gauges (``pool_fallbacks`` through
-``pool_restarts``) are emitted unconditionally on every sharded
-dispatch — a zero means "nothing went wrong", which dashboards and the
-differential oracle need as an explicit data point, not a missing key.
 """
 
 from __future__ import annotations
@@ -77,10 +67,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Optional
 
-__all__ = ["Histogram", "Metrics", "QUANTILES", "histogram_from_snapshot"]
-
-#: the quantiles every surface reports for a histogram, in order
-QUANTILES = (0.5, 0.95, 0.99)
+__all__ = ["Histogram", "Metrics", "histogram_from_snapshot"]
 
 #: bucket ``i`` covers values in ``[2**(i - _BUCKET_OFFSET),
 #: 2**(i + 1 - _BUCKET_OFFSET))``; the offset puts 2**-40 (~1e-12, well
@@ -263,9 +250,6 @@ class Metrics:
 
     def histogram(self, name: str) -> Optional[Histogram]:
         return self.histograms.get(name)
-
-    def is_empty(self) -> bool:
-        return not self.counters and not self.histograms
 
     def snapshot(self) -> dict:
         """All instruments as a plain nested dict (stable, JSON-safe)."""

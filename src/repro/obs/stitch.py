@@ -9,19 +9,17 @@ had a blind spot exactly where the time went.  The seam has two halves:
 * **worker side** — :func:`snapshot_telemetry` flattens one in-worker
   :class:`~repro.obs.trace.Tracer` (spans, events, and metric deltas
   including the ``kernel.*`` cache counters) into a picklable
-  ``repro.worker-telemetry/1`` dict that rides back in the shard's
-  :class:`~repro.parallel.worker.ShardEnvelope`.  The snapshot never
-  leaves the process pair, so it is not a file format;
+  ``repro.worker-telemetry/1`` dict that rides back with the shard's
+  result (:func:`~repro.parallel.worker.run_shard`).  The snapshot
+  never leaves the process pair, so it is not a file format;
 
 * **parent side** — :func:`stitch_telemetry` grafts the snapshot into
   the parent tracer at harvest time: span ids are remapped onto the
   parent's id sequence, the grafted roots are parented under the
   innermost open span (the backend drivers keep a
   ``parallel.<op>.dispatch`` span open across the dispatch) and
-  stamped with ``pid`` / ``shard`` / ``attempt`` (plus
-  ``quarantined`` when the resilience layer re-ran the shard
-  in-process), worker events follow their spans, and worker metric
-  deltas merge into the parent registry.
+  stamped with ``pid`` / ``shard``, worker events follow their spans,
+  and worker metric deltas merge into the parent registry.
 
 Two clocks, one timeline: worker span times are seconds on the
 *worker's* monotonic clock relative to the worker tracer's epoch.
@@ -32,7 +30,7 @@ into the open parent span, preserving the nesting invariants
 :func:`repro.obs.export.validate_trace` checks.
 
 Double-count avoidance: ``kernel.*`` counters are process-wide, so a
-*thread*-pool worker's (or a quarantined re-run's) cache traffic is
+*thread*-pool worker's cache traffic is
 already inside the parent tracer's own baseline delta.  Snapshots
 whose ``pid`` matches the stitching process therefore contribute
 spans, events and every other counter, but **not** ``kernel.*``
@@ -96,29 +94,21 @@ def stitch_telemetry(
     snapshot: Optional[dict],
     *,
     shard: int,
-    attempt: int,
-    quarantined: bool = False,
 ) -> None:
     """Graft one worker snapshot into ``tracer`` (a no-op without one).
 
     Never raises on a malformed snapshot: stitching is telemetry, and
-    telemetry must not be the thing that fails a recovered shard.
+    telemetry must not be the thing that fails a finished shard.
     """
     if tracer is None or not isinstance(snapshot, dict):
         return
     try:
-        _stitch(tracer, snapshot, shard, attempt, quarantined)
+        _stitch(tracer, snapshot, shard)
     except Exception:  # pragma: no cover - defensive: drop, don't fail
         tracer.metrics.count("parallel.stitch_errors")
 
 
-def _stitch(
-    tracer: Tracer,
-    snapshot: dict,
-    shard: int,
-    attempt: int,
-    quarantined: bool,
-) -> None:
+def _stitch(tracer: Tracer, snapshot: dict, shard: int) -> None:
     worker_pid = snapshot.get("pid")
     same_process = worker_pid == os.getpid()
     graft_under = tracer._stack[-1] if tracer._stack else None
@@ -147,9 +137,6 @@ def _stitch(
             parent = graft_parent
             attrs.setdefault("pid", worker_pid)
             attrs["shard"] = shard
-            attrs["attempt"] = attempt
-            if quarantined:
-                attrs["quarantined"] = True
         start = max(start + shift, floor)
         record = SpanRecord(id_map[old_id], parent, name, start, attrs)
         record.end = max(end + shift, start) if end is not None else start

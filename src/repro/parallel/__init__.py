@@ -7,12 +7,9 @@ its tuples.  An active :class:`ExecutionContext` makes ``Relation``
 shard those kernels across a worker pool and merge the results; serial
 evaluation stays the default and the reference semantics.
 
-Shard dispatch is fault-tolerant (see DESIGN.md section 2.13): every
-batch runs under a :class:`ResiliencePolicy` — per-shard deadlines,
-bounded retries with seeded-jitter backoff, worker-crash recovery that
-re-dispatches only the unfinished shards, and serial quarantine for
-poisoned shards — raising :class:`~repro.errors.ShardFailedError` only
-when every recovery path the policy allows is exhausted.
+A shard runs once (see DESIGN.md section 2.13): the first shard that
+raises, or that the pool loses, fails its batch with
+:class:`~repro.errors.ShardFailedError`.
 
 Only the context machinery is imported eagerly (it is stdlib-only, so
 :mod:`repro.core.relation` can depend on it without a cycle); the
@@ -25,21 +22,5 @@ from repro.parallel.context import ExecutionContext, active_execution_context
 __all__ = [
     "ExecutionContext",
     "active_execution_context",
-    "ResiliencePolicy",
-    "BatchReport",
-    "DEFAULT_POLICY",
     "ShardFailedError",
 ]
-
-_LAZY = ("ResiliencePolicy", "BatchReport", "DEFAULT_POLICY")
-
-
-def __getattr__(name):
-    # lazy: resilience pulls in the shard kernels, which import
-    # repro.core.relation — eager here would close an import cycle
-    # (core.relation -> parallel.context -> this package __init__)
-    if name in _LAZY:
-        from repro.parallel import resilience
-
-        return getattr(resilience, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,7 @@ engine ignores and ``perfbench/layers.py``'s dispatch wrapper reads.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.obs.trace import active_tracer, span
 from repro.parallel.context import ExecutionContext
@@ -45,14 +45,14 @@ from repro.parallel.worker import absorb_shard, join_shard, project_shard
 __all__ = ["parallel_join", "parallel_project", "parallel_absorb"]
 
 
-def _run(op: str, ctx: ExecutionContext, fn, payloads, shards, degraded=None):
+def _run(op: str, ctx: ExecutionContext, fn, payloads, shards):
     """Dispatch one batch under an ambient ``parallel.<op>.dispatch``
     span — the graft point: worker telemetry harvested inside
     ``run_shards`` stitches under the innermost open span, so every
     worker span nests under the dispatch that ran it."""
     with span(f"parallel.{op}.dispatch", shards=len(shards),
               workers=ctx.workers, pool=ctx.pool_kind):
-        return ctx.run_shards(fn, payloads, degraded=degraded)
+        return ctx.run_shards(fn, payloads)
 
 
 def _emit(
@@ -76,14 +76,7 @@ def _emit(
         metrics.observe(
             "parallel.utilization", worker_seconds / (wall * ctx.workers)
         )
-    # resilience gauges: emitted unconditionally (a zero is a signal —
-    # "nothing went wrong" — and dashboards need the key to exist)
     metrics.observe("parallel.pool_fallbacks", ctx.fallbacks)
-    metrics.observe("parallel.retries", ctx.retries)
-    metrics.observe("parallel.shard_deadline_exceeded", ctx.deadline_exceeded)
-    metrics.observe("parallel.quarantined", ctx.quarantined)
-    metrics.observe("parallel.dropped_shards", ctx.dropped_shards)
-    metrics.observe("parallel.pool_restarts", ctx.pool_restarts)
 
 
 def parallel_join(
@@ -102,7 +95,7 @@ def parallel_join(
     same multiset of merged tuples and the same pair count as the
     serial loop, plus the shard count.
     """
-    shards = shard_indices(left_tuples, ctx.workers, ctx.shard_strategy)
+    shards = shard_indices(left_tuples, ctx.workers)
     if partition is None:
         buckets, unpinned, pins_a = None, (), [None] * len(left_tuples)
     else:
@@ -124,10 +117,7 @@ def parallel_join(
     out: List = []
     considered = 0
     worker_seconds = 0.0
-    for result in results:
-        if result is None:  # shard dropped under on_failure="partial"
-            continue
-        shard_out, shard_considered, seconds = result
+    for shard_out, shard_considered, seconds in results:
         out.extend(shard_out)
         considered += shard_considered
         worker_seconds += seconds
@@ -159,7 +149,7 @@ def parallel_project(
     here in the same column order, so counters and charged tuples are
     identical to serial.  Returns ``(reordered_tuples, {"shards": n})``.
     """
-    shards = shard_indices(tuples, ctx.workers, ctx.shard_strategy)
+    shards = shard_indices(tuples, ctx.workers)
     payloads = [
         ([tuples[i] for i in shard], tuple(victims), target) for shard in shards
     ]
@@ -170,10 +160,7 @@ def parallel_project(
     out: List = []
     worker_seconds = 0.0
     column_totals = [0] * len(victims)
-    for result in results:
-        if result is None:  # shard dropped under on_failure="partial"
-            continue
-        shard_out, counts, seconds = result
+    for shard_out, counts, seconds in results:
         out.extend(shard_out)
         worker_seconds += seconds
         for c, n in enumerate(counts):
@@ -207,22 +194,12 @@ def parallel_absorb(
     distinct = list(distinct)
     payloads = [(distinct, r.start, r.stop, absorbed) for r in ranges]
     t0 = time.perf_counter()
-    # absorption has a semantically exact degraded fallback: keeping a
-    # failed range unfiltered only leaves redundant (absorbable) tuples
-    # in the union, never changes the represented set — so a dropped
-    # shard here keeps the whole range instead of losing tuples
-    results = _run(
-        "absorb", ctx, absorb_shard, payloads, ranges,
-        degraded=lambda p: (list(range(p[1], p[2])), 0.0),
-    )
+    results = _run("absorb", ctx, absorb_shard, payloads, ranges)
     wall = time.perf_counter() - t0
     merge0 = time.perf_counter()
     kept: List = []
     worker_seconds = 0.0
-    for result in results:
-        if result is None:  # shard dropped under on_failure="partial"
-            continue
-        indices, seconds = result
+    for indices, seconds in results:
         kept.extend(distinct[i] for i in indices)
         worker_seconds += seconds
     merge_seconds = time.perf_counter() - merge0

@@ -1,12 +1,9 @@
 """Opt-in parallel execution contexts for the relation algebra.
 
 An :class:`ExecutionContext` owns a :mod:`concurrent.futures` worker
-pool, the sharding policy (worker count, shard strategy, minimum
-shardable size), and the resilience policy (per-shard deadlines,
-bounded retries with seeded-jitter backoff, quarantine — see
-:mod:`repro.parallel.resilience`).  Activation mirrors
-:class:`EvaluationGuard`: the FO evaluator and the Datalog engines
-activate a context (``with ctx:``) around a run, and
+pool and the sharding policy (worker count, minimum shardable size).
+Activation mirrors :class:`EvaluationGuard`: the FO evaluator and the
+Datalog engines activate a context (``with ctx:``) around a run, and
 :func:`active_execution_context` hands it to ``Relation.join`` /
 ``project`` / ``simplify`` without widening the algebra signatures.
 Serial evaluation remains the default and the reference: with no
@@ -18,31 +15,29 @@ Pools: ``"process"`` fans shards out to a
 picklable by construction; see :mod:`repro.parallel.worker`),
 ``"thread"`` to a :class:`~concurrent.futures.ThreadPoolExecutor`, and
 ``"auto"`` picks processes when more than one worker was requested.
-A process pool that cannot start degrades to threads; one that breaks
-mid-run (a crashed worker) is *restarted* and only the unfinished
-shards are re-dispatched, degrading to threads only when restarts are
-exhausted.  Either way the run completes: degradations are counted in
-:attr:`ExecutionContext.fallbacks` and restarts in
-:attr:`ExecutionContext.pool_restarts`.
+A process pool that cannot start degrades to threads, counted in
+:attr:`ExecutionContext.fallbacks`.
 
-This module deliberately imports nothing from the rest of the package
-(stdlib only), so :mod:`repro.core.relation` can import it at module
-level without a cycle; the shard/merge machinery lives in
-:mod:`repro.parallel.backend` and the retry/recovery loop in
-:mod:`repro.parallel.resilience`, both imported lazily at the hooks.
+A shard runs once.  Shard kernels are pure functions of their
+payloads, so a shard that raised would raise again; the first failure
+of a batch, from a kernel or from the pool, cancels the rest and
+raises :class:`~repro.errors.ShardFailedError`.
+
+This module imports nothing from the rest of the package at module
+level (stdlib only), so :mod:`repro.core.relation` can import it
+without a cycle; :meth:`ExecutionContext.run_shards` imports the
+worker wrapper, the tracer and the guard when it dispatches.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextvars import ContextVar
 from typing import Callable, List, Optional, Sequence
 
 __all__ = ["ExecutionContext", "active_execution_context"]
 
-#: accepted shard strategies (see :mod:`repro.parallel.shards`)
-SHARD_STRATEGIES = ("hash", "cell")
 #: accepted pool kinds ("auto" resolves at construction)
 POOL_KINDS = ("auto", "process", "thread")
 #: accepted worker memory-attribution backends (mirrors
@@ -69,18 +64,12 @@ def active_execution_context() -> Optional["ExecutionContext"]:
 
 
 class ExecutionContext:
-    """Sharding + resilience policy plus a lazily created worker pool.
+    """Sharding policy plus a lazily created worker pool.
 
     ``workers``: pool size (default: the machine's CPU count).
-    ``shard_strategy``: ``"hash"`` (stable digest of the canonical
-    form) or ``"cell"`` (cell-aligned; see
-    :mod:`repro.parallel.shards`).
     ``pool``: ``"auto"`` / ``"process"`` / ``"thread"``.
     ``min_tuples``: inputs smaller than this stay on the serial path
     (sharding a tiny relation costs more than it saves).
-    ``resilience``: a :class:`~repro.parallel.resilience.ResiliencePolicy`
-    (``None``: the default — no per-shard deadline, two retries,
-    quarantine before failing).
     ``capture``: allow worker-side telemetry capture + cross-process
     trace stitching when a tracer is active in the dispatching
     process (default on; the capture only happens under a tracer, so
@@ -98,35 +87,30 @@ class ExecutionContext:
 
     __slots__ = (
         "workers",
-        "shard_strategy",
         "pool",
         "min_tuples",
-        "resilience",
         "capture",
         "memory",
         "fallbacks",
         "batches",
-        "retries",
-        "deadline_exceeded",
-        "quarantined",
-        "dropped_shards",
-        "pool_restarts",
-        "last_report",
         "closed",
         "_pool_kind",
         "_executor",
-        "_retired",
         "_owner_pid",
         "_tokens",
     )
 
+    #: always 0: a shard runs once.  Kept only because
+    #: ``perfbench/layers.py`` reads them by name.
+    retries = 0
+    quarantined = 0
+    dropped_shards = 0
+
     def __init__(
         self,
         workers: Optional[int] = None,
-        shard_strategy: str = "hash",
         pool: str = "auto",
         min_tuples: int = 8,
-        resilience=None,
         capture: bool = True,
         memory: Optional[str] = None,
     ) -> None:
@@ -135,36 +119,22 @@ class ExecutionContext:
                 f"memory must be one of {MEMORY_BACKENDS} or None, "
                 f"got {memory!r}"
             )
-        if shard_strategy not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"shard_strategy must be one of {SHARD_STRATEGIES}, "
-                f"got {shard_strategy!r}"
-            )
         if pool not in POOL_KINDS:
             raise ValueError(f"pool must be one of {POOL_KINDS}, got {pool!r}")
         self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.shard_strategy = shard_strategy
         self.pool = pool
         self.min_tuples = int(min_tuples)
-        self.resilience = resilience  # opaque here; resolved at dispatch
         self.capture = bool(capture)
         self.memory = memory
-        self.fallbacks = 0  #: process-pool degradations to threads
+        self.fallbacks = 0  #: process pools that could not start
         self.batches = 0  #: shard batches dispatched to the pool
-        self.retries = 0  #: shard re-dispatches after failures/timeouts
-        self.deadline_exceeded = 0  #: shards past their per-shard deadline
-        self.quarantined = 0  #: shards re-executed serially in-process
-        self.dropped_shards = 0  #: shards abandoned under on_failure="partial"
-        self.pool_restarts = 0  #: fresh process pools after worker crashes
-        self.last_report = None  #: BatchReport of the newest batch
         self.closed = False
         self._pool_kind = (
             pool if pool != "auto" else ("process" if self.workers > 1 else "thread")
         )
         self._executor = None
-        self._retired: list = []
         self._owner_pid = os.getpid()
         self._tokens: list = []
 
@@ -188,33 +158,15 @@ class ExecutionContext:
         """The resolved pool kind ("process" or "thread")."""
         return self._pool_kind
 
-    @property
-    def is_partial(self) -> bool:
-        """Did any batch drop a shard (result is a sound subset)?"""
-        return self.dropped_shards > 0
-
     def stats(self) -> dict:
-        stats = {
+        return {
             "workers": self.workers,
-            "shard_strategy": self.shard_strategy,
             "pool": self._pool_kind,
             "capture": self.capture,
             "memory": self.memory,
             "batches": self.batches,
             "fallbacks": self.fallbacks,
-            "retries": self.retries,
-            "deadline_exceeded": self.deadline_exceeded,
-            "quarantined": self.quarantined,
-            "dropped_shards": self.dropped_shards,
-            "pool_restarts": self.pool_restarts,
         }
-        if self.resilience is not None:
-            stats["resilience"] = {
-                "shard_timeout": self.resilience.shard_timeout,
-                "max_retries": self.resilience.max_retries,
-                "on_failure": self.resilience.on_failure,
-            }
-        return stats
 
     # ------------------------------------------------------------ execution
 
@@ -226,78 +178,84 @@ class ExecutionContext:
                 try:
                     self._executor = ProcessPoolExecutor(max_workers=self.workers)
                 except (OSError, ValueError):
-                    self._degrade_to_threads()
+                    self.fallbacks += 1
+                    self._pool_kind = "thread"
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(max_workers=self.workers)
         return self._executor
 
-    def _retire_executor(self) -> None:
-        """Shut the current executor down without waiting, but keep a
-        strong reference to it until :meth:`close`.
+    def run_shards(self, fn: Callable, payloads: Sequence) -> List:
+        """Run ``fn`` once over every payload on the pool, results in
+        payload order.
 
-        The reference is deliberate, not a leak: a process pool forks
-        workers that inherit the parent's heap, and a retired executor
-        left to the garbage collector would be collected *inside those
-        children* too — running ``concurrent.futures``' executor
-        weakref callback there, which takes a shutdown lock the fork
-        may have copied in the held state (a deadlock observed under
-        crash-fault chaos).  Pinning the object means the callback
-        never fires in a worker; the handful of retired executors per
-        query (bounded by restarts + fallbacks) is released at close.
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._retired.append(self._executor)
-        self._executor = None
-
-    def _degrade_to_threads(self) -> None:
-        self.fallbacks += 1
-        self._retire_executor()
-        self._pool_kind = "thread"
-
-    def _restart_pool(self) -> None:
-        """Replace a broken process pool with a fresh one (same kind).
-
-        Called by the resilient dispatch loop after a worker crash
-        (``BrokenProcessPool``): completed shard results are kept and
-        only the unfinished shards are re-dispatched to the new pool.
-        """
-        self._retire_executor()
-
-    def run_shards(self, fn: Callable, payloads: Sequence,
-                   degraded: Optional[Callable] = None) -> List:
-        """Run ``fn`` over every payload on the pool, results in order.
-
-        Dispatch is resilient (:mod:`repro.parallel.resilience`): each
-        shard runs under the policy's per-shard deadline with bounded
-        retry + seeded exponential backoff; a crashed worker restarts
-        the pool and re-dispatches only the unfinished shards; a shard
-        that fails every retry is quarantined (re-executed serially
-        in-process).  ``degraded`` is an optional semantically exact
-        per-payload fallback used instead of dropping a shard under
-        ``on_failure="partial"`` (absorption passes one: keep the whole
-        range).  Raises
-        :class:`~repro.errors.ShardFailedError` when a shard exhausts
-        every recovery path the policy allows.
+        Under an active tracer (and ``capture``), each shard runs
+        wrapped in :func:`~repro.parallel.worker.run_shard`, and its
+        worker telemetry is stitched into the tracer as it is
+        harvested.  The first exception, from a kernel or from the pool
+        (a lost worker, a payload that does not pickle), cancels the
+        shards not yet started and raises
+        :class:`~repro.errors.ShardFailedError` naming the kernel, the
+        shard and the cause.  Under a guard with a deadline, the wait
+        is clipped to the guard's remaining seconds, and past them the
+        guard's :meth:`~repro.runtime.guard.EvaluationGuard.tick`
+        raises :class:`~repro.runtime.budget.DeadlineExceeded`.
         """
         if not payloads:
             return []
+        executor = self._ensure_executor()
         self.batches += 1
-        from repro.parallel.resilience import dispatch_shards
+        from repro.errors import ShardFailedError
+        from repro.obs.stitch import stitch_telemetry
+        from repro.obs.trace import active_tracer
+        from repro.parallel.worker import run_shard
+        from repro.runtime.guard import active_guard
 
-        return dispatch_shards(self, fn, payloads, degraded=degraded)
+        tracer = active_tracer() if self.capture else None
+        guard = active_guard()
+        if guard is not None and guard.deadline_at is None:
+            guard = None
+        futures: List = []
+        try:
+            for shard, payload in enumerate(payloads):
+                try:
+                    if tracer is None:
+                        futures.append(executor.submit(fn, payload))
+                    else:
+                        futures.append(executor.submit(
+                            run_shard, (fn, payload, self.memory)
+                        ))
+                except Exception as cause:
+                    raise ShardFailedError(fn.__name__, shard, cause) from cause
+            results: List = []
+            for shard, future in enumerate(futures):
+                if guard is not None:
+                    while not wait(
+                        (future,), timeout=max(guard.remaining_seconds(), 0.0)
+                    ).done:
+                        guard.tick("parallel.dispatch")
+                try:
+                    result = future.result()
+                except Exception as cause:
+                    raise ShardFailedError(fn.__name__, shard, cause) from cause
+                if tracer is not None:
+                    result, telemetry = result
+                    stitch_telemetry(tracer, telemetry, shard=shard)
+                results.append(result)
+            return results
+        finally:
+            for future in futures:
+                future.cancel()
 
     def close(self) -> None:
         """Shut the worker pool down; the context cannot be reused."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self._retired.clear()
         self.closed = True
 
     def __repr__(self) -> str:
         return (
-            f"<ExecutionContext workers={self.workers} "
-            f"strategy={self.shard_strategy} pool={self._pool_kind}"
+            f"<ExecutionContext workers={self.workers} pool={self._pool_kind}"
             f"{' closed' if self.closed else ''}>"
         )
+

@@ -1,4 +1,4 @@
-"""Semantics-preserving partitioners for generalized-tuple sets.
+"""Semantics-preserving partitioning of generalized-tuple sets.
 
 A generalized relation is the *union* of its generalized tuples (paper
 Section 2): the denoted pointset is the disjunction of the per-tuple
@@ -6,25 +6,14 @@ conjunctions.  Union is associative and commutative, so **any**
 partition of the tuple set evaluates correctly shard-by-shard for the
 tuple-local kernels (join partner matching, per-tuple quantifier
 elimination) — the merged result denotes the same pointset as the
-serial pass.  The strategies below only differ in *balance* and
-*locality*:
+serial pass.
 
-``hash``
-    Shard by a stable digest of the tuple's canonical form.  Spreads
-    tuples uniformly; the digest is :func:`zlib.crc32` over the schema
-    and the sorted atom renderings, never Python's salted ``hash()``,
-    so the same input shards identically across processes and runs
-    (``PYTHONHASHSEED`` independence is load-bearing: worker processes
-    may have a different seed than the parent).
-
-``cell``
-    Shard by the canonical cell decomposition (paper Section 3/5): the
-    constants of the input induce a partition of Q into cells, and a
-    tuple is keyed by the cells its sample point occupies.  Tuples
-    constraining the same region of Q^k land in the same shard, which
-    keeps would-be join partners and absorption candidates together.
-    Falls back to ``hash`` for theories without the dense-order cell
-    machinery.
+Tuples are sharded by a stable digest of their canonical form, which
+spreads them uniformly.  The digest is :func:`zlib.crc32` over the
+schema and the sorted atom renderings, never Python's salted
+``hash()``, so the same input shards identically across processes and
+runs (``PYTHONHASHSEED`` independence is load-bearing: worker
+processes may have a different seed than the parent).
 """
 
 from __future__ import annotations
@@ -51,49 +40,18 @@ def stable_digest(t) -> int:
     return zlib.crc32("|".join(parts).encode("utf-8"))
 
 
-def _hash_keys(tuples: Sequence) -> List[int]:
-    return [stable_digest(t) for t in tuples]
-
-
-def _cell_keys(tuples: Sequence) -> List[int]:
-    """Cell-aligned shard keys; hash keys for non-dense theories."""
-    from repro.core.theory import DenseOrderTheory
-
-    if not tuples or not isinstance(tuples[0].theory, DenseOrderTheory):
-        return _hash_keys(tuples)
-    from repro.encoding.cells import CellDecomposition
-
-    constants: set = set()
-    for t in tuples:
-        constants |= t.constants()
-    decomposition = CellDecomposition(constants)
-    keys: List[int] = []
-    for t in tuples:
-        point = t.sample_point()
-        label = ",".join(
-            str(decomposition.cell_of_value(point[column])) for column in t.schema
-        )
-        keys.append(zlib.crc32(label.encode("utf-8")))
-    return keys
-
-
-def shard_indices(tuples: Sequence, n: int, strategy: str) -> List[List[int]]:
-    """Partition ``range(len(tuples))`` into at most ``n`` shards.
+def shard_indices(tuples: Sequence, n: int) -> List[List[int]]:
+    """Partition ``range(len(tuples))`` into at most ``n`` shards by
+    :func:`stable_digest`.
 
     Every index appears in exactly one shard; empty shards are dropped.
     Within a shard, indices keep the input order (merges that
     concatenate shard outputs stay deterministic).
     """
     n = max(1, min(n, len(tuples)))
-    if strategy == "cell":
-        keys = _cell_keys(tuples)
-    elif strategy == "hash":
-        keys = _hash_keys(tuples)
-    else:
-        raise ValueError(f"unknown shard strategy {strategy!r}")
     shards: List[List[int]] = [[] for _ in range(n)]
-    for i, key in enumerate(keys):
-        shards[key % n].append(i)
+    for i, t in enumerate(tuples):
+        shards[stable_digest(t) % n].append(i)
     return [s for s in shards if s]
 
 

@@ -15,47 +15,30 @@ so the parent can report worker utilization without a second clock
 source in the children.
 
 Worker-side telemetry capture: when the dispatching process has a
-tracer active, the resilient dispatch loop asks :func:`run_shard` for
-*capture* mode — the shard runs under a lightweight in-worker
-:class:`~repro.obs.trace.Tracer` (its own object, never the parent's
-inherited one) whose spans, events and metric deltas (including the
-``kernel.*`` cache counters) ride back to the parent inside a
-:class:`ShardEnvelope` as a picklable ``repro.worker-telemetry/1``
-snapshot.  The parent grafts the snapshot into its own tracer at
-harvest time (:mod:`repro.obs.stitch`), so ``--trace`` and the
-``explain`` report see inside the pool.  Guard and execution-context
-variables stay untouched in workers: budgets and charge parity remain
-the parent's job, exactly as before.
-
-Cross-process chaos: when a :class:`~repro.runtime.faults.FaultRegistry`
-with faults armed at the ``worker.*`` sites is active in the parent,
-the resilient dispatch loop wraps each shard in :func:`run_shard`,
-which rehydrates the exported armed-fault table on the receiving side
-(cached per process and registry epoch, so ``after``/``times``/seeded-
-probability state accumulates across that worker's tasks) and fires
-the kernel's ``worker.<kernel>`` site before running it.
-:func:`run_quarantined` fires the same site against the parent's own
-ambient registry, so the serial quarantine path is chaos-visible too.
+tracer active, :meth:`~repro.parallel.context.ExecutionContext.run_shards`
+submits each shard through :func:`run_shard`, which runs the kernel
+under a lightweight in-worker :class:`~repro.obs.trace.Tracer` (its
+own object, never the parent's inherited one) and returns the result
+with the tracer's spans, events and metric deltas (including the
+``kernel.*`` cache counters) as a picklable
+``repro.worker-telemetry/1`` snapshot.  The parent grafts the snapshot
+into its own tracer at harvest time (:mod:`repro.obs.stitch`), so
+``--trace`` and the ``explain`` report see inside the pool.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.relation import _absorb_survivors
-from repro.runtime.faults import FaultRegistry, fault_point
 
 __all__ = [
-    "ShardEnvelope",
     "join_shard",
     "project_shard",
     "absorb_shard",
-    "shard_site",
     "run_shard",
-    "run_quarantined",
-    "probe_fault_sequence",
 ]
 
 #: span cap for one shard's in-worker tracer: a shard runs one kernel,
@@ -63,148 +46,34 @@ __all__ = [
 _WORKER_MAX_SPANS = 2048
 
 
-class ShardEnvelope:
-    """A shard result plus its ``repro.worker-telemetry/1`` snapshot.
+def run_shard(payload) -> Tuple[object, dict]:
+    """Run one kernel under a fresh in-worker tracer.
 
-    The dispatch loop unwraps envelopes at harvest time (stitching the
-    telemetry into the parent tracer); merge drivers only ever see the
-    bare ``result``.  Picklable by construction: both fields are plain
-    data.
-    """
-
-    __slots__ = ("result", "telemetry")
-
-    def __init__(self, result: object, telemetry: dict) -> None:
-        self.result = result
-        self.telemetry = telemetry
-
-    def __getstate__(self):
-        return (self.result, self.telemetry)
-
-    def __setstate__(self, state):
-        self.result, self.telemetry = state
-
-
-def shard_site(fn) -> str:
-    """The fault-point site name for a shard kernel."""
-    return f"worker.{fn.__name__}"
-
-
-# one rehydrated registry per (arming registry, epoch); a single slot
-# suffices because one dispatch loop ships one spec at a time
-_CACHED_KEY: Optional[tuple] = None
-_CACHED_REGISTRY: Optional[FaultRegistry] = None
-
-
-def _rehydrated(spec: Optional[dict]) -> Optional[FaultRegistry]:
-    global _CACHED_KEY, _CACHED_REGISTRY
-    if spec is None:
-        return None
-    key = tuple(spec["key"])
-    if _CACHED_KEY != key:
-        _CACHED_KEY = key
-        _CACHED_REGISTRY = FaultRegistry.from_spec(spec)
-    return _CACHED_REGISTRY
-
-
-def _captured(kernel, kernel_payload, memory=None) -> "ShardEnvelope":
-    """Run one kernel under a fresh in-worker tracer; envelope the
-    result with the telemetry snapshot.
-
-    The root span is the kernel's ``worker.*`` site name with the
-    worker ``pid`` attached; ``shard`` / ``attempt`` provenance is
-    stamped parent-side at stitch time (the worker does not know its
-    shard index).  ``memory`` names a
+    Payload: ``(kernel, kernel_payload, memory)``.  Returns the
+    kernel's result and the tracer's ``repro.worker-telemetry/1``
+    snapshot.  The root span is ``worker.<kernel>`` with the worker
+    ``pid`` attached; the parent stamps the ``shard`` index at stitch
+    time (the worker does not know it).  ``memory`` names a
     :class:`~repro.obs.memory.MemoryProfiler` backend to arm on the
     in-worker tracer (the parent's ``--memory`` flag crossing the
-    process boundary): the root span then carries memory attrs, which
-    are plain ints and ride the snapshot like any other attr.
-    Imported lazily so capture-free dispatches never pay the obs
-    imports in a cold worker.
+    process boundary), so the root span carries memory attrs, plain
+    ints that ride the snapshot like any other attr; ``None`` arms
+    none.  The obs imports are lazy, so dispatches without a tracer
+    never pay them in a cold worker.
     """
     from repro.obs.stitch import snapshot_telemetry
     from repro.obs.trace import Tracer
 
+    kernel, kernel_payload, memory = payload
     tracer = Tracer(max_spans=_WORKER_MAX_SPANS)
     if memory is not None:
         from repro.obs.memory import MemoryProfiler
 
         tracer.memory = MemoryProfiler(memory)
     with tracer:
-        with tracer.span(shard_site(kernel), pid=os.getpid()):
+        with tracer.span(f"worker.{kernel.__name__}", pid=os.getpid()):
             result = kernel(kernel_payload)
-    return ShardEnvelope(result, snapshot_telemetry(tracer))
-
-
-def run_shard(payload) -> object:
-    """Worker-side entry point for chaos-wrapped / captured shards.
-
-    Payload: ``(spec, kernel, kernel_payload)``, optionally extended
-    with ``capture`` and a ``memory`` backend name, where ``spec`` is
-    an exported armed-fault table (or ``None``) and ``capture`` asks
-    for a :class:`ShardEnvelope` with the in-worker telemetry
-    snapshot.  Rehydrates the faults, fires the kernel's ``worker.*``
-    site, then runs the kernel.  The rehydrated registry is cached per
-    process, so its hit counters and seeded random stream persist
-    across the tasks this worker runs — the same deterministic
-    schedule semantics as the parent's registry.  The fault point
-    fires *before* capture starts: a failed attempt ships no telemetry
-    (the attempt that succeeds does).
-    """
-    spec, kernel, kernel_payload = payload[0], payload[1], payload[2]
-    capture = len(payload) > 3 and payload[3]
-    memory = payload[4] if len(payload) > 4 else None
-    registry = _rehydrated(spec)
-    if registry is None:
-        return (
-            _captured(kernel, kernel_payload, memory)
-            if capture else kernel(kernel_payload)
-        )
-    with registry:
-        fault_point(shard_site(kernel))
-        return (
-            _captured(kernel, kernel_payload, memory)
-            if capture else kernel(kernel_payload)
-        )
-
-
-def run_quarantined(fn, payload, capture: bool = False, memory=None) -> object:
-    """Serial in-process re-execution of a poisoned shard.
-
-    Fires the kernel's ``worker.*`` site against the *ambient* (parent)
-    registry — a deterministically poisoned shard stays poisoned here,
-    which is what lets tests drive the quarantine-failure path — then
-    runs the kernel on the caller's thread.  With ``capture``, the
-    kernel runs under a fresh in-worker tracer exactly like a pool
-    shard (the nested activation shadows the parent's tracer for the
-    kernel's duration) and returns a :class:`ShardEnvelope`, so
-    quarantined re-runs stitch into the trace like any other attempt.
-    """
-    fault_point(shard_site(fn))
-    if capture:
-        return _captured(fn, payload, memory)
-    return fn(payload)
-
-
-def probe_fault_sequence(payload) -> List[Tuple[str, int, str]]:
-    """Rehydrate ``spec`` fresh and fire ``site`` ``hits`` times.
-
-    Payload: ``(spec, site, hits)``.  Returns the registry's log — the
-    exact (site, hit, action) firing sequence.  Module-level and
-    picklable, so the determinism tests can run it both in-process and
-    inside a spawned worker and assert the sequences are identical for
-    a fixed seed.  Errors raised by armed faults are recorded and
-    swallowed (the probe observes the schedule, not the unwind).
-    """
-    spec, site, hits = payload
-    registry = FaultRegistry.from_spec(spec)
-    with registry:
-        for _ in range(hits):
-            try:
-                fault_point(site)
-            except Exception:
-                pass
-    return registry.log
+    return result, snapshot_telemetry(tracer)
 
 
 def join_shard(payload) -> Tuple[list, int, float]:

@@ -6,11 +6,9 @@ exception, according to a :class:`DegradePolicy`:
 
 1. **transient retry** — injected/infrastructural
    :class:`~repro.runtime.faults.TransientEvaluationError` failures are
-   retried up to ``retry_transient`` times; a
-   :class:`~repro.errors.ShardFailedError` from the parallel backend is
-   retried the same way — by the time one propagates, the resilient
-   dispatch loop has restarted or degraded the pool, so a whole-query
-   retry runs on healthier infrastructure than the attempt that died;
+   retried up to ``retry_transient`` times (a
+   :class:`~repro.errors.ShardFailedError` is not: a shard kernel is a
+   pure function of its payload, so a retry would fail the same way);
 2. **partial fallback** — when the budget cuts evaluation short,
    rerun truncated (``on_budget="partial"``) and return the partial
    :class:`~repro.datalog.engine.FixpointResult` with
@@ -33,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ShardFailedError
 from repro.runtime.budget import Budget, BudgetExceeded
 from repro.runtime.faults import TransientEvaluationError
 
@@ -85,7 +82,7 @@ def run_with_policy(
     while True:
         try:
             return attempt("raise", max_rounds)
-        except (TransientEvaluationError, ShardFailedError):
+        except TransientEvaluationError:
             if transient_left <= 0:
                 raise
             transient_left -= 1

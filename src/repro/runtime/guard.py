@@ -242,25 +242,6 @@ class EvaluationGuard:
                 self.budget.deadline_seconds,
             )
 
-    def wait(self, seconds: float, site: str = "") -> None:
-        """Sleep cooperatively: the budget keeps binding while waiting.
-
-        Sleeps in short slices with a :meth:`tick` between them, so a
-        deliberate wait — the parallel backend's retry backoff is the
-        motivating caller — cannot outlive the deadline or ignore a
-        :meth:`cancel` from another thread.  The slice clock is real
-        wall time (not the injectable budget clock), so tests driving
-        deadlines with a fake clock terminate via the tick, not the
-        sleep.
-        """
-        end = time.monotonic() + seconds
-        while True:
-            self.tick(site or "wait")
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                return
-            time.sleep(min(remaining, 0.05))
-
     def note(self, site: str, n: int = 1) -> None:
         """Bump the per-site counter (no budget check)."""
         self.counters[site] = self.counters.get(site, 0) + n

@@ -131,10 +131,6 @@ class TestExitUsage:
     @pytest.mark.parametrize("argv", [
         pytest.param(["query", "DB", "e(x, y)", "--parallel", "--workers", "0"],
                      id="workers"),
-        pytest.param(["datalog", "DB", "PROGRAM", "--parallel", "--shard-timeout", "-1"],
-                     id="shard-timeout"),
-        pytest.param(["explain", "DB", "PROGRAM", "--parallel", "--shard-retries", "-1"],
-                     id="shard-retries"),
         pytest.param(["query", "DB", "e(x, y)", "--timeout", "-1"], id="timeout"),
         pytest.param(["datalog", "DB", "PROGRAM", "--max-tuples", "-1"], id="max-tuples"),
         pytest.param(["explain", "DB", "e(x, y)", "--max-depth", "-1"], id="max-depth"),

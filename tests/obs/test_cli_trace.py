@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.cli import EXIT_ERROR, EXIT_OK, main
+from repro.cli import EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from repro.core.database import Database
 from repro.core.relation import Relation
 from repro.encoding.standard import encode_database
@@ -121,11 +121,25 @@ class TestTraceDiff:
 
 
 class TestMemoryFlag:
-    def test_query_memory_requires_no_other_obs_flag(self, db_file, capsys):
-        # --memory alone must arm a tracer (span attribution needs one)
-        assert main(
-            ["query", db_file, "exists y (e(x, y))", "--memory"]
-        ) == EXIT_OK
+    def test_query_memory_requires_no_other_obs_flag(
+        self, db_file, tmp_path, capsys
+    ):
+        # --memory alone would arm a tracer nothing reads: without
+        # --trace it is a usage error that names the flag it needs
+        program = tmp_path / "p.dl"
+        program.write_text("p(x) :- e(x, y).\n", encoding="utf-8")
+        for argv in (["query", db_file, "exists y (e(x, y))", "--memory"],
+                     ["datalog", db_file, str(program), "--memory"]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [
+                line for line in captured.err.splitlines() if "error:" in line
+            ]
+            assert len(errors) == 1
+            assert "--memory needs --trace" in errors[0]
 
     def test_traced_spans_carry_memory_attrs(self, tmp_path, db_file):
         trace = str(tmp_path / "m.json")
@@ -164,11 +178,13 @@ class TestMemoryFlag:
             for s in document["spans"]
         )
 
-    def test_results_byte_identical_with_memory(self, db_file, capsys):
+    def test_results_byte_identical_with_memory(self, db_file, tmp_path, capsys):
+        trace = str(tmp_path / "m.json")
         assert main(["query", db_file, "exists y (e(x, y))"]) == EXIT_OK
         plain = capsys.readouterr().out
         assert main(
-            ["query", db_file, "exists y (e(x, y))", "--memory"]
+            ["query", db_file, "exists y (e(x, y))", "--trace", trace,
+             "--memory"]
         ) == EXIT_OK
         assert capsys.readouterr().out == plain
 

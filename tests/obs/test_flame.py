@@ -2,14 +2,13 @@
 
 The speedscope export uses the ``sampled`` profile type because
 stitched sibling worker spans overlap in time, which an ``evented``
-profile forbids; the resilience test pins that a trace with retried
-*and* quarantined shards still exports a document our validator (and
-hence speedscope's loader contract) accepts.
+profile forbids; the stitched-trace test pins that a trace of a
+two-shard batch on two workers still exports a document our validator
+(and hence speedscope's loader contract) accepts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 
 import pytest
@@ -24,8 +23,7 @@ from repro.obs import (
     validate_speedscope,
     write_flame,
 )
-from repro.parallel import ExecutionContext, ResiliencePolicy
-from repro.runtime.faults import FaultRegistry, TransientEvaluationError
+from repro.parallel import ExecutionContext
 
 
 def _doc(spans):
@@ -144,38 +142,22 @@ class TestWriteFlame:
             write_flame(str(tmp_path / "x"), SIMPLE, fmt="svg")
 
 
-class TestResilientTraceExport:
-    SITE = "worker._double"
-
-    def _exhaust(self, registry, hits):
-        with registry:
-            for _ in range(hits):
-                with contextlib.suppress(Exception):
-                    registry.fire(self.SITE)
-
-    def test_retried_and_quarantined_trace_exports_validly(self):
-        """The satellite scenario: a trace whose shards were retried
-        and quarantined — overlapping worker spans, attempt/quarantine
-        attrs — still yields a valid speedscope document whose weight
-        total matches the trace's self-time total."""
-        registry = FaultRegistry(seed=5)
-        registry.inject(
-            self.SITE, error=TransientEvaluationError("poisoned"), times=3
-        )
-        self._exhaust(registry, 3)  # burn quarantine's ambient budget
+class TestStitchedTraceExport:
+    def test_two_shard_trace_exports_validly(self):
+        """A captured two-shard batch on two workers — overlapping
+        sibling worker spans with ``pid``/``shard`` attrs — still
+        yields a valid speedscope document with the worker frames."""
         tracer = Tracer()
-        ctx = ExecutionContext(
-            workers=1, pool="thread",
-            resilience=ResiliencePolicy(max_retries=2, backoff_base=0.001),
-        )
+        ctx = ExecutionContext(workers=2, pool="thread")
         try:
-            with registry, tracer:
+            with tracer:
                 with tracer.span("query"):
-                    out = ctx.run_shards(_double, [4])
+                    out = ctx.run_shards(_double, [4, 5])
         finally:
             ctx.close()
-        assert out == [8]
-        assert ctx.quarantined == 1
+        assert out == [8, 10]
+        workers = [s for s in tracer.spans if s.name == "worker._double"]
+        assert sorted(s.attrs["shard"] for s in workers) == [0, 1]
         document = trace_document(tracer)
         speedscope = validate_speedscope(speedscope_document(document))
         frame_names = {f["name"] for f in speedscope["shared"]["frames"]}

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.obs.metrics import (
-    QUANTILES,
     Histogram,
     Metrics,
     histogram_from_snapshot,
@@ -74,12 +73,6 @@ class TestSnapshotAndMerge:
         assert a.counter("c") == 3
         assert a.histogram("h").total == 4
 
-    def test_is_empty(self):
-        m = Metrics()
-        assert m.is_empty()
-        m.count("c")
-        assert not m.is_empty()
-
 
 class TestQuantiles:
     def test_empty_histogram_has_no_quantiles(self):
@@ -89,14 +82,14 @@ class TestQuantiles:
     def test_single_value_reports_itself(self):
         h = Histogram()
         h.observe(3.0)
-        for q in QUANTILES:
+        for q in (0.5, 0.95, 0.99):
             assert h.quantile(q) == pytest.approx(3.0)
 
     def test_quantiles_are_monotone_and_bounded(self):
         h = Histogram()
         for i in range(1, 1001):
             h.observe(i / 1000.0)
-        p50, p95, p99 = (h.quantile(q) for q in QUANTILES)
+        p50, p95, p99 = (h.quantile(q) for q in (0.5, 0.95, 0.99))
         assert h.min <= p50 <= p95 <= p99 <= h.max
 
     def test_estimate_within_a_factor_of_sqrt_two(self):
@@ -138,7 +131,7 @@ class TestQuantiles:
         for i in range(100):
             h.observe(0.001 * (i + 1))
         rebuilt = histogram_from_snapshot(h.snapshot())
-        for q in QUANTILES:
+        for q in (0.5, 0.95, 0.99):
             assert rebuilt.quantile(q) == pytest.approx(h.quantile(q))
 
     def test_pre_bucket_snapshot_degrades_to_bounds(self):

@@ -3,8 +3,9 @@
 The differential suite checks *what* the parallel backend computes;
 these tests check *how* it behaves as a component: construction-time
 validation, activation scoping (including the owner-pid recursion
-guard), graceful degradation from a broken process pool to threads,
-the ``parallel.*`` metric stream, and the CLI flags end to end.
+guard), the one failure path (a shard runs once, and the first that
+raises or is lost fails its batch), the ``parallel.*`` metric stream,
+and the CLI flags end to end.
 """
 
 from __future__ import annotations
@@ -13,28 +14,30 @@ import contextlib
 import io
 import os
 import pickle
+import threading
+import time
 
 import pytest
 
-from repro.cli import main as cli_main
+import repro.parallel.backend as backend
+from repro.cli import EXIT_BUDGET, EXIT_SHARD, main as cli_main
 from repro.core.database import Database
 from repro.core.gtuple import GTuple
 from repro.core.relation import Relation
 from repro.core.terms import Const, Var
 from repro.encoding.standard import encode_database
+from repro.errors import ShardFailedError
 from repro.obs import Tracer
 from repro.parallel import ExecutionContext, active_execution_context
-from repro.parallel.context import POOL_KINDS, SHARD_STRATEGIES
+from repro.parallel.context import POOL_KINDS
+from repro.runtime.budget import Budget, DeadlineExceeded
+from repro.runtime.guard import EvaluationGuard
 
 
 # ------------------------------------------------------------- construction
 
 
 class TestConstruction:
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="shard_strategy"):
-            ExecutionContext(workers=2, shard_strategy="modulo")
-
     def test_rejects_unknown_pool(self):
         with pytest.raises(ValueError, match="pool"):
             ExecutionContext(workers=2, pool="greenlet")
@@ -49,7 +52,6 @@ class TestConstruction:
         assert ExecutionContext(workers=2, pool="thread").pool_kind == "thread"
 
     def test_constants_exported(self):
-        assert SHARD_STRATEGIES == ("hash", "cell")
         assert POOL_KINDS == ("auto", "process", "thread")
 
 
@@ -102,13 +104,17 @@ class TestPoolFallback:
     def test_unpicklable_payload_degrades_to_threads(self):
         ctx = ExecutionContext(workers=2, pool="process")
         try:
-            # a lambda cannot cross a process boundary; the batch must
-            # complete on threads and the degradation must be counted
-            out = ctx.run_shards(lambda p: p * 2, [1, 2, 3])
-            assert out == [2, 4, 6]
-            assert ctx.pool_kind == "thread"
-            assert ctx.fallbacks == 1
-            assert ctx.stats()["fallbacks"] == 1
+            # a lambda cannot cross a process boundary: the batch fails
+            # with the pickling error as its cause, on the pool it was
+            # given (nothing degrades to threads mid-run)
+            with pytest.raises(ShardFailedError) as failed:
+                ctx.run_shards(lambda p: p * 2, [1, 2, 3])
+            assert failed.value.op == "<lambda>"
+            assert failed.value.shard == 0
+            assert "pickle" in str(failed.value.cause)
+            assert ctx.pool_kind == "process"
+            assert ctx.fallbacks == 0
+            assert ctx.stats()["fallbacks"] == 0
         finally:
             ctx.close()
 
@@ -126,6 +132,95 @@ class TestPoolFallback:
         try:
             assert ctx.run_shards(len, []) == []
             assert ctx.batches == 0
+        finally:
+            ctx.close()
+
+
+# --------------------------------------------------------- one failure path
+# module-level kernels, so process pools can pickle them by reference
+
+_CALLS = []
+_CALLS_LOCK = threading.Lock()
+
+
+def _poisoned(payload):
+    """Raises on payload 2; counts every call (thread pools share it)."""
+    with _CALLS_LOCK:
+        _CALLS.append(payload)
+    if payload == 2:
+        raise ValueError(f"poisoned shard {payload}")
+    return payload * 10
+
+
+def _exit_worker(payload):
+    os._exit(13)
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+class TestShardFailure:
+    def setup_method(self):
+        _CALLS.clear()
+
+    def test_raising_kernel_runs_once_on_threads(self):
+        ctx = ExecutionContext(workers=2, pool="thread")
+        try:
+            with pytest.raises(ShardFailedError) as failed:
+                ctx.run_shards(_poisoned, [1, 2, 3])
+        finally:
+            ctx.close()
+        error = failed.value
+        assert (error.op, error.shard) == ("_poisoned", 1)
+        assert isinstance(error.cause, ValueError)
+        assert error.diagnostics() == {
+            "cause": "ValueError", "op": "_poisoned", "shard": 1,
+        }
+        assert "shard 1 of _poisoned" in str(error)
+        # the poisoned shard ran exactly once: nothing retried it or
+        # re-ran it in-process
+        assert _CALLS.count(2) == 1
+        assert len(_CALLS) <= 3
+
+    def test_raising_kernel_on_process_pool(self):
+        ctx = ExecutionContext(workers=2, pool="process")
+        try:
+            with pytest.raises(ShardFailedError) as failed:
+                ctx.run_shards(_poisoned, [1, 2, 3])
+            # the pool survives a kernel exception and runs the next batch
+            assert ctx.run_shards(_poisoned, [1, 3]) == [10, 30]
+        finally:
+            ctx.close()
+        assert (failed.value.op, failed.value.shard) == ("_poisoned", 1)
+        assert isinstance(failed.value.cause, ValueError)
+        assert _CALLS == []  # the kernel ran in the workers, not here
+
+    def test_lost_worker_fails_the_batch_and_close_returns(self):
+        ctx = ExecutionContext(workers=2, pool="process")
+        try:
+            with pytest.raises(ShardFailedError) as failed:
+                ctx.run_shards(_exit_worker, [1, 2])
+        finally:
+            ctx.close()
+        assert ctx.closed
+        assert failed.value.op == "_exit_worker"
+        assert failed.value.diagnostics()["cause"] == "BrokenProcessPool"
+
+    def test_results_keep_payload_order(self):
+        ctx = ExecutionContext(workers=3, pool="thread")
+        try:
+            assert ctx.run_shards(_sleep, [0.03, 0.0, 0.01]) == [0.03, 0.0, 0.01]
+        finally:
+            ctx.close()
+
+    def test_guard_deadline_binds_the_wait(self):
+        ctx = ExecutionContext(workers=1, pool="thread")
+        guard = EvaluationGuard(Budget(deadline_seconds=0.1))
+        try:
+            with guard, pytest.raises(DeadlineExceeded):
+                ctx.run_shards(_sleep, [0.6])
         finally:
             ctx.close()
 
@@ -220,14 +315,22 @@ def _run_cli(argv):
     return code, out.getvalue()
 
 
+def _run_cli_err(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+QUERY = "exists y (E(x, y) and E(y, z))"
+
+
 class TestCli:
     def test_query_parallel_matches_serial(self, workload):
         db, _ = workload
         argv = ["query", db, "--raw", "exists y (E(x, y) and E(y, z))"]
         code_s, out_s = _run_cli(argv)
-        code_p, out_p = _run_cli(
-            argv + ["--parallel", "--workers", "2", "--shard-strategy", "cell"]
-        )
+        code_p, out_p = _run_cli(argv + ["--parallel", "--workers", "2"])
         assert code_s == code_p == 0
         # shard concatenation may reorder the printed tuples
         assert sorted(out_s.splitlines()) == sorted(out_p.splitlines())
@@ -248,10 +351,81 @@ class TestCli:
         assert code == 0
         assert out.strip()
 
-    def test_rejects_bad_strategy(self, workload):
+    @pytest.mark.parametrize("command", ["query", "datalog", "explain"])
+    def test_three_parallel_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli_main([command, "--help"])
+        assert done.value.code == 0
+        flags = {
+            word.strip(",[]") for word in capsys.readouterr().out.split()
+            if word.startswith(("--", "[--"))
+        }
+        assert {"--parallel", "--workers", "--no-stitch"} <= flags
+        # nothing else names a shard, a pool policy or a retry
+        assert not {
+            f for f in flags
+            if any(k in f for k in ("shard", "retr", "strateg", "failure"))
+        }
+
+    def test_single_cpu_parallel_runs_without_degrading(self, workload, monkeypatch):
+        # there is no host-level auto-degrade: --parallel on one CPU
+        # activates the pool as anywhere else — same result, no
+        # degrade warning
+        import repro.cli as cli_module
+
         db, _ = workload
-        with pytest.raises(SystemExit):
-            _run_cli(
-                ["query", db, "E(x, y)", "--parallel",
-                 "--shard-strategy", "modulo"]
-            )
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 1)
+        argv = ["query", db, "--raw", QUERY]
+        code_s, out_s, _ = _run_cli_err(argv)
+        code_p, out_p, err = _run_cli_err(argv + ["--parallel"])
+        assert code_s == code_p == 0
+        assert "serially" not in err
+        assert sorted(out_s.splitlines()) == sorted(out_p.splitlines())
+
+    def test_forced_workers_on_single_cpu_warns_but_runs(
+        self, workload, monkeypatch
+    ):
+        import repro.cli as cli_module
+
+        db, _ = workload
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 1)
+        code, out, err = _run_cli_err(
+            ["query", db, "--raw", QUERY, "--parallel", "--workers", "2"]
+        )
+        assert code == 0
+        assert out.strip()
+        assert "single-CPU" in err  # the explicit-force warning stays
+
+    def test_raising_kernel_exits_5_with_diagnostics(self, workload, monkeypatch):
+        db, dl = workload
+
+        def join_shard(payload):
+            raise RuntimeError("poisoned join shard")
+
+        # --workers 1 resolves to a thread pool, which runs the patch
+        monkeypatch.setattr(backend, "join_shard", join_shard)
+        code, out, err = _run_cli_err(
+            ["datalog", db, dl, "--parallel", "--workers", "1"]
+        )
+        assert code == EXIT_SHARD == 5
+        assert "shard failure: shard 0 of join_shard failed" in err
+        assert "diagnostics: cause=RuntimeError, op=join_shard, shard=0" in err
+        assert "fixpoint" not in out
+
+    def test_timeout_binds_a_sleeping_shard(self, workload, monkeypatch):
+        db, dl = workload
+        real = backend.join_shard
+
+        def join_shard(payload):
+            time.sleep(0.6)
+            return real(payload)
+
+        monkeypatch.setattr(backend, "join_shard", join_shard)
+        code, _, err = _run_cli_err(
+            ["datalog", db, dl, "--parallel", "--workers", "1",
+             "--timeout", "0.2"]
+        )
+        assert code == EXIT_BUDGET == 3
+        assert "budget exceeded: deadline of 0.2s exceeded" in err
+        assert "site=parallel.dispatch" in err
+        assert "shard failure" not in err

@@ -1,12 +1,12 @@
 """Hypothesis differential suite: serial vs parallel on random inputs.
 
 Random FO formulas and random Datalog programs are evaluated under the
-serial reference and under the parallel backend for every point of the
-matrix {hash, cell} x {1, 2, 4} workers, asserting semantic
-equivalence and identical guard-counter totals (see ``oracle.py``).
+serial reference and under the parallel backend at 1, 2 and 4
+workers, asserting semantic equivalence and identical guard-counter
+totals (see ``oracle.py``).
 
-Across the matrix this generates well over 200 differential cases per
-run under the default Hypothesis profile.  The pool kind follows
+Across the worker counts this generates 180 differential cases per run
+under the default Hypothesis profile.  The pool kind follows
 ``REPRO_DIFF_POOL`` (default ``thread``; the CI differential job sets
 ``process``).
 """
@@ -24,7 +24,6 @@ from repro.datalog.seminaive import evaluate_seminaive
 from repro.queries.library import transitive_closure_program
 
 from tests.parallel.oracle import (
-    STRATEGIES,
     WORKER_COUNTS,
     check_datalog,
     check_fo,
@@ -32,20 +31,15 @@ from tests.parallel.oracle import (
 )
 from tests.strategies import formulas
 
-MATRIX = [
-    (strategy, workers) for strategy in STRATEGIES for workers in WORKER_COUNTS
-]
-
-#: one context per matrix point, shared across examples (pool startup,
+#: one context per worker count, shared across examples (pool startup,
 #: especially for processes, would otherwise dominate the suite)
 _CONTEXTS = {}
 
 
-def _context(strategy, workers):
-    key = (strategy, workers)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = make_context(workers, strategy)
-    return _CONTEXTS[key]
+def _context(workers):
+    if workers not in _CONTEXTS:
+        _CONTEXTS[workers] = make_context(workers)
+    return _CONTEXTS[workers]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -70,7 +64,7 @@ def _edge_db(edges) -> Database:
     return Database({"E": Relation.from_points(("x", "y"), sorted(edges))})
 
 
-@pytest.mark.parametrize("strategy,workers", MATRIX)
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
 class TestDifferential:
     @settings(
         max_examples=40,
@@ -78,8 +72,8 @@ class TestDifferential:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(formula=formulas())
-    def test_fo_formulas(self, strategy, workers, formula):
-        check_fo(formula, ctx=_context(strategy, workers))
+    def test_fo_formulas(self, workers, formula):
+        check_fo(formula, ctx=_context(workers))
 
     @settings(
         max_examples=10,
@@ -87,11 +81,11 @@ class TestDifferential:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(edges=small_digraphs())
-    def test_datalog_naive(self, strategy, workers, edges):
+    def test_datalog_naive(self, workers, edges):
         check_datalog(
             transitive_closure_program(),
             _edge_db(edges),
-            ctx=_context(strategy, workers),
+            ctx=_context(workers),
             engine=evaluate_program,
         )
 
@@ -101,10 +95,10 @@ class TestDifferential:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(edges=small_digraphs())
-    def test_datalog_seminaive(self, strategy, workers, edges):
+    def test_datalog_seminaive(self, workers, edges):
         check_datalog(
             transitive_closure_program(),
             _edge_db(edges),
-            ctx=_context(strategy, workers),
+            ctx=_context(workers),
             engine=evaluate_seminaive,
         )

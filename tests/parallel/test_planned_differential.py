@@ -2,8 +2,8 @@
 
 ``--optimize heuristic --parallel`` runs the rule-engine-rewritten
 plan inside an activated pool, so every planned Join/Project/Absorb
-whose input reaches the pool's floor shards.  Every point of the
-{hash, cell} × {1, 2, 4} worker matrix is pinned twice:
+whose input reaches the pool's floor shards.  Every worker count in
+{1, 2, 4} is pinned twice:
 
 * **semantic equivalence** — the planned result inside the pool
   denotes the same pointset as the plain serial evaluator's;
@@ -21,7 +21,6 @@ import contextlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.evaluator import evaluate
 from repro.core.physical import QueryPlanner
@@ -30,22 +29,17 @@ from repro.encoding.cells import relations_equivalent
 from repro.queries.library import transitive_closure_program
 from repro.runtime.guard import EvaluationGuard
 
-from tests.parallel.oracle import STRATEGIES, WORKER_COUNTS, guard_totals, make_context
+from tests.parallel.oracle import WORKER_COUNTS, guard_totals, make_context
 from tests.parallel.test_differential import _edge_db, small_digraphs
 from tests.strategies import formulas
-
-MATRIX = [
-    (strategy, workers) for strategy in STRATEGIES for workers in WORKER_COUNTS
-]
 
 _CONTEXTS = {}
 
 
-def _context(strategy, workers):
-    key = (strategy, workers)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = make_context(workers, strategy)
-    return _CONTEXTS[key]
+def _context(workers):
+    if workers not in _CONTEXTS:
+        _CONTEXTS[workers] = make_context(workers)
+    return _CONTEXTS[workers]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -80,7 +74,7 @@ def check_fo_planned(formula, database=None, planner=None, ctx=None):
     )
 
 
-@pytest.mark.parametrize("strategy,workers", MATRIX)
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
 class TestPlannedDifferential:
     @settings(
         max_examples=25,
@@ -88,10 +82,10 @@ class TestPlannedDifferential:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(formula=formulas())
-    def test_fo_formulas(self, strategy, workers, formula):
+    def test_fo_formulas(self, workers, formula):
         check_fo_planned(
             formula, planner=QueryPlanner(mode="heuristic"),
-            ctx=_context(strategy, workers),
+            ctx=_context(workers),
         )
 
     @settings(
@@ -100,9 +94,7 @@ class TestPlannedDifferential:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(edges=small_digraphs())
-    def test_datalog_rule_bodies_through_the_planner(
-        self, strategy, workers, edges
-    ):
+    def test_datalog_rule_bodies_through_the_planner(self, workers, edges):
         program = transitive_closure_program()
         db = _edge_db(edges)
         serial = evaluate_program(program, db)
@@ -114,7 +106,7 @@ class TestPlannedDifferential:
         planned_guard = EvaluationGuard()
         planned = evaluate_program(
             program, db, guard=planned_guard,
-            context=_context(strategy, workers),
+            context=_context(workers),
             planner=QueryPlanner(mode="heuristic"),
         )
         assert serial.rounds == planned.rounds == baseline.rounds

@@ -7,10 +7,10 @@ kernels.  These tests pin the metamorphic consequences directly,
 without an oracle formula in the loop:
 
 * ``shard_indices`` is a true partition (every index exactly once,
-  order preserved inside a shard) for both strategies and any count;
+  order preserved inside a shard) for any count;
 * shard -> evaluate -> merge equals the serial result for ``join``,
-  ``project``, and ``simplify`` regardless of shard count, strategy,
-  or input tuple order;
+  ``project``, and ``simplify`` regardless of shard count or input
+  tuple order;
 * repartitioning a merged result and merging again is a fixpoint
   (absorption of an absorbed relation changes nothing).
 """
@@ -25,7 +25,7 @@ from repro.core.relation import Relation
 from repro.parallel import ExecutionContext
 from repro.parallel.shards import index_ranges, shard_indices, shard_skew, stable_digest
 
-from tests.parallel.oracle import STRATEGIES, WORKER_COUNTS
+from tests.parallel.oracle import WORKER_COUNTS
 
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -47,10 +47,8 @@ def tuple_set(relation):
 def ctx_factory():
     made = []
 
-    def make(workers, strategy):
-        ctx = ExecutionContext(
-            workers=workers, shard_strategy=strategy, pool="thread", min_tuples=2
-        )
+    def make(workers):
+        ctx = ExecutionContext(workers=workers, pool="thread", min_tuples=2)
         made.append(ctx)
         return ctx
 
@@ -64,36 +62,30 @@ def ctx_factory():
 
 class TestShardIndices:
     @SETTINGS
-    @given(n=st.integers(min_value=1, max_value=9), strategy=st.sampled_from(STRATEGIES))
-    def test_is_a_partition(self, n, strategy):
+    @given(n=st.integers(min_value=1, max_value=9))
+    def test_is_a_partition(self, n):
         tuples = edge_relation().tuples
-        shards = shard_indices(tuples, n, strategy)
+        shards = shard_indices(tuples, n)
         flat = [i for shard in shards for i in shard]
         assert sorted(flat) == list(range(len(tuples)))
         assert len(shards) <= n
         assert all(shard for shard in shards)
 
     @SETTINGS
-    @given(n=st.integers(min_value=1, max_value=9), strategy=st.sampled_from(STRATEGIES))
-    def test_input_order_kept_within_shards(self, n, strategy):
-        shards = shard_indices(edge_relation().tuples, n, strategy)
+    @given(n=st.integers(min_value=1, max_value=9))
+    def test_input_order_kept_within_shards(self, n):
+        shards = shard_indices(edge_relation().tuples, n)
         for shard in shards:
             assert shard == sorted(shard)
 
     def test_sharding_is_deterministic(self):
         tuples = edge_relation().tuples
-        for strategy in STRATEGIES:
-            first = shard_indices(tuples, 4, strategy)
-            assert first == shard_indices(tuples, 4, strategy)
+        assert shard_indices(tuples, 4) == shard_indices(tuples, 4)
 
     def test_equal_tuples_digest_equally(self):
         a = edge_relation().tuples
         b = edge_relation().tuples
         assert [stable_digest(t) for t in a] == [stable_digest(t) for t in b]
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            shard_indices(edge_relation().tuples, 2, "round-robin")
 
     @SETTINGS
     @given(
@@ -115,61 +107,57 @@ class TestShardIndices:
 # ------------------------------------------------- shard -> evaluate -> merge
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 class TestMergeEqualsSerial:
-    def test_join_set_equal(self, strategy, workers, ctx_factory):
+    def test_join_set_equal(self, workers, ctx_factory):
         e = edge_relation()
         serial = e.join(e.rename({"x": "y", "y": "z"}))
-        with ctx_factory(workers, strategy):
+        with ctx_factory(workers):
             parallel = e.join(e.rename({"x": "y", "y": "z"}))
         assert tuple_set(serial) == tuple_set(parallel)
         assert serial.equivalent(parallel)
 
-    def test_project_set_equal(self, strategy, workers, ctx_factory):
+    def test_project_set_equal(self, workers, ctx_factory):
         wide = edge_relation().join(edge_relation().rename({"x": "y", "y": "z"}))
         serial = wide.project(("x", "z"))
-        with ctx_factory(workers, strategy):
+        with ctx_factory(workers):
             parallel = wide.project(("x", "z"))
         assert tuple_set(serial) == tuple_set(parallel)
         assert serial.equivalent(parallel)
 
-    def test_simplify_identical(self, strategy, workers, ctx_factory):
+    def test_simplify_identical(self, workers, ctx_factory):
         # absorption merges contiguous index ranges in order, so the
         # parallel survivor list is the serial one exactly, not merely
         # set-equal
         noisy = edge_relation().union(edge_relation())
         serial = noisy.simplify()
-        with ctx_factory(workers, strategy):
+        with ctx_factory(workers):
             parallel = noisy.simplify()
         assert [str(t.atoms) for t in serial.tuples] == [
             str(t.atoms) for t in parallel.tuples
         ]
 
-    def test_repartition_of_merge_is_fixpoint(self, strategy, workers, ctx_factory):
-        with ctx_factory(workers, strategy):
+    def test_repartition_of_merge_is_fixpoint(self, workers, ctx_factory):
+        with ctx_factory(workers):
             once = edge_relation().union(edge_relation()).simplify()
             twice = once.simplify()
         assert [str(t.atoms) for t in once.tuples] == [
             str(t.atoms) for t in twice.tuples
         ]
-        assert shard_indices(once.tuples, workers, strategy) == shard_indices(
-            twice.tuples, workers, strategy
+        assert shard_indices(once.tuples, workers) == shard_indices(
+            twice.tuples, workers
         )
 
 
 # --------------------------------------------------------- order invariance
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 class TestTupleOrderInvariance:
     @SETTINGS
     @given(perm=st.permutations(EDGES))
-    def test_simplify_pointset_order_invariant(self, strategy, perm):
+    def test_simplify_pointset_order_invariant(self, perm):
         reference = edge_relation().simplify()
-        with ExecutionContext(
-            workers=3, shard_strategy=strategy, pool="thread", min_tuples=2
-        ) as ctx:
+        with ExecutionContext(workers=3, pool="thread", min_tuples=2) as ctx:
             try:
                 shuffled = Relation.from_points(("x", "y"), perm).simplify()
             finally:
@@ -178,11 +166,9 @@ class TestTupleOrderInvariance:
 
     @SETTINGS
     @given(perm=st.permutations(EDGES))
-    def test_project_pointset_order_invariant(self, strategy, perm):
+    def test_project_pointset_order_invariant(self, perm):
         reference = edge_relation().project(("y",))
-        with ExecutionContext(
-            workers=3, shard_strategy=strategy, pool="thread", min_tuples=2
-        ) as ctx:
+        with ExecutionContext(workers=3, pool="thread", min_tuples=2) as ctx:
             try:
                 shuffled = Relation.from_points(("x", "y"), perm).project(("y",))
             finally:
